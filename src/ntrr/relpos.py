@@ -134,13 +134,13 @@ def sinusoidal_pe(positions, model_dim: int, dtype=np.float64) -> np.ndarray:
     return pe
 
 
-def rel_attention_scores(q: Tensor, k: Tensor, rel_table: RelPosTable | None, mask,
+def rel_attention_scores(q: Tensor, k: Tensor, rel_table: RelPosTable | None,
                          positions_q, positions_k, k_eff: int | None = None) -> Tensor:
     """Scaled attention scores with the relative key correction.
 
     q (..., Tq, d), k (..., Tk, d) -> (..., Tq, Tk). Each score is
     q_i . (k_l + table_row(pos_l - pos_q_i)) / sqrt(d); with no table
-    this is plain scaled dot product. Masked positions are -inf."""
+    this is plain scaled dot product."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"head dims disagree: {q.shape} vs {k.shape}")
     d = q.shape[-1]
@@ -149,10 +149,7 @@ def rel_attention_scores(q: Tensor, k: Tensor, rel_table: RelPosTable | None, ma
         idx = displacement_index(positions_q, positions_k, rel_table.k, k_eff)
         per_disp = T.matmul(q, T.permute(rel_table.wk, (1, 0)))  # (..., Tq, 2k+1)
         scores = scores + T.index_select_last(per_disp, idx)
-    scores = scores * (1.0 / np.sqrt(d))
-    if mask is not None:
-        scores = T.mask_scores(scores, mask)
-    return scores
+    return scores * (1.0 / np.sqrt(d))
 
 
 def rel_attention_values(attn: Tensor, v: Tensor, rel_table: RelPosTable | None,
@@ -204,10 +201,8 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, config: AttentionConfig,
     q = split_heads(T.linear(x_q, params.wq, params.bq), config.num_heads)
     k = split_heads(T.linear(x_kv, params.wk, params.bk), config.num_heads)
     v = split_heads(T.linear(x_kv, params.wv, params.bv), config.num_heads)
-    scores = rel_attention_scores(q, k, rel_table, mask, positions_q, positions_k, k_eff)
-    if mask is None:
-        mask = np.ones((x_q.shape[1], x_kv.shape[1]), dtype=bool)
-    weights = T.masked_softmax(scores, mask)
+    scores = rel_attention_scores(q, k, rel_table, positions_q, positions_k, k_eff)
+    weights = T.masked_softmax(scores, True if mask is None else mask)
     if train and config.attn_dropout > 0.0:
         if streams is None:
             raise ContractError("training forward needs dropout streams")

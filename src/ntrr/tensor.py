@@ -397,12 +397,12 @@ def masked_softmax(scores: Tensor, mask) -> Tensor:
     position come out as all zeros rather than NaN.
     """
     m = np.broadcast_to(np.asarray(mask, dtype=bool), scores.data.shape)
-    neg = np.where(m, scores.data, -np.inf)
-    rowmax = neg.max(axis=-1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.exp(np.where(m, scores.data - rowmax, -np.inf))
-    denom = e.sum(axis=-1, keepdims=True)
-    out = e / np.where(denom > 0.0, denom, 1.0)
+    out = np.where(m, scores.data, -np.inf)  # the only buffer; updated in place below
+    rowmax = out.max(axis=-1, keepdims=True)
+    rowmax[~np.isfinite(rowmax)] = 0.0
+    np.exp(np.subtract(out, rowmax, out=out), out=out)
+    denom = out.sum(axis=-1, keepdims=True)
+    np.divide(out, np.where(denom > 0.0, denom, 1.0), out=out)
 
     def backward(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -526,12 +526,28 @@ def kl_divergence(p: Tensor, q: Tensor, mask=None) -> Tensor:
 # ------------------------------------------------- displacement-indexed ops
 
 
-def _one_hot_index(idx: np.ndarray, nbuckets: int, dtype) -> np.ndarray:
+def _flat_index(idx, nbuckets: int):
+    """The checked 2-d index and its flat keys i * nbuckets + idx[i, j] in (Tq, nbuckets)."""
+    idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 2:
         raise ShapeError(f"index matrix must be 2-d, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= nbuckets):
         raise IndexError(f"bucket index out of range [0, {nbuckets})")
-    return (idx[..., None] == np.arange(nbuckets)).astype(dtype)
+    return idx, (np.arange(idx.shape[0])[:, None] * nbuckets + idx).ravel()
+
+
+def _gather_last(x: np.ndarray, keys: np.ndarray, shape) -> np.ndarray:
+    """(..., Tq, R) -> (..., Tq, Tk): one take over the flattened last two axes."""
+    return np.take(x.reshape(x.shape[:-2] + (-1,)), keys, axis=-1).reshape(x.shape[:-2] + shape)
+
+
+def _bucket_sum(x: np.ndarray, keys: np.ndarray, shape, nbuckets: int) -> np.ndarray:
+    """(..., Tq, Tk) -> (..., Tq, nbuckets), one bincount per leading row, summed in float64."""
+    tq = shape[0]
+    out = np.empty(x.shape[:-2] + (tq, nbuckets), dtype=x.dtype)
+    for row_out, row in zip(out.reshape(-1, tq * nbuckets), x.reshape((-1,) + shape)):
+        row_out[...] = np.bincount(keys, weights=row.ravel(), minlength=tq * nbuckets)
+    return out
 
 
 def index_select_last(x: Tensor, idx) -> Tensor:
@@ -539,19 +555,14 @@ def index_select_last(x: Tensor, idx) -> Tensor:
 
     Used to spread per-displacement scores (..., T, R) out to score
     matrices (..., T, Tk)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    R = x.data.shape[-1]
-    onehot = _one_hot_index(idx, R, x.dtype)  # (T, Tk, R)
-    lead = x.data.shape[:-2]
-    xn = x.data.reshape((-1,) + x.data.shape[-2:])
-    out = np.einsum("nir,ijr->nij", xn, onehot).reshape(lead + idx.shape)
+    idx, keys = _flat_index(idx, x.data.shape[-1])
+    if x.data.shape[-2] != idx.shape[0]:
+        raise ShapeError(f"row dim {x.data.shape[-2]} does not match index {idx.shape}")
 
     def backward(g):
-        gn = g.reshape((-1,) + idx.shape)
-        gx = np.einsum("nij,ijr->nir", gn, onehot).reshape(x.data.shape)
-        return (gx,)
+        return (_bucket_sum(g, keys, idx.shape, x.data.shape[-1]),)
 
-    return _make(out, (x,), backward)
+    return _make(_gather_last(x.data, keys, idx.shape), (x,), backward)
 
 
 def index_bucket_last(x: Tensor, idx, nbuckets: int) -> Tensor:
@@ -559,20 +570,14 @@ def index_bucket_last(x: Tensor, idx, nbuckets: int) -> Tensor:
 
     The adjoint of index_select_last; used to pool attention weights by
     displacement before mixing in the per-displacement value rows."""
-    idx = np.asarray(idx, dtype=np.int64)
-    onehot = _one_hot_index(idx, nbuckets, x.dtype)  # (T, Tk, R)
+    idx, keys = _flat_index(idx, nbuckets)
     if x.data.shape[-2:] != idx.shape:
         raise ShapeError(f"trailing dims {x.data.shape[-2:]} do not match index {idx.shape}")
-    lead = x.data.shape[:-2]
-    xn = x.data.reshape((-1,) + idx.shape)
-    out = np.einsum("nij,ijr->nir", xn, onehot).reshape(lead + (idx.shape[0], nbuckets))
 
     def backward(g):
-        gn = g.reshape((-1, idx.shape[0], nbuckets))
-        gx = np.einsum("nir,ijr->nij", gn, onehot).reshape(x.data.shape)
-        return (gx,)
+        return (_gather_last(g, keys, idx.shape),)
 
-    return _make(out, (x,), backward)
+    return _make(_bucket_sum(x.data, keys, idx.shape, nbuckets), (x,), backward)
 
 
 # ------------------------------------------------------------------ backward

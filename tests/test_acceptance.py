@@ -80,8 +80,8 @@ def test_criterion_2_relative_pe():
     k = Tensor(rng.normal((1, 1, 5, 4)))
     zero = RelPosTable(Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 4))))
     pos_q, pos_k = [2, 3, 4], [0, 1, 2, 3, 4]
-    with_t = rel_attention_scores(q, k, zero, None, pos_q, pos_k).data
-    vanilla = rel_attention_scores(q, k, None, None, pos_q, pos_k).data
+    with_t = rel_attention_scores(q, k, zero, pos_q, pos_k).data
+    vanilla = rel_attention_scores(q, k, None, pos_q, pos_k).data
     attn = T.softmax(Tensor(vanilla)).data
     v = rng.normal((1, 1, 5, 4))
     mix = rel_attention_values(Tensor(attn), Tensor(v), zero, pos_q, pos_k).data
@@ -94,7 +94,7 @@ def test_criterion_2_relative_pe():
     base = None
     same = True
     for shift in (0, 7, 1000):
-        s = rel_attention_scores(q, k, table, None,
+        s = rel_attention_scores(q, k, table,
                                  [p + shift for p in pos_q],
                                  [p + shift for p in pos_k]).data
         w = T.softmax(Tensor(s)).data
@@ -115,7 +115,7 @@ def test_criterion_2_relative_pe():
 
     def scores_with(rows):
         t = RelPosTable(Tensor(rows), Tensor(np.zeros_like(rows)))
-        return rel_attention_scores(q2, k2, t, None, far_q, far_k).data
+        return rel_attention_scores(q2, k2, t, far_q, far_k).data
 
     inner = wk.copy()
     inner[1:4] += 100.0
@@ -131,7 +131,7 @@ def test_criterion_2_relative_pe():
     wkh = np.array([[0.1, 0.2], [0.0, 0.0], [-0.3, 0.4]])
     th = RelPosTable(Tensor(wkh.copy()), Tensor(np.zeros_like(wkh)))
     got = rel_attention_scores(Tensor(qh[None]), Tensor(kh[None]), th,
-                               None, [0, 1], [0, 1]).data[0]
+                               [0, 1], [0, 1]).data[0]
     hand_ok = True
     for i in range(2):
         for l in range(2):

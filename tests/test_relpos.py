@@ -84,8 +84,8 @@ def test_zero_table_scores_equal_vanilla():
     k = T.Tensor(rng.normal((1, 1, 5, 4)))
     table = make_table(rng, 2, 4, zero=True)
     pos_q, pos_k = [2, 3, 4], [0, 1, 2, 3, 4]
-    with_table = rel_attention_scores(q, k, table, None, pos_q, pos_k).data
-    vanilla = rel_attention_scores(q, k, None, None, pos_q, pos_k).data
+    with_table = rel_attention_scores(q, k, table, pos_q, pos_k).data
+    vanilla = rel_attention_scores(q, k, None, pos_q, pos_k).data
     assert np.max(np.abs(with_table - vanilla)) <= 1e-12
 
 
@@ -98,7 +98,7 @@ def test_two_token_scores_match_hand_expansion():
                    [-0.3, 0.4]])  # displacement +1
     table = RelPosTable(T.Tensor(wk.copy()), T.Tensor(np.zeros_like(wk)))
     got = rel_attention_scores(T.Tensor(q[None]), T.Tensor(k[None]), table,
-                               None, [0, 1], [0, 1]).data[0]
+                               [0, 1], [0, 1]).data[0]
     scale = 1.0 / np.sqrt(2.0)
     for i in range(2):
         for l in range(2):
@@ -116,7 +116,7 @@ def test_translation_invariance_bitwise():
     for shift in (0, 5, 1000):
         pos_q = [p + shift for p in (2, 3, 4, 5)]
         pos_k = [p + shift for p in range(6)]
-        s = rel_attention_scores(q, k, table, None, pos_q, pos_k).data
+        s = rel_attention_scores(q, k, table, pos_q, pos_k).data
         w = T.softmax(T.Tensor(s)).data
         o = rel_attention_values(T.Tensor(w), v, table, pos_q, pos_k).data
         if shift == 0:
@@ -135,7 +135,7 @@ def test_clip_saturation_uses_only_edge_rows():
     pos_q, pos_k = [0, 100], [50, 60]
     def scores_with(rows):
         t = RelPosTable(T.Tensor(rows), T.Tensor(np.zeros_like(rows)))
-        return rel_attention_scores(q, k, t, None, pos_q, pos_k).data
+        return rel_attention_scores(q, k, t, pos_q, pos_k).data
     base = scores_with(wk)
     inner_changed = wk.copy()
     inner_changed[1:4] += 100.0  # rows for displacements -1, 0, +1

@@ -3,11 +3,12 @@ finite differences (h=1e-5, 64-bit, rel err <= 1e-4)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ntrr.tensor as T
 from ntrr.errors import ConfigError, ContractError, NumericsError, ShapeError
+from ntrr.relpos import displacement_index
 from ntrr.rng import Rng
 
 TOL = 1e-4
@@ -35,6 +36,68 @@ def check_grads(f, params, tol=TOL):
 
 def rand(rng, shape):
     return T.Tensor(rng.normal(shape), requires_grad=True)
+
+
+# ------------------------------------------------- reference implementations
+# The formulations the fast kernels replaced. In float64 the kernels must
+# match them bit for bit, forward and backward.
+
+
+def ref_select_last(x, idx):
+    """index_select_last as an einsum against a (Tq, Tk, R) one-hot
+    tensor; also index_bucket_last's backward."""
+    onehot = (idx[..., None] == np.arange(x.shape[-1])).astype(x.dtype)
+    xn = x.reshape((-1,) + x.shape[-2:])
+    return np.einsum("nir,ijr->nij", xn, onehot).reshape(x.shape[:-2] + idx.shape)
+
+
+def ref_bucket_last(x, idx, nbuckets):
+    """index_bucket_last as an einsum against a (Tq, Tk, R) one-hot
+    tensor; also index_select_last's backward."""
+    onehot = (idx[..., None] == np.arange(nbuckets)).astype(x.dtype)
+    xn = x.reshape((-1,) + idx.shape)
+    out = np.einsum("nij,ijr->nir", xn, onehot)
+    return out.reshape(x.shape[:-2] + (idx.shape[0], nbuckets))
+
+
+def ref_masked_softmax(s, mask):
+    """masked_softmax out of place, one temporary per step."""
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), s.shape)
+    neg = np.where(m, s, -np.inf)
+    rowmax = neg.max(axis=-1, keepdims=True)
+    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    e = np.exp(np.where(m, s - rowmax, -np.inf))
+    denom = e.sum(axis=-1, keepdims=True)
+    return e / np.where(denom > 0.0, denom, 1.0)
+
+
+@st.composite
+def displacement_cases(draw):
+    """(tq, mem, k, k_eff, kind, seed) for _displacement_case."""
+    k = draw(st.integers(1, 12))
+    return (draw(st.integers(1, 300)), draw(st.integers(0, 100)), k,
+            draw(st.integers(1, k)),
+            draw(st.sampled_from(["contiguous", "scattered", "arbitrary"])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _displacement_case(tq, mem, k, k_eff, kind, seed):
+    """A (tq, mem + tq) index into 2k+1 buckets and its Rng. Keys come
+    after mem memory positions, as in segment recurrence. "scattered"
+    spaces positions 0-60 apart, like criterion 2's clip-saturation case,
+    so most displacements saturate and inner buckets stay empty;
+    "arbitrary" is not a displacement pattern at all."""
+    rng = Rng(seed, 8)
+    nbuckets = 2 * k + 1
+    if kind == "arbitrary":
+        idx = (rng.uniform((tq, mem + tq)) * nbuckets).astype(np.int64)
+        return idx, nbuckets, rng
+    pos_k = np.arange(-mem, tq)
+    pos_q = np.arange(tq)
+    if kind == "scattered":
+        pos_k = np.cumsum((rng.uniform(mem + tq) * 61).astype(np.int64))
+        pos_q = np.cumsum((rng.uniform(tq) * 61).astype(np.int64)) + pos_k[0]
+    return displacement_index(pos_q, pos_k, k, k_eff), nbuckets, rng
 
 
 # ------------------------------------------------------------ op semantics
@@ -326,28 +389,119 @@ def test_stop_gradient_blocks():
     assert x.grad == 3.0  # only the undetached factor contributes
 
 
-def test_index_select_last_matches_double_loop():
-    rng = Rng(4, 4)
-    x = rng.normal((2, 3, 5))
-    idx = np.array([[rng.randbelow(5) for _ in range(3)] for _ in range(3)])
-    got = T.index_select_last(T.Tensor(x), idx).data
-    for n in range(2):
-        for i in range(3):
-            for j in range(3):
-                assert got[n, i, j] == x[n, i, idx[i, j]]
+LEAD = (2, 2)  # (batch, heads)
 
 
-def test_index_bucket_last_matches_double_loop():
-    rng = Rng(5, 5)
-    x = rng.normal((2, 3, 3))
-    idx = np.array([[rng.randbelow(4) for _ in range(3)] for _ in range(3)])
-    got = T.index_bucket_last(T.Tensor(x), idx, 4).data
-    want = np.zeros((2, 3, 4))
-    for n in range(2):
-        for i in range(3):
-            for j in range(3):
-                want[n, i, idx[i, j]] += x[n, i, j]
-    assert np.max(np.abs(got - want)) <= 1e-12
+@given(displacement_cases())
+@example((3, 0, 2, 2, "arbitrary", 4))
+@example((300, 100, 8, 8, "contiguous", 1))
+@example((257, 40, 12, 3, "scattered", 2))
+@settings(max_examples=25, deadline=None)
+def test_index_select_last_matches_double_loop(case):
+    idx, nbuckets, rng = _displacement_case(*case)
+    tq, tk = idx.shape
+    x = T.Tensor(rng.normal(LEAD + (tq, nbuckets)), requires_grad=True)
+    g = rng.normal(LEAD + (tq, tk))
+    out = T.index_select_last(x, idx)
+    T.backward(T.tsum(out * T.Tensor(g)))
+    assert np.array_equal(out.data, ref_select_last(x.data, idx))
+    assert np.array_equal(x.grad, ref_bucket_last(g, idx, nbuckets))
+    if tq * tk <= 64:
+        for n in np.ndindex(LEAD):
+            for i in range(tq):
+                for j in range(tk):
+                    assert out.data[n + (i, j)] == x.data[n + (i, idx[i, j])]
+
+
+@given(displacement_cases())
+@example((3, 0, 1, 1, "arbitrary", 5))
+@example((300, 100, 8, 8, "contiguous", 1))
+@example((257, 40, 12, 3, "scattered", 2))
+@settings(max_examples=25, deadline=None)
+def test_index_bucket_last_matches_double_loop(case):
+    idx, nbuckets, rng = _displacement_case(*case)
+    tq, tk = idx.shape
+    x = T.Tensor(rng.normal(LEAD + (tq, tk)), requires_grad=True)
+    g = rng.normal(LEAD + (tq, nbuckets))
+    out = T.index_bucket_last(x, idx, nbuckets)
+    T.backward(T.tsum(out * T.Tensor(g)))
+    assert np.array_equal(out.data, ref_bucket_last(x.data, idx, nbuckets))
+    assert np.array_equal(x.grad, ref_select_last(g, idx))
+    if tq * tk <= 64:
+        want = np.zeros(LEAD + (tq, nbuckets))
+        for n in np.ndindex(LEAD):
+            for i in range(tq):
+                for j in range(tk):
+                    want[n + (i, idx[i, j])] += x.data[n + (i, j)]
+        assert np.max(np.abs(out.data - want)) <= 1e-12
+
+
+@given(displacement_cases())
+@example((300, 100, 8, 8, "contiguous", 1))
+@settings(max_examples=10, deadline=None)
+def test_displacement_ops_float32(case):
+    """float32 in, float32 out. The gather is exact. Bucket sums accumulate
+    in float64 and round once, so they equal the float64 sums rounded and
+    stay within float32 summation error of the float32 one-hot einsum."""
+    idx, nbuckets, rng = _displacement_case(*case)
+    tq, tk = idx.shape
+    eps = np.finfo(np.float32).eps
+    xs = T.Tensor(rng.normal(LEAD + (tq, nbuckets)).astype(np.float32), requires_grad=True)
+    xb = T.Tensor(rng.normal(LEAD + (tq, tk)).astype(np.float32), requires_grad=True)
+    gs = rng.normal(LEAD + (tq, tk)).astype(np.float32)
+    gb = rng.normal(LEAD + (tq, nbuckets)).astype(np.float32)
+    sel = T.index_select_last(xs, idx)
+    pooled = T.index_bucket_last(xb, idx, nbuckets)
+    T.backward(T.tsum(sel * T.Tensor(gs)) + T.tsum(pooled * T.Tensor(gb)))
+    assert sel.dtype == pooled.dtype == xs.grad.dtype == xb.grad.dtype == np.float32
+    assert np.array_equal(sel.data, ref_select_last(xs.data, idx))
+    assert np.array_equal(xb.grad, ref_select_last(gb, idx))
+    for got, summed in ((pooled.data, xb.data), (xs.grad, gs)):
+        exact = ref_bucket_last(summed.astype(np.float64), idx, nbuckets)
+        assert np.array_equal(got, exact.astype(np.float32))
+        bound = tk * eps * ref_bucket_last(np.abs(summed).astype(np.float64), idx, nbuckets)
+        assert np.all(np.abs(got - ref_bucket_last(summed, idx, nbuckets)) <= bound)
+
+
+def test_index_select_last_rejects_bad_index():
+    x = T.Tensor(np.zeros((2, 3, 5)))
+    for bad in (np.zeros(3, dtype=np.int64), np.zeros((1, 3, 4), dtype=np.int64),
+                np.zeros((4, 4), dtype=np.int64)):
+        with pytest.raises(ShapeError):
+            T.index_select_last(x, bad)
+    for value in (-1, 5):
+        with pytest.raises(IndexError):
+            T.index_select_last(x, np.full((3, 4), value))
+
+
+def test_index_bucket_last_rejects_bad_index():
+    x = T.Tensor(np.zeros((2, 3, 4)))
+    for bad in (np.zeros(12, dtype=np.int64), np.zeros((1, 3, 4), dtype=np.int64),
+                np.zeros((3, 5), dtype=np.int64), np.zeros((4, 4), dtype=np.int64)):
+        with pytest.raises(ShapeError):
+            T.index_bucket_last(x, bad, 5)
+    for value in (-1, 5):
+        with pytest.raises(IndexError):
+            T.index_bucket_last(x, np.full((3, 4), value), 5)
+
+
+@given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 0)
+@settings(max_examples=60, deadline=None)
+def test_masked_softmax_matches_reference(tq, tk, seed):
+    """Bitwise the out-of-place formula, forward and backward, with rows
+    that are fully masked and masked positions getting zero gradient."""
+    rng = Rng(seed, 10)
+    scores = T.Tensor(rng.normal(LEAD + (tq, tk)) * 5.0, requires_grad=True)
+    mask = rng.uniform((tq, tk)) < rng.uniform()
+    mask[rng.uniform(tq) < 0.2] = False
+    g = rng.normal(LEAD + (tq, tk))
+    out = T.masked_softmax(scores, mask)
+    T.backward(T.tsum(out * T.Tensor(g)))
+    want = ref_masked_softmax(scores.data, mask)
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(scores.grad, want * (g - (g * want).sum(axis=-1, keepdims=True)))
+    assert np.all(scores.grad[..., ~mask] == 0.0)
 
 
 def test_debug_mode_rejects_nan():
