@@ -10,6 +10,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
+from .errors import ContractError
 from .model import ModelConfig
 from .rng import DualDropoutStreams, Rng
 from .training import rdrop_loss
@@ -34,6 +35,35 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
+class _ReplayedMasks:
+    """Dropout streams that draw each site's mask once and then replay it.
+
+    The first forward draws from DualDropoutStreams(seed, 7) and keeps the
+    masks in site order; after restart() every later forward gets the same
+    read-only arrays back, so all evaluations see identical masks without
+    rebuilding the Philox streams per forward."""
+
+    def __init__(self, seed: int):
+        self._streams = DualDropoutStreams(seed, 7)
+        self._masks: list[np.ndarray] = []
+        self._site = 0
+
+    def restart(self) -> None:
+        self._site = 0
+
+    def mask(self, shape, drop_prob: float) -> np.ndarray:
+        if self._site == len(self._masks):
+            keep = self._streams.mask(shape, drop_prob)
+            keep.setflags(write=False)
+            self._masks.append(keep)
+        keep = self._masks[self._site]
+        if keep.shape != tuple(shape):
+            raise ContractError(f"dropout site {self._site} replayed with shape "
+                                f"{tuple(shape)}, drawn with {keep.shape}")
+        self._site += 1
+        return keep
+
+
 def gradcheck_model(pe_mode: str, seed: int = 0) -> dict[str, float]:
     """Max relative error per parameter group for the R-Drop NER loss."""
     config = tiny_config(pe_mode)
@@ -45,11 +75,12 @@ def gradcheck_model(pe_mode: str, seed: int = 0) -> dict[str, float]:
     tags = np.array([[int(rng.derive("tags", i).randbelow(config.num_tags))
                       for i in range(t)]], dtype=np.int64)
     mask = np.ones((1, t), dtype=bool)
+    dup = np.concatenate([ids, ids], axis=0)
+    streams = _ReplayedMasks(seed)
 
     def loss_fn():
-        # streams rebuilt per call so every evaluation sees identical masks
-        streams = DualDropoutStreams(seed, 7)
-        dup = np.concatenate([ids, ids], axis=0)
+        # replayed from site 0 so every evaluation sees identical masks
+        streams.restart()
         lp, _ = M.forward_ner(dup, None, config, params, streams, True)
         lp1 = T.slice_axis(lp, 0, 0, 1)
         lp2 = T.slice_axis(lp, 0, 1, 2)

@@ -21,6 +21,8 @@ _DEBUG_CHECKS = False
 
 _EPS_KL = 1e-12
 _LN_EPS = 1e-5
+# dtype instances, so the membership test in Tensor() hits on identity
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -54,7 +56,7 @@ class Tensor:
         if isinstance(data, Tensor):
             raise ContractError("Tensor(data) got a Tensor; pass raw array data")
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         # NaN is never legitimate; -inf can be (pre-softmax masking), so
         # the stricter isfinite check lives in _make, which mask_scores skips.
@@ -211,10 +213,9 @@ def matmul(a, b) -> Tensor:
 
 def permute(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
 
     def backward(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _make(a.data.transpose(axes), (a,), backward)
 

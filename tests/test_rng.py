@@ -124,6 +124,22 @@ def test_dual_streams_reject_odd_batch():
         DualDropoutStreams(7, 9).mask((5, 4), 0.25)
 
 
+def test_gradcheck_replayed_masks_match_fresh_streams():
+    from ntrr.gradcheck import _ReplayedMasks
+    shapes = [(2, 5, 16), (2, 2, 5, 5), (2, 5, 16)]
+    replay = _ReplayedMasks(3)
+    for _ in range(3):
+        replay.restart()
+        fresh = DualDropoutStreams(3, 7)
+        for shape in shapes:
+            got = replay.mask(shape, 0.1)
+            assert np.array_equal(got, fresh.mask(shape, 0.1))
+            assert not got.flags.writeable
+    replay.restart()
+    with pytest.raises(ContractError):
+        replay.mask((2, 5, 8), 0.1)
+
+
 def test_mask_rate_close_to_nominal():
     m = DropoutStreams(5, 1, 1).mask((200, 200), 0.3)
     keep_rate = m.mean()
