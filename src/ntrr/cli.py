@@ -18,6 +18,7 @@ from . import tensor as T
 from . import training as TR
 from .errors import CheckpointError, ConfigError, NtrrError, ParseError
 from .gradcheck import TOLERANCE, gradcheck_model
+from .rng import Rng
 from .tagging import Entity, entity_prf, scan_entities
 
 
@@ -107,8 +108,27 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+def _check_registry(path: str, ckpt: D.Checkpoint) -> None:
+    """The stored tensors must be exactly init_params' registry for the
+    stored config, shape for shape, with finite values."""
+    expected = M.init_params(ckpt.model_config, Rng(0, 0))
+    extra = sorted(set(ckpt.params) - set(expected))
+    if extra:
+        raise CheckpointError(f"{path}: unexpected tensor '{extra[0]}'")
+    for name, want in expected.items():
+        arr = ckpt.params.get(name)
+        if arr is None:
+            raise CheckpointError(f"{path}: tensor '{name}' is missing")
+        if arr.shape != want.shape:
+            raise CheckpointError(f"{path}: tensor '{name}' has shape {arr.shape}, "
+                                  f"the config needs {want.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: tensor '{name}' has non-finite values")
+
+
 def _load_model(args) -> tuple[M.ModelConfig, dict, D.Vocab]:
     ckpt = D.load_checkpoint(args.ckpt)
+    _check_registry(args.ckpt, ckpt)
     vocab_path = args.vocab or D.sibling_vocab_path(args.ckpt)
     if not os.path.exists(vocab_path):
         raise ConfigError(f"no vocabulary at {vocab_path}; pass --vocab")

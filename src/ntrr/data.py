@@ -236,7 +236,6 @@ _TRAIN_KEYS = {
     "batch_size": (int, 8, "sentences per step (doubled internally by R-Drop)"),
     "seed": (int, 42, "master seed; every stream derives from it"),
     "rdrop_enabled": (bool, True, "train with the two-branch consistency loss"),
-    "rdrop_two_pass": (bool, False, "run two forwards instead of one duplicated batch"),
     "kl_half": (bool, False, "average the two KL directions instead of summing"),
     "grad_clip_norm": (float, 1.0, "global gradient norm ceiling; 0 disables"),
     "min_freq": (int, 1, "drop tokens rarer than this from the vocabulary"),

@@ -198,14 +198,6 @@ def rel_table(params: dict[str, Tensor], stack: str, config: ModelConfig):
     return relpos.RelPosTable(params[f"{stack}.rel_wk"], params[f"{stack}.rel_wv"])
 
 
-def _drop(x: Tensor, config: ModelConfig, streams, train: bool) -> Tensor:
-    if train and config.dropout > 0.0:
-        if streams is None:
-            raise ContractError("training forward needs dropout streams")
-        return T.dropout(x, config.dropout, streams.mask(x.shape, config.dropout))
-    return x
-
-
 def _check_memory(memory, config: ModelConfig, batch: int):
     if memory is None:
         return SegmentMemory.empty(config.num_layers)
@@ -230,47 +222,40 @@ def _embed(token_ids: np.ndarray, config: ModelConfig, params, positions,
     if config.pe_mode == "absolute":
         pe = relpos.sinusoidal_pe(positions, config.model_dim, h.dtype)
         h = h + Tensor(pe[None, :, :])
-    return _drop(h, config, streams, train)
+    return relpos.dropout_site(h, config.dropout, streams, train)
 
 
-def _causal_mask(t: int, mem_len: int) -> np.ndarray:
-    mask = np.tril(np.ones((t, t), dtype=bool))
-    return plm.extend_mask_for_memory(mask, mem_len)
+def _layer_memory(memory: SegmentMemory, i: int, h: Tensor, config: ModelConfig):
+    """Block i's cached states (None when there are none), its key
+    positions over [memory ; h], and its next cache: the last memory_len
+    rows of [memory ; h], detached."""
+    mem = memory.layers[i] if i < len(memory.layers) else np.zeros((0, 0, 0))
+    m_len = mem.shape[1] if mem.size else 0
+    pos_k = memory.offset + np.arange(-m_len, h.shape[1], dtype=np.int64)
+    cache = np.zeros((0, 0, 0))
+    if config.memory_len > 0:
+        joined = np.concatenate([mem, h.data], axis=1) if m_len else h.data
+        cache = joined[:, -config.memory_len:].copy()
+    return (mem if m_len else None), pos_k, cache
 
 
-def _run_content_stack(h: Tensor, stack: str, n_layers: int, config: ModelConfig,
-                       params, mem_layers, offset: int, streams, train: bool,
+def _run_content_stack(h: Tensor, stack: str, first: int, n_layers: int, config: ModelConfig,
+                       params, memory: SegmentMemory, streams, train: bool,
                        k_eff) -> tuple[Tensor, list[np.ndarray]]:
-    """Left-to-right blocks over [memory ; current]; returns the new
-    per-layer memory (detached tails of each block's input)."""
-    batch, t, _ = h.shape
+    """Blocks first .. first + n_layers - 1, left to right over
+    [memory ; current] under the causal mask; returns their new memory."""
+    t = h.shape[1]
     table = rel_table(params, stack, config) if n_layers > 0 else None
-    attn_cfg = config.attention_config()
-    pos_q = offset + np.arange(t, dtype=np.int64)
+    pos_q = memory.offset + np.arange(t, dtype=np.int64)
+    causal = np.tril(np.ones((t, t), dtype=bool))
     new_mems = []
     for i in range(n_layers):
-        mem = mem_layers[i] if i < len(mem_layers) else np.zeros((batch, 0, config.model_dim))
-        m_len = mem.shape[1] if mem.size else 0
-        pos_k = np.concatenate([offset - m_len + np.arange(m_len, dtype=np.int64), pos_q])
-        mask = _causal_mask(t, m_len)
-        block = block_params(params, f"{stack}.{i}.")
-        normed_q = T.layer_norm(h, block.ln1_g, block.ln1_b)
-        if m_len > 0:
-            kv = T.concat([Tensor(mem), h], axis=1)
-            normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
-        else:
-            normed_kv = normed_q
-        att = relpos.multi_head_attention(
-            normed_q, normed_kv, attn_cfg, block.attn, mask, pos_q, pos_k,
-            table, streams, train, k_eff)
-        if config.memory_len > 0:
-            joined = np.concatenate([mem, h.data], axis=1) if m_len else h.data
-            new_mems.append(joined[:, -config.memory_len:].copy())
-        h = h + _drop(att, config, streams, train)
-        h = h + _drop(relpos.feed_forward(
-            T.layer_norm(h, block.ln2_g, block.ln2_b), block), config, streams, train)
-    if config.memory_len == 0:
-        new_mems = [np.zeros((0, 0, 0))] * n_layers
+        mem, pos_k, cache = _layer_memory(memory, first + i, h, config)
+        new_mems.append(cache)
+        (h,) = relpos.block_forward(
+            (h,), (plm.extend_mask_for_memory(causal, pos_k.size - t),), mem,
+            block_params(params, f"{stack}.{i}."), config.attention_config(),
+            pos_q, pos_k, table, streams, train, k_eff, config.dropout)
     return h, new_mems
 
 
@@ -285,9 +270,8 @@ def encode(token_ids, memory, config: ModelConfig, params, streams=None,
     t = ids.shape[1]
     positions = memory.offset + np.arange(t, dtype=np.int64)
     h = _embed(ids, config, params, positions, streams, train)
-    h, new_mems = _run_content_stack(
-        h, "xl", config.xlnet_layers, config, params,
-        memory.layers[:config.xlnet_layers], memory.offset, streams, train, k_eff)
+    h, new_mems = _run_content_stack(h, "xl", 0, config.xlnet_layers, config, params,
+                                     memory, streams, train, k_eff)
     return h, SegmentMemory(new_mems, memory.offset + t)
 
 
@@ -300,9 +284,8 @@ def forward_ner(token_ids, memory, config: ModelConfig, params, streams=None,
     ids = np.asarray(token_ids, dtype=np.int64)
     memory = _check_memory(memory, config, ids.shape[0])
     h, xl_mem = encode(ids, memory, config, params, streams, train, k_eff)
-    h, tr_mems = _run_content_stack(
-        h, "tr", config.transformer_layers, config, params,
-        memory.layers[config.xlnet_layers:], memory.offset, streams, train, k_eff)
+    h, tr_mems = _run_content_stack(h, "tr", config.xlnet_layers, config.transformer_layers,
+                                    config, params, memory, streams, train, k_eff)
     h = T.layer_norm(h, params["final_ln_g"], params["final_ln_b"])
     log_probs = classify(h, params)
     new_memory = SegmentMemory(xl_mem.layers + tr_mems, xl_mem.offset)
@@ -333,24 +316,16 @@ def pretrain_forward(token_ids, plan: plm.PermutationPlan, memory, config: Model
     if config.pe_mode == "absolute":
         g = g + Tensor(relpos.sinusoidal_pe(positions, D, h.dtype)[None, :, :])
     table = rel_table(params, "xl", config)
-    attn_cfg = config.attention_config()
     new_mems = []
     for i in range(config.xlnet_layers):
-        mem = memory.layers[i] if i < len(memory.layers) else np.zeros((batch, 0, D))
-        m_len = mem.shape[1] if mem.size else 0
-        pos_k = np.concatenate([memory.offset - m_len + np.arange(m_len, dtype=np.int64),
-                                positions])
-        q_mask = plm.extend_mask_for_memory(plan.query_mask, m_len)
-        c_mask = plm.extend_mask_for_memory(plan.content_mask, m_len)
-        if config.memory_len > 0:
-            joined = np.concatenate([mem, h.data], axis=1) if m_len else h.data
-            new_mems.append(joined[:, -config.memory_len:].copy())
+        mem, pos_k, cache = _layer_memory(memory, i, h, config)
+        new_mems.append(cache)
+        m_len = pos_k.size - t
         h, g = plm.two_stream_layer(
-            h, g, q_mask, c_mask, block_params(params, f"xl.{i}."), attn_cfg,
-            positions, pos_k, table, Tensor(mem) if m_len else None,
-            streams, train, k_eff, config.dropout)
-    if config.memory_len == 0:
-        new_mems = [np.zeros((0, 0, 0))] * config.xlnet_layers
+            h, g, plm.extend_mask_for_memory(plan.query_mask, m_len),
+            plm.extend_mask_for_memory(plan.content_mask, m_len),
+            block_params(params, f"xl.{i}."), config.attention_config(),
+            positions, pos_k, table, mem, streams, train, k_eff, config.dropout)
     g = T.layer_norm(g, params["final_ln_g"], params["final_ln_b"])
     loss = plm.plm_loss(g, plan.targets, ids, params["plm_head_w"], params["plm_head_b"])
     return loss, SegmentMemory(new_mems, memory.offset + t)

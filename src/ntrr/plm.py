@@ -92,36 +92,13 @@ def two_stream_layer(h_prev: Tensor, g_prev: Tensor, query_mask, content_mask,
                      dropout: float = 0.0) -> tuple[Tensor, Tensor]:
     """One pre-norm block over both streams with shared weights.
 
-    Content stream: queries from h, keys/values from h, content_mask.
-    Query stream: queries from g, keys/values from the same h states,
-    query_mask. memory, if given, is a detached (B, M, D) block of the
-    previous segment's states, visible to both streams."""
-    normed_h = T.layer_norm(h_prev, block.ln1_g, block.ln1_b)
-    normed_g = T.layer_norm(g_prev, block.ln1_g, block.ln1_b)
-    if memory is not None and memory.shape[1] > 0:
-        kv = T.concat([T.stop_gradient(memory), h_prev], axis=1)
-        normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
-    else:
-        normed_kv = normed_h
-
-    def drop(x):
-        if train and dropout > 0.0:
-            if streams is None:
-                raise ContractError("training forward needs dropout streams")
-            return T.dropout(x, dropout, streams.mask(x.shape, dropout))
-        return x
-
-    h_att = relpos.multi_head_attention(
-        normed_h, normed_kv, attn_config, block.attn, content_mask,
-        positions_q, positions_k, rel_table, streams, train, k_eff)
-    g_att = relpos.multi_head_attention(
-        normed_g, normed_kv, attn_config, block.attn, query_mask,
-        positions_q, positions_k, rel_table, streams, train, k_eff)
-    h = h_prev + drop(h_att)
-    g = g_prev + drop(g_att)
-    h = h + drop(relpos.feed_forward(T.layer_norm(h, block.ln2_g, block.ln2_b), block))
-    g = g + drop(relpos.feed_forward(T.layer_norm(g, block.ln2_g, block.ln2_b), block))
-    return h, g
+    Content stream: queries from h, content_mask. Query stream: queries
+    from g, query_mask. Both read keys/values from [memory ; h]; memory,
+    if given, is a (B, M, D) array of the previous segment's states,
+    visible to both streams."""
+    return relpos.block_forward((h_prev, g_prev), (content_mask, query_mask), memory,
+                                block, attn_config, positions_q, positions_k, rel_table,
+                                streams, train, k_eff, dropout)
 
 
 def plm_loss(g_final: Tensor, targets, token_ids, head_w: Tensor, head_b: Tensor) -> Tensor:

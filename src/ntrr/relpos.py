@@ -98,6 +98,42 @@ def feed_forward(x: Tensor, block: BlockParams) -> Tensor:
                     block.ffn_w2, block.ffn_b2)
 
 
+def dropout_site(x: Tensor, drop_prob: float, streams, train: bool) -> Tensor:
+    """One dropout site: in a training forward, the next mask from streams."""
+    if not train or drop_prob == 0.0:
+        return x
+    if streams is None:
+        raise ContractError("training forward needs dropout streams")
+    return T.dropout(x, drop_prob, streams.mask(x.shape, drop_prob))
+
+
+def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams,
+                  attn_config: AttentionConfig, positions_q, positions_k,
+                  rel_table: RelPosTable | None = None, streams=None,
+                  train: bool = False, k_eff: int | None = None,
+                  dropout: float = 0.0) -> tuple[Tensor, ...]:
+    """One pre-norm block over a tuple of query streams with shared weights.
+
+    Stream s attends under masks[s] to keys and values from
+    [memory ; xs[0]]; memory, if given, is a (B, M, D) array of earlier
+    states and gets no gradient. The streams advance in lockstep, one
+    sublayer at a time: all attentions, then all attention residuals,
+    then all FFN residuals. That order fixes which dropout mask each
+    site draws."""
+    normed = [T.layer_norm(x, block.ln1_g, block.ln1_b) for x in xs]
+    normed_kv = normed[0]
+    if memory is not None:
+        kv = T.concat([Tensor(memory), xs[0]], axis=1)
+        normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
+    atts = [multi_head_attention(q, normed_kv, attn_config, block.attn, mask,
+                                 positions_q, positions_k, rel_table, streams, train, k_eff)
+            for q, mask in zip(normed, masks)]
+    xs = [x + dropout_site(a, dropout, streams, train) for x, a in zip(xs, atts)]
+    return tuple(x + dropout_site(feed_forward(T.layer_norm(x, block.ln2_g, block.ln2_b), block),
+                                  dropout, streams, train)
+                 for x in xs)
+
+
 def clip_rel(x: int, k: int) -> int:
     """Clamp a displacement to [-k, k]."""
     return max(-k, min(k, x))
@@ -203,9 +239,6 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, config: AttentionConfig,
     v = split_heads(T.linear(x_kv, params.wv, params.bv), config.num_heads)
     scores = rel_attention_scores(q, k, rel_table, positions_q, positions_k, k_eff)
     weights = T.masked_softmax(scores, True if mask is None else mask)
-    if train and config.attn_dropout > 0.0:
-        if streams is None:
-            raise ContractError("training forward needs dropout streams")
-        weights = T.dropout(weights, config.attn_dropout, streams.mask(weights.shape, config.attn_dropout))
+    weights = dropout_site(weights, config.attn_dropout, streams, train)
     mixed = rel_attention_values(weights, v, rel_table, positions_q, positions_k, k_eff)
     return T.linear(merge_heads(mixed), params.wo, params.bo)

@@ -1,8 +1,8 @@
 """R-Drop training: duplicated-batch consistency loss, Adam with warmup.
 
-Each training step runs the model twice under independent dropout masks
-(either literally twice, or once over a duplicated batch; the mask
-streams are keyed by branch, so both paths produce the same numbers).
+Each training step runs the model twice under independent dropout masks,
+as one forward over a duplicated batch; the mask streams are keyed by
+branch, so each half equals a separate forward with that branch's masks.
 The loss is the summed cross entropy of both branches plus alpha times
 the symmetric KL divergence between their output distributions.
 """
@@ -34,7 +34,6 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 42
     rdrop_enabled: bool = True
-    rdrop_two_pass: bool = False
     kl_half: bool = False
     grad_clip_norm: float = 1.0  # 0 disables clipping
     min_freq: int = 1
@@ -172,10 +171,8 @@ def train_step(batch, params: dict[str, Tensor], opt: OptimizerState,
                step: int, lr: float, k_eff: int | None = None) -> tuple[float, float, float]:
     """One optimization step; returns (ce, kl, total) as floats.
 
-    With R-Drop on, the default path duplicates the batch and runs one
-    forward whose dropout masks are branch-keyed per half; the two-pass
-    path runs two forwards with the same branch streams. Both paths
-    produce identical losses."""
+    With R-Drop on, it duplicates the batch and runs one forward whose
+    dropout masks are branch-keyed per half."""
     ids, tags, mask = batch.token_ids, batch.tag_ids, batch.token_mask
     seed = train_config.seed
     T.zero_grads(params.values())
@@ -184,13 +181,6 @@ def train_step(batch, params: dict[str, Tensor], opt: OptimizerState,
         lp, _ = M.forward_ner(ids, None, model_config, params, streams, True, k_eff)
         ce = T.cross_entropy(lp, tags, mask)
         breakdown = RDropLossBreakdown(ce, Tensor(np.zeros(())), 0.0, ce)
-    elif train_config.rdrop_two_pass:
-        lp1, _ = M.forward_ner(ids, None, model_config, params,
-                               DropoutStreams(seed, step, 1), True, k_eff)
-        lp2, _ = M.forward_ner(ids, None, model_config, params,
-                               DropoutStreams(seed, step, 2), True, k_eff)
-        breakdown = rdrop_loss(lp1, lp2, tags, train_config.alpha, mask,
-                               train_config.kl_half)
     else:
         dup_ids = np.concatenate([ids, ids], axis=0)
         streams = DualDropoutStreams(seed, step)

@@ -7,6 +7,7 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ntrr.data as D
@@ -160,6 +161,26 @@ def test_eval_missing_vocab_is_exit_2(trained, tmp_path):
                           "--data", str(DATA / "test.bmes")])
     assert code == 2
     assert "vocab" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.pop("cls_b"), "tensor 'cls_b' is missing"),
+    (lambda p: p.update(cls_b=np.zeros(3)), "tensor 'cls_b' has shape (3,)"),
+    (lambda p: p["cls_w"].__setitem__((0, 0), np.nan), "tensor 'cls_w' has non-finite"),
+    (lambda p: p.update(extra=np.zeros(2)), "unexpected tensor 'extra'"),
+], ids=["missing", "shape", "nan", "extra"])
+def test_eval_rejects_checkpoint_off_registry(trained, tmp_path, edit, message):
+    # well-formed files whose tensors do not fit the stored config
+    out_dir, _ = trained
+    ckpt = D.load_checkpoint(str(out_dir / "model.ckpt"))
+    edit(ckpt.params)
+    bad = tmp_path / "model.ckpt"
+    D.save_checkpoint(str(bad), ckpt.params, ckpt.model_config)
+    (tmp_path / "vocab.txt").write_bytes((out_dir / "vocab.txt").read_bytes())
+    code, out, err = run(["eval", "--ckpt", str(bad), "--data", str(DATA / "test.bmes")])
+    assert code == 2, err
+    assert message in err and str(bad) in err
+    assert out == ""
 
 
 def test_predict_then_eval_matches_in_process_scores(trained, tmp_path):

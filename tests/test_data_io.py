@@ -232,6 +232,14 @@ def test_config_reference_mentions_every_key():
         assert key in text
 
 
+def test_config_reference_file_is_current():
+    # docs/config_reference.txt is generated; regenerate it with
+    # scripts/gen_config_reference.py after a schema change
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "config_reference.txt")
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == D.config_reference()
+
+
 def test_model_config_text_round_trips():
     mc = M.ModelConfig(model_dim=32, ffn_dim=64, num_heads=2, clip_k=3,
                        entity_types=("LOC", "PER"), vocab_size=17)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import ntrr.model as M
+import ntrr.relpos as relpos
 import ntrr.tensor as T
 from ntrr.errors import ConfigError, ContractError
-from ntrr.plm import sample_permutation
-from ntrr.rng import Rng
+from ntrr.plm import extend_mask_for_memory, plm_loss, sample_permutation
+from ntrr.rng import DualDropoutStreams, Rng
 from ntrr.tagging import LabelSet, validate_bmes
 
 TYPES = ("LOC", "ORG", "PER")
@@ -146,6 +147,155 @@ def test_pretrain_memory_round_trip():
         loss2, _ = M.pretrain_forward(ids, plan, mem, mc, params, None, False)
     assert np.isfinite(loss1.item()) and np.isfinite(loss2.item())
     assert loss1.item() != loss2.item()  # memory changed the context
+
+
+# ------------------------------------------------- pre-merge block oracle
+# The content-stack loop and the two-stream layer as they were written
+# before both became calls of relpos.block_forward, kept as references.
+# They pin the dropout-site order (per block: attention weights, then the
+# attention residual, then the FFN residual, with two streams advancing in
+# lockstep) and the per-layer memory bookkeeping, bit for bit.
+
+
+def ref_drop(x, p, streams, train):
+    if train and p > 0.0:
+        return T.dropout(x, p, streams.mask(x.shape, p))
+    return x
+
+
+def ref_embed(ids, mc, params, offset, streams, train):
+    h = T.embedding(params["embed"], ids)
+    if mc.pe_mode == "absolute":
+        pe = relpos.sinusoidal_pe(offset + np.arange(ids.shape[1]), mc.model_dim, h.dtype)
+        h = h + T.Tensor(pe[None, :, :])
+    return ref_drop(h, mc.dropout, streams, train)
+
+
+def ref_layer_memory(mem_layers, i, offset, h, mc):
+    batch, t, _ = h.shape
+    mem = mem_layers[i] if i < len(mem_layers) else np.zeros((batch, 0, mc.model_dim))
+    m_len = mem.shape[1] if mem.size else 0
+    pos_k = np.concatenate([offset - m_len + np.arange(m_len, dtype=np.int64),
+                            offset + np.arange(t, dtype=np.int64)])
+    joined = np.concatenate([mem, h.data], axis=1) if m_len else h.data
+    return mem, m_len, pos_k, joined[:, -mc.memory_len:].copy()
+
+
+def ref_content_stack(h, stack, n_layers, mc, params, mem_layers, offset, streams, train):
+    t = h.shape[1]
+    table = M.rel_table(params, stack, mc)
+    pos_q = offset + np.arange(t, dtype=np.int64)
+    new_mems = []
+    for i in range(n_layers):
+        mem, m_len, pos_k, cache = ref_layer_memory(mem_layers, i, offset, h, mc)
+        mask = extend_mask_for_memory(np.tril(np.ones((t, t), dtype=bool)), m_len)
+        block = M.block_params(params, f"{stack}.{i}.")
+        normed_q = T.layer_norm(h, block.ln1_g, block.ln1_b)
+        normed_kv = normed_q
+        if m_len > 0:
+            kv = T.concat([T.Tensor(mem), h], axis=1)
+            normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
+        att = relpos.multi_head_attention(normed_q, normed_kv, mc.attention_config(),
+                                          block.attn, mask, pos_q, pos_k, table, streams,
+                                          train)
+        new_mems.append(cache)
+        h = h + ref_drop(att, mc.dropout, streams, train)
+        h = h + ref_drop(relpos.feed_forward(T.layer_norm(h, block.ln2_g, block.ln2_b),
+                                             block), mc.dropout, streams, train)
+    return h, new_mems
+
+
+def ref_two_stream_layer(h_prev, g_prev, query_mask, content_mask, block, mc,
+                         pos_q, pos_k, table, memory, streams, train):
+    cfg = mc.attention_config()
+    normed_h = T.layer_norm(h_prev, block.ln1_g, block.ln1_b)
+    normed_g = T.layer_norm(g_prev, block.ln1_g, block.ln1_b)
+    normed_kv = normed_h
+    if memory is not None:
+        kv = T.concat([T.stop_gradient(memory), h_prev], axis=1)
+        normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
+    h_att = relpos.multi_head_attention(normed_h, normed_kv, cfg, block.attn,
+                                        content_mask, pos_q, pos_k, table, streams, train)
+    g_att = relpos.multi_head_attention(normed_g, normed_kv, cfg, block.attn,
+                                        query_mask, pos_q, pos_k, table, streams, train)
+    h = h_prev + ref_drop(h_att, mc.dropout, streams, train)
+    g = g_prev + ref_drop(g_att, mc.dropout, streams, train)
+    h = h + ref_drop(relpos.feed_forward(T.layer_norm(h, block.ln2_g, block.ln2_b), block),
+                     mc.dropout, streams, train)
+    g = g + ref_drop(relpos.feed_forward(T.layer_norm(g, block.ln2_g, block.ln2_b), block),
+                     mc.dropout, streams, train)
+    return h, g
+
+
+def ref_forward_ner(ids, memory, mc, params, streams, train):
+    layers, offset = (memory.layers, memory.offset) if memory else ([], 0)
+    h = ref_embed(ids, mc, params, offset, streams, train)
+    h, xl_mems = ref_content_stack(h, "xl", mc.xlnet_layers, mc, params,
+                                   layers[:mc.xlnet_layers], offset, streams, train)
+    h, tr_mems = ref_content_stack(h, "tr", mc.transformer_layers, mc, params,
+                                   layers[mc.xlnet_layers:], offset, streams, train)
+    h = T.layer_norm(h, params["final_ln_g"], params["final_ln_b"])
+    return M.classify(h, params), M.SegmentMemory(xl_mems + tr_mems, offset + ids.shape[1])
+
+
+def ref_pretrain_forward(ids, plan, memory, mc, params, streams, train):
+    layers, offset = (memory.layers, memory.offset) if memory else ([], 0)
+    batch, t = ids.shape
+    h = ref_embed(ids, mc, params, offset, streams, train)
+    g = (T.Tensor(np.zeros((batch, t, mc.model_dim)))
+         + T.reshape(params["w_init"], (1, 1, mc.model_dim)))
+    if mc.pe_mode == "absolute":
+        pe = relpos.sinusoidal_pe(offset + np.arange(t), mc.model_dim, h.dtype)
+        g = g + T.Tensor(pe[None, :, :])
+    table = M.rel_table(params, "xl", mc)
+    pos_q = offset + np.arange(t, dtype=np.int64)
+    new_mems = []
+    for i in range(mc.xlnet_layers):
+        mem, m_len, pos_k, cache = ref_layer_memory(layers, i, offset, h, mc)
+        new_mems.append(cache)
+        h, g = ref_two_stream_layer(
+            h, g, extend_mask_for_memory(plan.query_mask, m_len),
+            extend_mask_for_memory(plan.content_mask, m_len),
+            M.block_params(params, f"xl.{i}."), mc, pos_q, pos_k, table,
+            T.Tensor(mem) if m_len else None, streams, train)
+    g = T.layer_norm(g, params["final_ln_g"], params["final_ln_b"])
+    loss = plm_loss(g, plan.targets, ids, params["plm_head_w"], params["plm_head_b"])
+    return loss, M.SegmentMemory(new_mems, offset + t)
+
+
+def two_segment_trace(forward, params, ids):
+    """Outputs, caches and parameter gradients of two 5-token segments
+    run through forward(ids_segment, memory, segment)."""
+    memory, seen = None, []
+    for seg in range(2):
+        T.zero_grads(params.values())
+        out, memory = forward(ids[:, 5 * seg:5 * seg + 5], memory, seg)
+        T.backward(T.tsum(out * out))
+        seen += [out.data, *memory.layers, *(params[k].grad for k in sorted(params))]
+    return seen
+
+
+@pytest.mark.parametrize("pe_mode", ["relative", "absolute"])
+@pytest.mark.parametrize("model", ["forward_ner", "pretrain_forward"])
+def test_training_forward_matches_pre_merge_oracle(model, pe_mode):
+    mc = small_config(model_dim=8, ffn_dim=8, vocab_size=20, clip_k=2, pe_mode=pe_mode,
+                      dropout=0.2, memory_len=3)
+    params = M.init_params(mc, Rng.for_stream(12, "init"), "float64")
+    ids = random_ids(13, 10, vocab=20, batch=2)
+    plans = [sample_permutation(5, Rng(14, seg)) for seg in range(2)]
+
+    def run(ner, pretrain):
+        if model == "forward_ner":
+            return lambda x, mem, seg: ner(x, mem, mc, params, DualDropoutStreams(15, seg),
+                                           True)
+        return lambda x, mem, seg: pretrain(x, plans[seg], mem, mc, params,
+                                            DualDropoutStreams(15, seg), True)
+
+    got = two_segment_trace(run(M.forward_ner, M.pretrain_forward), params, ids)
+    want = two_segment_trace(run(ref_forward_ner, ref_pretrain_forward), params, ids)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------- encoder

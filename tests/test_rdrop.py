@@ -126,15 +126,19 @@ def test_duplicated_batch_equals_two_passes():
 
 
 def test_train_step_paths_produce_identical_losses():
-    results = {}
-    for two_pass in (False, True):
-        mc, params, batch, seed, step = dual_path_setup()
-        tc = TR.TrainConfig(seed=seed, dropout=0.2, rdrop_two_pass=two_pass,
-                            warmup_steps=10, total_steps=100)
-        opt = TR.OptimizerState.for_params(params)
-        results[two_pass] = TR.train_step(batch, params, opt, mc, tc, step,
-                                          lr=1e-3, k_eff=None)
-    for a, b in zip(results[False], results[True]):
+    # train_step's duplicated batch against two separate branch forwards
+    mc, params, batch, seed, step = dual_path_setup()
+    tc = TR.TrainConfig(seed=seed, dropout=0.2, warmup_steps=10, total_steps=100)
+    with T.no_grad():
+        lp1, _ = M.forward_ner(batch.token_ids, None, mc, params,
+                               DropoutStreams(seed, step, 1), True)
+        lp2, _ = M.forward_ner(batch.token_ids, None, mc, params,
+                               DropoutStreams(seed, step, 2), True)
+        want = TR.rdrop_loss(lp1, lp2, batch.tag_ids, tc.alpha, batch.token_mask,
+                             tc.kl_half).floats()
+    opt = TR.OptimizerState.for_params(params)
+    got = TR.train_step(batch, params, opt, mc, tc, step, lr=1e-3, k_eff=None)
+    for a, b in zip(got, want):
         assert abs(a - b) <= 1e-12
 
 
