@@ -76,6 +76,7 @@ def cmd_train(args) -> int:
     init_arrays = None
     if args.init:
         ckpt = D.load_checkpoint(args.init)
+        _check_registry(args.init, ckpt)
         init_arrays = ckpt.params
         vocab_path = D.sibling_vocab_path(args.init)
         if not os.path.exists(vocab_path):

@@ -226,36 +226,52 @@ def _embed(token_ids: np.ndarray, config: ModelConfig, params, positions,
 
 
 def _layer_memory(memory: SegmentMemory, i: int, h: Tensor, config: ModelConfig):
-    """Block i's cached states (None when there are none), its key
-    positions over [memory ; h], and its next cache: the last memory_len
-    rows of [memory ; h], detached."""
+    """Block i's cached states (None when there are none), their length,
+    and its next cache: the last memory_len rows of [memory ; h], detached."""
     mem = memory.layers[i] if i < len(memory.layers) else np.zeros((0, 0, 0))
     m_len = mem.shape[1] if mem.size else 0
-    pos_k = memory.offset + np.arange(-m_len, h.shape[1], dtype=np.int64)
     cache = np.zeros((0, 0, 0))
     if config.memory_len > 0:
         joined = np.concatenate([mem, h.data], axis=1) if m_len else h.data
         cache = joined[:, -config.memory_len:].copy()
-    return (mem if m_len else None), pos_k, cache
+    return (mem if m_len else None), m_len, cache
+
+
+def _rel_indexes(config: ModelConfig, offset: int, t: int, k_eff):
+    """One forward's relative indexes: a function from a block's memory
+    length to the relative_index of the t queries from offset over
+    [memory ; segment]. Each is built on first use and shared by every
+    block of both stacks with that memory length; None in absolute mode."""
+    built = {}
+
+    def index(m_len: int):
+        if config.pe_mode != "relative":
+            return None
+        if m_len not in built:
+            built[m_len] = relpos.relative_index(
+                offset + np.arange(t, dtype=np.int64),
+                offset + np.arange(-m_len, t, dtype=np.int64), config.clip_k, k_eff)
+        return built[m_len]
+
+    return index
 
 
 def _run_content_stack(h: Tensor, stack: str, first: int, n_layers: int, config: ModelConfig,
                        params, memory: SegmentMemory, streams, train: bool,
-                       k_eff) -> tuple[Tensor, list[np.ndarray]]:
+                       rel_indexes) -> tuple[Tensor, list[np.ndarray]]:
     """Blocks first .. first + n_layers - 1, left to right over
     [memory ; current] under the causal mask; returns their new memory."""
     t = h.shape[1]
     table = rel_table(params, stack, config) if n_layers > 0 else None
-    pos_q = memory.offset + np.arange(t, dtype=np.int64)
     causal = np.tril(np.ones((t, t), dtype=bool))
     new_mems = []
     for i in range(n_layers):
-        mem, pos_k, cache = _layer_memory(memory, first + i, h, config)
+        mem, m_len, cache = _layer_memory(memory, first + i, h, config)
         new_mems.append(cache)
         (h,) = relpos.block_forward(
-            (h,), (plm.extend_mask_for_memory(causal, pos_k.size - t),), mem,
+            (h,), (plm.extend_mask_for_memory(causal, m_len),), mem,
             block_params(params, f"{stack}.{i}."), config.attention_config(),
-            pos_q, pos_k, table, streams, train, k_eff, config.dropout)
+            table, rel_indexes(m_len), streams, train, config.dropout)
     return h, new_mems
 
 
@@ -267,12 +283,18 @@ def encode(token_ids, memory, config: ModelConfig, params, streams=None,
     memory_len positions of each block's input, detached."""
     ids = np.asarray(token_ids, dtype=np.int64)
     memory = _check_memory(memory, config, ids.shape[0])
-    t = ids.shape[1]
-    positions = memory.offset + np.arange(t, dtype=np.int64)
+    h, new_mems = _encode(ids, memory, config, params, streams, train,
+                          _rel_indexes(config, memory.offset, ids.shape[1], k_eff))
+    return h, SegmentMemory(new_mems, memory.offset + ids.shape[1])
+
+
+def _encode(ids: np.ndarray, memory: SegmentMemory, config: ModelConfig, params, streams,
+            train: bool, rel_indexes) -> tuple[Tensor, list[np.ndarray]]:
+    """Embedding and lower stack; the new memory of the lower stack."""
+    positions = memory.offset + np.arange(ids.shape[1], dtype=np.int64)
     h = _embed(ids, config, params, positions, streams, train)
-    h, new_mems = _run_content_stack(h, "xl", 0, config.xlnet_layers, config, params,
-                                     memory, streams, train, k_eff)
-    return h, SegmentMemory(new_mems, memory.offset + t)
+    return _run_content_stack(h, "xl", 0, config.xlnet_layers, config, params,
+                              memory, streams, train, rel_indexes)
 
 
 def forward_ner(token_ids, memory, config: ModelConfig, params, streams=None,
@@ -283,13 +305,13 @@ def forward_ner(token_ids, memory, config: ModelConfig, params, streams=None,
     updated memory across all blocks."""
     ids = np.asarray(token_ids, dtype=np.int64)
     memory = _check_memory(memory, config, ids.shape[0])
-    h, xl_mem = encode(ids, memory, config, params, streams, train, k_eff)
+    rel_indexes = _rel_indexes(config, memory.offset, ids.shape[1], k_eff)
+    h, xl_mems = _encode(ids, memory, config, params, streams, train, rel_indexes)
     h, tr_mems = _run_content_stack(h, "tr", config.xlnet_layers, config.transformer_layers,
-                                    config, params, memory, streams, train, k_eff)
+                                    config, params, memory, streams, train, rel_indexes)
     h = T.layer_norm(h, params["final_ln_g"], params["final_ln_b"])
     log_probs = classify(h, params)
-    new_memory = SegmentMemory(xl_mem.layers + tr_mems, xl_mem.offset)
-    return log_probs, new_memory
+    return log_probs, SegmentMemory(xl_mems + tr_mems, memory.offset + ids.shape[1])
 
 
 def classify(hidden: Tensor, params) -> Tensor:
@@ -316,16 +338,16 @@ def pretrain_forward(token_ids, plan: plm.PermutationPlan, memory, config: Model
     if config.pe_mode == "absolute":
         g = g + Tensor(relpos.sinusoidal_pe(positions, D, h.dtype)[None, :, :])
     table = rel_table(params, "xl", config)
+    rel_indexes = _rel_indexes(config, memory.offset, t, k_eff)
     new_mems = []
     for i in range(config.xlnet_layers):
-        mem, pos_k, cache = _layer_memory(memory, i, h, config)
+        mem, m_len, cache = _layer_memory(memory, i, h, config)
         new_mems.append(cache)
-        m_len = pos_k.size - t
         h, g = plm.two_stream_layer(
             h, g, plm.extend_mask_for_memory(plan.query_mask, m_len),
             plm.extend_mask_for_memory(plan.content_mask, m_len),
             block_params(params, f"xl.{i}."), config.attention_config(),
-            positions, pos_k, table, mem, streams, train, k_eff, config.dropout)
+            table, rel_indexes(m_len), mem, streams, train, config.dropout)
     g = T.layer_norm(g, params["final_ln_g"], params["final_ln_b"])
     loss = plm.plm_loss(g, plan.targets, ids, params["plm_head_w"], params["plm_head_b"])
     return loss, SegmentMemory(new_mems, memory.offset + t)

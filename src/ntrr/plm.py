@@ -87,9 +87,8 @@ def extend_mask_for_memory(mask: np.ndarray, mem_len: int) -> np.ndarray:
 
 def two_stream_layer(h_prev: Tensor, g_prev: Tensor, query_mask, content_mask,
                      block: relpos.BlockParams, attn_config: relpos.AttentionConfig,
-                     positions_q, positions_k, rel_table=None, memory=None,
-                     streams=None, train: bool = False, k_eff: int | None = None,
-                     dropout: float = 0.0) -> tuple[Tensor, Tensor]:
+                     rel_table=None, rel_index=None, memory=None, streams=None,
+                     train: bool = False, dropout: float = 0.0) -> tuple[Tensor, Tensor]:
     """One pre-norm block over both streams with shared weights.
 
     Content stream: queries from h, content_mask. Query stream: queries
@@ -97,8 +96,8 @@ def two_stream_layer(h_prev: Tensor, g_prev: Tensor, query_mask, content_mask,
     if given, is a (B, M, D) array of the previous segment's states,
     visible to both streams."""
     return relpos.block_forward((h_prev, g_prev), (content_mask, query_mask), memory,
-                                block, attn_config, positions_q, positions_k, rel_table,
-                                streams, train, k_eff, dropout)
+                                block, attn_config, rel_table, rel_index, streams, train,
+                                dropout)
 
 
 def plm_loss(g_final: Tensor, targets, token_ids, head_w: Tensor, head_b: Tensor) -> Tensor:

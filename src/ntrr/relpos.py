@@ -108,15 +108,15 @@ def dropout_site(x: Tensor, drop_prob: float, streams, train: bool) -> Tensor:
 
 
 def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams,
-                  attn_config: AttentionConfig, positions_q, positions_k,
-                  rel_table: RelPosTable | None = None, streams=None,
-                  train: bool = False, k_eff: int | None = None,
-                  dropout: float = 0.0) -> tuple[Tensor, ...]:
+                  attn_config: AttentionConfig, rel_table: RelPosTable | None = None,
+                  rel_index: T.BucketIndex | None = None, streams=None,
+                  train: bool = False, dropout: float = 0.0) -> tuple[Tensor, ...]:
     """One pre-norm block over a tuple of query streams with shared weights.
 
     Stream s attends under masks[s] to keys and values from
     [memory ; xs[0]]; memory, if given, is a (B, M, D) array of earlier
-    states and gets no gradient. The streams advance in lockstep, one
+    states and gets no gradient. rel_index is the relative_index of the
+    queries over those keys. The streams advance in lockstep, one
     sublayer at a time: all attentions, then all attention residuals,
     then all FFN residuals. That order fixes which dropout mask each
     site draws."""
@@ -126,7 +126,7 @@ def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams,
         kv = T.concat([Tensor(memory), xs[0]], axis=1)
         normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
     atts = [multi_head_attention(q, normed_kv, attn_config, block.attn, mask,
-                                 positions_q, positions_k, rel_table, streams, train, k_eff)
+                                 rel_table, rel_index, streams, train)
             for q, mask in zip(normed, masks)]
     xs = [x + dropout_site(a, dropout, streams, train) for x, a in zip(xs, atts)]
     return tuple(x + dropout_site(feed_forward(T.layer_norm(x, block.ln2_g, block.ln2_b), block),
@@ -154,6 +154,14 @@ def displacement_index(positions_q, positions_k, k: int, k_eff: int | None = Non
     return np.clip(disp, -k_eff, k_eff) + k
 
 
+def relative_index(positions_q, positions_k, k: int, k_eff: int | None = None) -> T.BucketIndex:
+    """displacement_index as a checked index into the 2k+1 table rows.
+
+    Build it once per forward for each key length and hand it to every
+    block whose queries and keys sit at these positions."""
+    return T.BucketIndex(displacement_index(positions_q, positions_k, k, k_eff), 2 * k + 1)
+
+
 def sinusoidal_pe(positions, model_dim: int, dtype=np.float64) -> np.ndarray:
     """Classic interleaved sin/cos encoding for given absolute positions.
 
@@ -171,33 +179,33 @@ def sinusoidal_pe(positions, model_dim: int, dtype=np.float64) -> np.ndarray:
 
 
 def rel_attention_scores(q: Tensor, k: Tensor, rel_table: RelPosTable | None,
-                         positions_q, positions_k, k_eff: int | None = None) -> Tensor:
+                         rel_index: T.BucketIndex | None = None) -> Tensor:
     """Scaled attention scores with the relative key correction.
 
     q (..., Tq, d), k (..., Tk, d) -> (..., Tq, Tk). Each score is
-    q_i . (k_l + table_row(pos_l - pos_q_i)) / sqrt(d); with no table
-    this is plain scaled dot product."""
+    q_i . (k_l + table_row(pos_l - pos_q_i)) / sqrt(d), with the table
+    rows picked by rel_index (a relative_index); with no table this is
+    plain scaled dot product."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"head dims disagree: {q.shape} vs {k.shape}")
-    d = q.shape[-1]
+    scale = 1.0 / np.sqrt(q.shape[-1])
     scores = T.matmul(q, T.permute(k, _swap_last(k.ndim)))
-    if rel_table is not None:
-        idx = displacement_index(positions_q, positions_k, rel_table.k, k_eff)
-        per_disp = T.matmul(q, T.permute(rel_table.wk, (1, 0)))  # (..., Tq, 2k+1)
-        scores = scores + T.index_select_last(per_disp, idx)
-    return scores * (1.0 / np.sqrt(d))
+    if rel_table is None:
+        return scores * scale
+    per_disp = T.matmul(q, T.permute(rel_table.wk, (1, 0)))  # (..., Tq, 2k+1)
+    return T.add_select_scale(scores, per_disp, rel_index, scale)
 
 
 def rel_attention_values(attn: Tensor, v: Tensor, rel_table: RelPosTable | None,
-                         positions_q, positions_k, k_eff: int | None = None) -> Tensor:
+                         rel_index: T.BucketIndex | None = None) -> Tensor:
     """Weighted value mix with the relative value correction.
 
     attn (..., Tq, Tk) rows are attention weights; output i is
-    sum_l attn_il (v_l + table_row(pos_l - pos_q_i))."""
+    sum_l attn_il (v_l + table_row(pos_l - pos_q_i)), with the table
+    rows picked by rel_index."""
     out = T.matmul(attn, v)
     if rel_table is not None:
-        idx = displacement_index(positions_q, positions_k, rel_table.k, k_eff)
-        pooled = T.index_bucket_last(attn, idx, rel_table.wk.shape[0])  # (..., Tq, 2k+1)
+        pooled = T.index_bucket_last(attn, rel_index, rel_table.wk.shape[0])  # (..., Tq, 2k+1)
         out = out + T.matmul(pooled, rel_table.wv)
     return out
 
@@ -221,24 +229,26 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, config: AttentionConfig,
-                         params: AttentionParams, mask, positions_q, positions_k,
-                         rel_table: RelPosTable | None = None, streams=None,
-                         train: bool = False, k_eff: int | None = None) -> Tensor:
+                         params: AttentionParams, mask, rel_table: RelPosTable | None = None,
+                         rel_index: T.BucketIndex | None = None, streams=None,
+                         train: bool = False) -> Tensor:
     """Full attention sublayer body: project, score, mix, merge, project.
 
     mask broadcasts to (B, H, Tq, Tk); True marks an admissible key.
     Queries whose whole row is masked out produce exactly zero vectors.
-    Residual connections and normalization belong to the caller."""
+    Relative mode needs the table and the relative_index of the queries
+    over the keys. Residual connections and normalization belong to the
+    caller."""
     if config.mode == "relative":
-        if rel_table is None:
-            raise ContractError("relative mode needs a displacement table")
+        if rel_table is None or rel_index is None:
+            raise ContractError("relative mode needs a displacement table and index")
     else:
         rel_table = None
     q = split_heads(T.linear(x_q, params.wq, params.bq), config.num_heads)
     k = split_heads(T.linear(x_kv, params.wk, params.bk), config.num_heads)
     v = split_heads(T.linear(x_kv, params.wv, params.bv), config.num_heads)
-    scores = rel_attention_scores(q, k, rel_table, positions_q, positions_k, k_eff)
+    scores = rel_attention_scores(q, k, rel_table, rel_index)
     weights = T.masked_softmax(scores, True if mask is None else mask)
     weights = dropout_site(weights, config.attn_dropout, streams, train)
-    mixed = rel_attention_values(weights, v, rel_table, positions_q, positions_k, k_eff)
+    mixed = rel_attention_values(weights, v, rel_table, rel_index)
     return T.linear(merge_heads(mixed), params.wo, params.bo)

@@ -178,8 +178,9 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        return (_sum_to_shape(g * b.data, a.data.shape),
-                _sum_to_shape(g * a.data, b.data.shape))
+        # an operand that needs no gradient (a constant factor) costs nothing
+        return (_sum_to_shape(g * b.data, a.data.shape) if a.requires_grad else None,
+                _sum_to_shape(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -527,58 +528,106 @@ def kl_divergence(p: Tensor, q: Tensor, mask=None) -> Tensor:
 # ------------------------------------------------- displacement-indexed ops
 
 
-def _flat_index(idx, nbuckets: int):
-    """The checked 2-d index and its flat keys i * nbuckets + idx[i, j] in (Tq, nbuckets)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 2:
-        raise ShapeError(f"index matrix must be 2-d, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= nbuckets):
-        raise IndexError(f"bucket index out of range [0, {nbuckets})")
-    return idx, (np.arange(idx.shape[0])[:, None] * nbuckets + idx).ravel()
+class BucketIndex:
+    """A constant (Tq, Tk) index into nbuckets buckets, checked once.
+
+    Holds the flat keys i * nbuckets + idx[i, j] into a (Tq, nbuckets)
+    block, which every displacement op gathers or pools by, so a caller
+    that builds it once pays for the 2-d and range checks once."""
+
+    __slots__ = ("shape", "nbuckets", "keys")
+
+    def __init__(self, idx, nbuckets: int):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.ndim != 2:
+            raise ShapeError(f"index matrix must be 2-d, got shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= nbuckets):
+            raise IndexError(f"bucket index out of range [0, {nbuckets})")
+        self.shape = idx.shape
+        self.nbuckets = nbuckets
+        self.keys = (np.arange(idx.shape[0])[:, None] * nbuckets + idx).ravel()
 
 
-def _gather_last(x: np.ndarray, keys: np.ndarray, shape) -> np.ndarray:
+def _as_index(idx, nbuckets: int) -> BucketIndex:
+    if not isinstance(idx, BucketIndex):
+        return BucketIndex(idx, nbuckets)
+    if idx.nbuckets != nbuckets:
+        raise ShapeError(f"index has {idx.nbuckets} buckets, operand has {nbuckets}")
+    return idx
+
+
+def _gather_last(x: np.ndarray, index: BucketIndex) -> np.ndarray:
     """(..., Tq, R) -> (..., Tq, Tk): one take over the flattened last two axes."""
-    return np.take(x.reshape(x.shape[:-2] + (-1,)), keys, axis=-1).reshape(x.shape[:-2] + shape)
+    lead = x.shape[:-2]
+    return np.take(x.reshape(lead + (-1,)), index.keys, axis=-1).reshape(lead + index.shape)
 
 
-def _bucket_sum(x: np.ndarray, keys: np.ndarray, shape, nbuckets: int) -> np.ndarray:
+def _bucket_sum(x: np.ndarray, index: BucketIndex) -> np.ndarray:
     """(..., Tq, Tk) -> (..., Tq, nbuckets), one bincount per leading row, summed in float64."""
-    tq = shape[0]
-    out = np.empty(x.shape[:-2] + (tq, nbuckets), dtype=x.dtype)
-    for row_out, row in zip(out.reshape(-1, tq * nbuckets), x.reshape((-1,) + shape)):
-        row_out[...] = np.bincount(keys, weights=row.ravel(), minlength=tq * nbuckets)
+    tq, width = index.shape[0], index.shape[0] * index.nbuckets
+    out = np.empty(x.shape[:-2] + (tq, index.nbuckets), dtype=x.dtype)
+    for row_out, row in zip(out.reshape(-1, width), x.reshape((-1,) + index.shape)):
+        row_out[...] = np.bincount(index.keys, weights=row.ravel(), minlength=width)
     return out
 
 
-def index_select_last(x: Tensor, idx) -> Tensor:
-    """out[..., i, j] = x[..., i, idx[i, j]] for a constant 2-d index.
+def _select_index(x: Tensor, idx) -> BucketIndex:
+    """The checked index for gathering from x (..., Tq, R)."""
+    index = _as_index(idx, x.data.shape[-1])
+    if x.data.shape[-2] != index.shape[0]:
+        raise ShapeError(f"row dim {x.data.shape[-2]} does not match index {index.shape}")
+    return index
 
-    Used to spread per-displacement scores (..., T, R) out to score
-    matrices (..., T, Tk)."""
-    idx, keys = _flat_index(idx, x.data.shape[-1])
-    if x.data.shape[-2] != idx.shape[0]:
-        raise ShapeError(f"row dim {x.data.shape[-2]} does not match index {idx.shape}")
+
+def index_select_last(x: Tensor, idx) -> Tensor:
+    """out[..., i, j] = x[..., i, idx[i, j]] for a constant 2-d index
+    (an array or a BucketIndex).
+
+    Spreads per-displacement values (..., T, R) out to (..., T, Tk)."""
+    index = _select_index(x, idx)
 
     def backward(g):
-        return (_bucket_sum(g, keys, idx.shape, x.data.shape[-1]),)
+        return (_bucket_sum(g, index),)
 
-    return _make(_gather_last(x.data, keys, idx.shape), (x,), backward)
+    return _make(_gather_last(x.data, index), (x,), backward)
+
+
+def add_select_scale(s: Tensor, x: Tensor, idx, scale: float) -> Tensor:
+    """(s + index_select_last(x, idx)) * scale, in the gather's buffer.
+
+    The same roundings in the same order as the three separate ops, so
+    the result is bitwise theirs; used for relative attention scores
+    with s (..., Tq, Tk) the content scores and x (..., Tq, R) the
+    per-displacement ones."""
+    index = _select_index(x, idx)
+    if s.data.shape != x.data.shape[:-1] + index.shape[1:]:
+        raise ShapeError(f"scores {s.data.shape} do not match {x.data.shape} "
+                         f"gathered by index {index.shape}")
+    c = np.asarray(scale, dtype=s.dtype)
+    out = _gather_last(x.data, index)  # the only buffer; updated in place below
+    np.multiply(np.add(s.data, out, out=out), c, out=out)
+
+    def backward(g):
+        gc = g * c
+        return gc, _bucket_sum(gc, index)
+
+    return _make(out, (s, x), backward)
 
 
 def index_bucket_last(x: Tensor, idx, nbuckets: int) -> Tensor:
-    """out[..., i, r] = sum_j x[..., i, j] where idx[i, j] == r.
+    """out[..., i, r] = sum_j x[..., i, j] where idx[i, j] == r, for idx
+    an array or a BucketIndex.
 
     The adjoint of index_select_last; used to pool attention weights by
     displacement before mixing in the per-displacement value rows."""
-    idx, keys = _flat_index(idx, nbuckets)
-    if x.data.shape[-2:] != idx.shape:
-        raise ShapeError(f"trailing dims {x.data.shape[-2:]} do not match index {idx.shape}")
+    index = _as_index(idx, nbuckets)
+    if x.data.shape[-2:] != index.shape:
+        raise ShapeError(f"trailing dims {x.data.shape[-2:]} do not match index {index.shape}")
 
     def backward(g):
-        return (_gather_last(g, keys, idx.shape),)
+        return (_gather_last(g, index),)
 
-    return _make(_bucket_sum(x.data, keys, idx.shape, nbuckets), (x,), backward)
+    return _make(_bucket_sum(x.data, index), (x,), backward)
 
 
 # ------------------------------------------------------------------ backward

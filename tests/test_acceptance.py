@@ -22,7 +22,7 @@ from ntrr.gradcheck import TOLERANCE, gradcheck_model
 from ntrr.plm import build_masks, make_plan, sample_permutation, two_stream_layer
 from ntrr.relpos import (AttentionParams, RelPosTable, clip_rel,
                          rel_attention_scores, rel_attention_values,
-                         sinusoidal_pe)
+                         relative_index, sinusoidal_pe)
 from ntrr.rng import DropoutStreams, DualDropoutStreams, Rng
 from ntrr.tagging import Entity, bio_to_bmes, entity_prf, extract_entities, split_tag
 from ntrr.tensor import Tensor
@@ -80,11 +80,12 @@ def test_criterion_2_relative_pe():
     k = Tensor(rng.normal((1, 1, 5, 4)))
     zero = RelPosTable(Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 4))))
     pos_q, pos_k = [2, 3, 4], [0, 1, 2, 3, 4]
-    with_t = rel_attention_scores(q, k, zero, pos_q, pos_k).data
-    vanilla = rel_attention_scores(q, k, None, pos_q, pos_k).data
+    with_t = rel_attention_scores(q, k, zero, relative_index(pos_q, pos_k, 2)).data
+    vanilla = rel_attention_scores(q, k, None).data
     attn = T.softmax(Tensor(vanilla)).data
     v = rng.normal((1, 1, 5, 4))
-    mix = rel_attention_values(Tensor(attn), Tensor(v), zero, pos_q, pos_k).data
+    mix = rel_attention_values(Tensor(attn), Tensor(v), zero,
+                               relative_index(pos_q, pos_k, 2)).data
     checks["zero-table"] = (np.max(np.abs(with_t - vanilla)) <= 1e-12
                             and np.max(np.abs(mix - attn @ v)) <= 1e-12)
 
@@ -94,13 +95,11 @@ def test_criterion_2_relative_pe():
     base = None
     same = True
     for shift in (0, 7, 1000):
-        s = rel_attention_scores(q, k, table,
-                                 [p + shift for p in pos_q],
-                                 [p + shift for p in pos_k]).data
+        index = relative_index([p + shift for p in pos_q],
+                               [p + shift for p in pos_k], table.k)
+        s = rel_attention_scores(q, k, table, index).data
         w = T.softmax(Tensor(s)).data
-        o = rel_attention_values(Tensor(w), Tensor(v), table,
-                                 [p + shift for p in pos_q],
-                                 [p + shift for p in pos_k]).data
+        o = rel_attention_values(Tensor(w), Tensor(v), table, index).data
         if base is None:
             base = (s, o)
         else:
@@ -115,7 +114,7 @@ def test_criterion_2_relative_pe():
 
     def scores_with(rows):
         t = RelPosTable(Tensor(rows), Tensor(np.zeros_like(rows)))
-        return rel_attention_scores(q2, k2, t, far_q, far_k).data
+        return rel_attention_scores(q2, k2, t, relative_index(far_q, far_k, t.k)).data
 
     inner = wk.copy()
     inner[1:4] += 100.0
@@ -131,7 +130,7 @@ def test_criterion_2_relative_pe():
     wkh = np.array([[0.1, 0.2], [0.0, 0.0], [-0.3, 0.4]])
     th = RelPosTable(Tensor(wkh.copy()), Tensor(np.zeros_like(wkh)))
     got = rel_attention_scores(Tensor(qh[None]), Tensor(kh[None]), th,
-                               [0, 1], [0, 1]).data[0]
+                               relative_index([0, 1], [0, 1], th.k)).data[0]
     hand_ok = True
     for i in range(2):
         for l in range(2):
@@ -211,8 +210,8 @@ def test_criterion_3_plm_masks():
                                         emb.data.shape).copy())
             _, g1 = two_stream_layer(emb, g0, plan.query_mask, plan.content_mask,
                                      M.block_params(params, "xl.0."),
-                                     mc.attention_config(), range(n), range(n),
-                                     M.rel_table(params, "xl", mc))
+                                     mc.attention_config(), M.rel_table(params, "xl", mc),
+                                     relative_index(range(n), range(n), mc.clip_k))
             T.zero_grads([params["embed"]])
             T.backward(T.tsum(T.slice_axis(g1, 1, i, i + 1)))
             leak_free = leak_free and np.max(np.abs(params["embed"].grad[tok])) == 0.0

@@ -240,6 +240,24 @@ def test_pretrain_then_warm_start(tmp_path):
     assert "best dev F1" in out
 
 
+def test_warm_start_rejects_non_finite_checkpoint(tmp_path):
+    pre_dir = tmp_path / "pre"
+    code, _, err = run(["pretrain", "--train", str(DATA / "train.bmes"),
+                        "--out", str(pre_dir), "--config", CFG, "--set", "epochs=1"])
+    assert code == 0, err
+    path = pre_dir / "pretrain.ckpt"
+    ckpt = D.load_checkpoint(str(path))
+    ckpt.params["embed"][5, 0] = np.nan
+    D.save_checkpoint(str(path), ckpt.params, ckpt.model_config)
+    code, out, err = run(["train", "--train", str(DATA / "train.bmes"),
+                          "--dev", str(DATA / "dev.bmes"),
+                          "--out", str(tmp_path / "ft"), "--config", CFG,
+                          "--init", str(path)])
+    assert code == 2, err
+    assert "'embed' has non-finite values" in err and str(path) in err
+    assert out == ""
+
+
 # ------------------------------------------------------------------ report
 
 

@@ -196,8 +196,9 @@ def ref_content_stack(h, stack, n_layers, mc, params, mem_layers, offset, stream
             kv = T.concat([T.Tensor(mem), h], axis=1)
             normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
         att = relpos.multi_head_attention(normed_q, normed_kv, mc.attention_config(),
-                                          block.attn, mask, pos_q, pos_k, table, streams,
-                                          train)
+                                          block.attn, mask, table,
+                                          relpos.relative_index(pos_q, pos_k, mc.clip_k),
+                                          streams, train)
         new_mems.append(cache)
         h = h + ref_drop(att, mc.dropout, streams, train)
         h = h + ref_drop(relpos.feed_forward(T.layer_norm(h, block.ln2_g, block.ln2_b),
@@ -214,10 +215,12 @@ def ref_two_stream_layer(h_prev, g_prev, query_mask, content_mask, block, mc,
     if memory is not None:
         kv = T.concat([T.stop_gradient(memory), h_prev], axis=1)
         normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
-    h_att = relpos.multi_head_attention(normed_h, normed_kv, cfg, block.attn,
-                                        content_mask, pos_q, pos_k, table, streams, train)
-    g_att = relpos.multi_head_attention(normed_g, normed_kv, cfg, block.attn,
-                                        query_mask, pos_q, pos_k, table, streams, train)
+    h_att = relpos.multi_head_attention(normed_h, normed_kv, cfg, block.attn, content_mask,
+                                        table, relpos.relative_index(pos_q, pos_k, mc.clip_k),
+                                        streams, train)
+    g_att = relpos.multi_head_attention(normed_g, normed_kv, cfg, block.attn, query_mask,
+                                        table, relpos.relative_index(pos_q, pos_k, mc.clip_k),
+                                        streams, train)
     h = h_prev + ref_drop(h_att, mc.dropout, streams, train)
     g = g_prev + ref_drop(g_att, mc.dropout, streams, train)
     h = h + ref_drop(relpos.feed_forward(T.layer_norm(h, block.ln2_g, block.ln2_b), block),
@@ -299,6 +302,35 @@ def test_training_forward_matches_pre_merge_oracle(model, pe_mode):
 
 
 # ----------------------------------------------------------------- encoder
+
+
+@pytest.mark.parametrize("pe_mode", ["relative", "absolute"])
+@pytest.mark.parametrize("model", ["forward_ner", "pretrain_forward"])
+def test_each_forward_builds_the_relative_index_once(model, pe_mode, monkeypatch):
+    # one displacement index per forward, shared by all 2 + 2 blocks, on a
+    # first segment and on a second one that sees 3 cached positions
+    calls = []
+    real = relpos.displacement_index
+
+    def counted(pos_q, pos_k, *args):
+        calls.append(len(pos_k))
+        return real(pos_q, pos_k, *args)
+
+    monkeypatch.setattr(relpos, "displacement_index", counted)
+    mc = small_config(pe_mode=pe_mode, memory_len=3, dropout=0.1)
+    params = M.init_params(mc, Rng.for_stream(16, "init"), "float64")
+    ids = random_ids(17, 10, batch=2)
+    memory = None
+    for seg in range(2):
+        calls.clear()
+        x = ids[:, 5 * seg:5 * seg + 5]
+        streams = DualDropoutStreams(18, seg)
+        if model == "forward_ner":
+            _, memory = M.forward_ner(x, memory, mc, params, streams, True, 2)
+        else:
+            _, memory = M.pretrain_forward(x, sample_permutation(5, Rng(19, seg)), memory,
+                                           mc, params, streams, True, 2)
+        assert calls == ([5 + 3 * seg] if pe_mode == "relative" else [])
 
 
 def test_eval_forward_is_pure():

@@ -13,6 +13,7 @@ from ntrr.errors import ContractError
 from ntrr.plm import (build_masks, extend_mask_for_memory, make_plan,
                       plm_loss, sample_permutation, target_count,
                       two_stream_layer)
+from ntrr.relpos import relative_index
 from ntrr.rng import Rng
 
 
@@ -164,7 +165,7 @@ def test_identity_order_h_stream_equals_causal_attention():
     table = M.rel_table(params, "xl", mc)
     g0 = T.Tensor(np.broadcast_to(params["w_init"].data, emb.data.shape).copy())
     h1, g1 = two_stream_layer(emb, g0, q, c, block, mc.attention_config(),
-                              range(n), range(n), table)
+                              table, relative_index(range(n), range(n), mc.clip_k))
     assert np.max(np.abs(h1.data - hidden.data)) <= 1e-12
 
 
@@ -192,8 +193,8 @@ def test_no_leakage_gradient_probe_bulk():
             g0 = T.Tensor(np.broadcast_to(params["w_init"].data,
                                           emb.data.shape).copy())
             _, g1 = two_stream_layer(emb, g0, plan.query_mask, plan.content_mask,
-                                     block, mc.attention_config(), range(n),
-                                     range(n), table)
+                                     block, mc.attention_config(), table,
+                                     relative_index(range(n), range(n), mc.clip_k))
             T.zero_grads([params["embed"]])
             T.backward(T.tsum(T.slice_axis(g1, 1, i, i + 1)))
             assert np.max(np.abs(params["embed"].grad[tok])) == 0.0, (case, i)
@@ -210,7 +211,8 @@ def test_self_visibility_h_stream():
     table = M.rel_table(params, "xl", mc)
     g0 = T.Tensor(np.broadcast_to(params["w_init"].data, emb.data.shape).copy())
     h1, _ = two_stream_layer(emb, g0, plan.query_mask, plan.content_mask,
-                             block, mc.attention_config(), range(4), range(4), table)
+                             block, mc.attention_config(), table,
+                             relative_index(range(4), range(4), mc.clip_k))
     i = int(plan.order[0])  # first in order: h_i sees only itself
     T.zero_grads([params["embed"]])
     T.backward(T.tsum(T.slice_axis(h1, 1, i, i + 1)))
@@ -257,8 +259,8 @@ def test_no_leakage_through_full_stack():
         block = M.block_params(params, f"xl.{layer}.")
         table = M.rel_table(params, "xl", mc)
         h, g = two_stream_layer(h, g, plan.query_mask, plan.content_mask,
-                                block, mc.attention_config(), range(n), range(n),
-                                table)
+                                block, mc.attention_config(), table,
+                                relative_index(range(n), range(n), mc.clip_k))
     T.zero_grads([params["embed"]])
     T.backward(T.tsum(T.slice_axis(g, 1, i, i + 1)))
     assert np.max(np.abs(params["embed"].grad[ids[0, i]])) == 0.0

@@ -10,7 +10,7 @@ from ntrr.errors import ConfigError, ContractError
 from ntrr.relpos import (AttentionConfig, AttentionParams, RelPosTable,
                          clip_rel, displacement_index, multi_head_attention,
                          rel_attention_scores, rel_attention_values,
-                         sinusoidal_pe)
+                         relative_index, sinusoidal_pe)
 from ntrr.rng import Rng
 
 
@@ -84,8 +84,8 @@ def test_zero_table_scores_equal_vanilla():
     k = T.Tensor(rng.normal((1, 1, 5, 4)))
     table = make_table(rng, 2, 4, zero=True)
     pos_q, pos_k = [2, 3, 4], [0, 1, 2, 3, 4]
-    with_table = rel_attention_scores(q, k, table, pos_q, pos_k).data
-    vanilla = rel_attention_scores(q, k, None, pos_q, pos_k).data
+    with_table = rel_attention_scores(q, k, table, relative_index(pos_q, pos_k, table.k)).data
+    vanilla = rel_attention_scores(q, k, None).data
     assert np.max(np.abs(with_table - vanilla)) <= 1e-12
 
 
@@ -98,7 +98,7 @@ def test_two_token_scores_match_hand_expansion():
                    [-0.3, 0.4]])  # displacement +1
     table = RelPosTable(T.Tensor(wk.copy()), T.Tensor(np.zeros_like(wk)))
     got = rel_attention_scores(T.Tensor(q[None]), T.Tensor(k[None]), table,
-                               [0, 1], [0, 1]).data[0]
+                               relative_index([0, 1], [0, 1], table.k)).data[0]
     scale = 1.0 / np.sqrt(2.0)
     for i in range(2):
         for l in range(2):
@@ -116,9 +116,9 @@ def test_translation_invariance_bitwise():
     for shift in (0, 5, 1000):
         pos_q = [p + shift for p in (2, 3, 4, 5)]
         pos_k = [p + shift for p in range(6)]
-        s = rel_attention_scores(q, k, table, pos_q, pos_k).data
+        s = rel_attention_scores(q, k, table, relative_index(pos_q, pos_k, table.k)).data
         w = T.softmax(T.Tensor(s)).data
-        o = rel_attention_values(T.Tensor(w), v, table, pos_q, pos_k).data
+        o = rel_attention_values(T.Tensor(w), v, table, relative_index(pos_q, pos_k, table.k)).data
         if shift == 0:
             base_s, base_o = s, o
         else:
@@ -135,7 +135,7 @@ def test_clip_saturation_uses_only_edge_rows():
     pos_q, pos_k = [0, 100], [50, 60]
     def scores_with(rows):
         t = RelPosTable(T.Tensor(rows), T.Tensor(np.zeros_like(rows)))
-        return rel_attention_scores(q, k, t, pos_q, pos_k).data
+        return rel_attention_scores(q, k, t, relative_index(pos_q, pos_k, t.k)).data
     base = scores_with(wk)
     inner_changed = wk.copy()
     inner_changed[1:4] += 100.0  # rows for displacements -1, 0, +1
@@ -168,7 +168,7 @@ def test_zero_value_table_is_plain_mix():
     v = rng.normal((1, 1, 4, 3))
     table = make_table(rng, 2, 3, zero=True)
     got = rel_attention_values(T.Tensor(attn), T.Tensor(v), table,
-                               [0, 1, 2], [0, 1, 2, 3]).data
+                               relative_index([0, 1, 2], [0, 1, 2, 3], table.k)).data
     assert np.max(np.abs(got - attn @ v)) <= 1e-12
 
 
@@ -181,7 +181,7 @@ def test_one_hot_weights_select_value_plus_row():
     attn[0, 0, 0, 3] = 1.0  # query 0 attends key 3 only
     attn[0, 0, 1, 0] = 1.0  # query 1 attends key 0 only
     got = rel_attention_values(T.Tensor(attn), T.Tensor(v), table,
-                               [0, 1], [0, 1, 2, 3]).data[0, 0]
+                               relative_index([0, 1], [0, 1, 2, 3], table.k)).data[0, 0]
     assert np.allclose(got[0], v[0, 0, 3] + wv[clip_rel(3 - 0, 2) + 2], atol=1e-12)
     assert np.allclose(got[1], v[0, 0, 0] + wv[clip_rel(0 - 1, 2) + 2], atol=1e-12)
 
@@ -194,7 +194,8 @@ def test_values_match_double_loop():
     wv = rng.normal((2 * kk + 1, hd))
     table = RelPosTable(T.Tensor(np.zeros_like(wv)), T.Tensor(wv))
     pos_q, pos_k = [2, 3, 4], [0, 1, 2, 3, 4]
-    got = rel_attention_values(T.Tensor(attn), T.Tensor(v), table, pos_q, pos_k).data
+    got = rel_attention_values(T.Tensor(attn), T.Tensor(v), table,
+                               relative_index(pos_q, pos_k, kk)).data
     want = np.zeros((tq, hd))
     for i in range(tq):
         for l in range(tk):
@@ -215,8 +216,9 @@ def test_relative_zero_tables_equals_absolute_layer():
     rel_cfg = AttentionConfig(d, 2, clip_k=2, mode="relative")
     abs_cfg = AttentionConfig(d, 2, clip_k=2, mode="absolute")
     table = make_table(rng, 2, d // 2, zero=True)
-    a = multi_head_attention(x, x, rel_cfg, params, None, pos, pos, table).data
-    b = multi_head_attention(x, x, abs_cfg, params, None, pos, pos, None).data
+    a = multi_head_attention(x, x, rel_cfg, params, None, table,
+                             relative_index(pos, pos, 2)).data
+    b = multi_head_attention(x, x, abs_cfg, params, None).data
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -231,7 +233,8 @@ def test_fully_masked_query_row_outputs_zero():
     mask[1, :] = False
     cfg = AttentionConfig(d, 2, clip_k=2, mode="relative")
     table = make_table(rng, 2, d // 2)
-    out = multi_head_attention(x, x, cfg, params, mask, range(3), range(3), table).data
+    out = multi_head_attention(x, x, cfg, params, mask, table,
+                               relative_index(range(3), range(3), 2)).data
     assert np.all(np.isfinite(out))
     assert np.max(np.abs(out[0, 1])) <= 1e-15
 
@@ -241,7 +244,8 @@ def test_relative_mode_requires_table():
     x = T.Tensor(rng.normal((1, 2, 4)))
     cfg = AttentionConfig(4, 2, clip_k=2, mode="relative")
     with pytest.raises(ContractError):
-        multi_head_attention(x, x, cfg, make_params(rng, 4), None, [0, 1], [0, 1], None)
+        multi_head_attention(x, x, cfg, make_params(rng, 4), None, None,
+                             relative_index([0, 1], [0, 1], 2))
 
 
 def test_config_validation():
@@ -265,7 +269,8 @@ def test_attention_gradients_match_finite_differences():
                table.wk, table.wv]
 
     def f():
-        out = multi_head_attention(x, x, cfg, params, mask, range(3), range(3), table)
+        out = multi_head_attention(x, x, cfg, params, mask, table,
+                                   relative_index(range(3), range(3), 2))
         return T.tsum(out * out)
 
     T.zero_grads(tensors)

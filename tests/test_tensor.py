@@ -334,6 +334,9 @@ def _op_cases(rng):
     targets = [rng.randbelow(4), rng.randbelow(4)]
     mask3 = np.array([[True, True, False], [True, False, True]])
     keep = rng.uniform((2, 3)) >= 0.3
+    idx34 = np.array([[rng.randbelow(5) for _ in range(4)] for _ in range(3)])
+    s_last = rand(rng, (2, 3, 4))
+    x_wide = rand(rng, (2, 3, 5))
 
     cases = [
         ("add", lambda: T.tsum((a + b) * b), [a, b]),
@@ -364,6 +367,9 @@ def _op_cases(rng):
         ("kl", lambda: T.kl_divergence(T.softmax(a), T.softmax(b)), [a, b]),
         ("index_select_last", lambda: T.tsum(T.index_select_last(x_last, idx2) * 1.3), [x_last]),
         ("index_bucket_last", lambda: T.tsum(T.index_bucket_last(x_last, idx2, 3)), [x_last]),
+        ("add_select_scale",
+         lambda: T.tsum(T.add_select_scale(s_last, x_wide, idx34, 0.7) * s_last),
+         [s_last, x_wide]),
         # stop_gradient is deliberately absent: finite differences see
         # through the detachment, so it is checked analytically below
     ]
@@ -381,6 +387,15 @@ def test_every_op_gradient_matches_finite_differences(seed):
             got = p.grad if p.grad is not None else np.zeros_like(p.data)
             err = rel_err(got, g)
             assert err <= TOL, f"op {name} seed {seed}: rel err {err:.2e}"
+
+
+def test_mul_skips_gradient_of_constant_operand():
+    a = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    c = T.Tensor(np.array([3.0, 4.0]))
+    ga, gc = (a * c)._backward(np.ones(2))
+    assert np.array_equal(ga, [3.0, 4.0]) and gc is None
+    gc, ga = (c * a)._backward(np.ones(2))
+    assert gc is None and np.array_equal(ga, [3.0, 4.0])
 
 
 def test_stop_gradient_blocks():
@@ -461,6 +476,50 @@ def test_displacement_ops_float32(case):
         assert np.array_equal(got, exact.astype(np.float32))
         bound = tk * eps * ref_bucket_last(np.abs(summed).astype(np.float64), idx, nbuckets)
         assert np.all(np.abs(got - ref_bucket_last(summed, idx, nbuckets)) <= bound)
+
+
+@given(displacement_cases(), st.sampled_from(["float64", "float32"]))
+@example((300, 100, 8, 8, "contiguous", 1), "float64")
+@example((257, 40, 12, 3, "scattered", 2), "float32")
+@settings(max_examples=25, deadline=None)
+def test_add_select_scale_matches_three_ops(case, dtype):
+    """Bitwise (s + index_select_last(x, idx)) * c, forward and both
+    gradients, in float64 and float32, with the index given as an
+    array and as a BucketIndex."""
+    idx, nbuckets, rng = _displacement_case(*case)
+    tq, tk = idx.shape
+    c = 1.0 / np.sqrt(1 + rng.randbelow(64))
+    s0 = rng.normal(LEAD + (tq, tk)).astype(dtype)
+    x0 = rng.normal(LEAD + (tq, nbuckets)).astype(dtype)
+    g = T.Tensor(rng.normal(LEAD + (tq, tk)).astype(dtype))
+
+    def run(op):
+        s = T.Tensor(s0.copy(), requires_grad=True)
+        x = T.Tensor(x0.copy(), requires_grad=True)
+        out = op(s, x)
+        T.backward(T.tsum(out * g))
+        return out.data, s.grad, x.grad
+
+    want = run(lambda s, x: (s + T.index_select_last(x, idx)) * c)
+    for index in (idx, T.BucketIndex(idx, nbuckets)):
+        got = run(lambda s, x: T.add_select_scale(s, x, index, c))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.dtype(dtype)
+            assert np.array_equal(a, b)
+
+
+def test_add_select_scale_rejects_mismatch():
+    s = T.Tensor(np.zeros((2, 3, 4)))
+    x = T.Tensor(np.zeros((2, 3, 5)))
+    idx = np.zeros((3, 4), dtype=np.int64)
+    for bad_s in (np.zeros((2, 3, 5)), np.zeros((3, 3, 4)), np.zeros((3, 4))):
+        with pytest.raises(ShapeError):
+            T.add_select_scale(T.Tensor(bad_s), x, idx, 0.5)
+    for bad_index in (T.BucketIndex(idx, 6), T.BucketIndex(np.zeros((2, 4)), 5)):
+        with pytest.raises(ShapeError):
+            T.add_select_scale(s, x, bad_index, 0.5)
+    with pytest.raises(IndexError):
+        T.add_select_scale(s, x, np.full((3, 4), 5), 0.5)
 
 
 def test_index_select_last_rejects_bad_index():
