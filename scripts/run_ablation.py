@@ -31,9 +31,9 @@ def main():
     train_corpus = read_conll(args.train, scheme="bmes")
     dev_corpus = read_conll(args.dev, scheme="bmes")
     base_mc = ModelConfig(model_dim=32, ffn_dim=64, xlnet_layers=1,
-                          transformer_layers=1, num_heads=2, clip_k=4)
+                          transformer_layers=1, num_heads=2, clip_k=4, dropout=0.1)
     base_tc = TrainConfig(epochs=args.epochs, batch_size=8, seed=args.seed,
-                          dropout=0.1, stop_at_f1=1.0)
+                          stop_at_f1=1.0)
 
     rows = []
     for pe_mode, rdrop in GRID:

@@ -177,13 +177,13 @@ class Batch:
     lengths: list[int]
 
 
-def make_batches(corpus: Corpus, vocab: Vocab, batch_size: int,
-                 rng: Rng | None = None) -> list[Batch]:
-    """Chunk the corpus into padded batches; a rng shuffles sentence
-    order first (None keeps corpus order, for evaluation)."""
+def make_batches(corpus: Corpus, vocab: Vocab, batch_size: int, rng: Rng | None,
+                 label_set: LabelSet) -> list[Batch]:
+    """Chunk the corpus into padded batches, tags indexed in label_set
+    (the model's, which must hold every corpus type); a rng shuffles
+    sentence order first (None keeps corpus order, for evaluation)."""
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    label_set = corpus.label_set
     n = len(corpus.sentences)
     order = rng.permutation(n) if rng is not None and n > 1 else np.arange(n)
     batches = []
@@ -232,11 +232,10 @@ _TRAIN_KEYS = {
     "warmup_steps": (int, 0, "linear warmup length; 0 = a tenth of total_steps"),
     "total_steps": (int, 0, "decay horizon; 0 = epochs * batches per epoch"),
     "epochs": (int, 50, "passes over the training corpus"),
-    "alpha": (float, 1.0, "weight of the symmetric KL consistency term"),
+    "alpha": (float, 1.0, "weight of the symmetric KL term (the sum of both directions)"),
     "batch_size": (int, 8, "sentences per step (doubled internally by R-Drop)"),
     "seed": (int, 42, "master seed; every stream derives from it"),
     "rdrop_enabled": (bool, True, "train with the two-branch consistency loss"),
-    "kl_half": (bool, False, "average the two KL directions instead of summing"),
     "grad_clip_norm": (float, 1.0, "global gradient norm ceiling; 0 disables"),
     "min_freq": (int, 1, "drop tokens rarer than this from the vocabulary"),
     "stop_at_f1": (float, 0.0, "stop once dev F1 reaches this; 0 disables"),
@@ -246,7 +245,6 @@ _TRAIN_KEYS = {
 }
 
 _SCHEMA = {**_MODEL_KEYS, **_TRAIN_KEYS}
-# dropout is deliberately a single knob shared by both config objects
 assert set(_MODEL_KEYS) & set(_TRAIN_KEYS) == set()
 
 
@@ -299,8 +297,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 def configs_from_values(values: dict) -> tuple[ModelConfig, TrainConfig]:
     model_kwargs = {k: v for k, v in values.items() if k in _MODEL_KEYS}
     train_kwargs = {k: v for k, v in values.items() if k in _TRAIN_KEYS}
-    if "dropout" in model_kwargs:
-        train_kwargs["dropout"] = model_kwargs["dropout"]
     return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
 
 
@@ -328,8 +324,6 @@ def apply_overrides(model_config: ModelConfig, train_config: TrainConfig,
         value = _parse_value(key, raw)
         if key in _MODEL_KEYS:
             model_config = replace(model_config, **{key: value})
-            if key == "dropout":
-                train_config = replace(train_config, dropout=value)
         else:
             train_config = replace(train_config, **{key: value})
     return model_config, train_config

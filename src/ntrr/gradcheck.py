@@ -92,7 +92,3 @@ def gradcheck_model(pe_mode: str, seed: int = 0) -> dict[str, float]:
     numeric = T.finite_diff_grad(loss_fn, list(params.values()))
     return {name: max_rel_err(analytic[name], num)
             for name, num in zip(params, numeric)}
-
-
-def gradcheck_passes(errors: dict[str, float]) -> bool:
-    return all(err <= TOLERANCE for err in errors.values())

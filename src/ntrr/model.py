@@ -5,7 +5,9 @@ stack that is pretrained with permutation-LM two-stream attention, and
 an upper stack added for tagging. Both run left to right over
 [cached memory ; current segment] keys, so states cached from the
 previous segment reproduce exactly what an unsplit pass would compute.
-Fine-tuning and inference use the content stream only.
+One loop runs the blocks of every forward: fine-tuning and inference
+pass the content stream alone under the causal mask, pretraining the
+content and query streams under a permutation plan's masks.
 """
 
 from __future__ import annotations
@@ -97,9 +99,6 @@ class SegmentMemory:
     @classmethod
     def empty(cls, n_layers: int) -> "SegmentMemory":
         return cls([np.zeros((0, 0, 0))] * n_layers, 0)
-
-    def length(self) -> int:
-        return 0 if not self.layers else self.layers[0].shape[1]
 
 
 def _init_stream(rng: Rng, name: str):
@@ -211,18 +210,26 @@ def _check_memory(memory, config: ModelConfig, batch: int):
     return memory
 
 
-def _embed(token_ids: np.ndarray, config: ModelConfig, params, positions,
-           streams, train: bool) -> Tensor:
+def _prelude(token_ids, memory, config: ModelConfig, params, streams, train: bool, k_eff):
+    """What every forward does before its blocks. Returns the ids as a
+    checked (B, T) array (one 1-d sentence is promoted), the checked
+    memory, the segment's global positions, the embedded and dropped-out
+    input, and the forward's relative indexes."""
     ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.ndim == 1:
+        ids = ids[None, :]
     if ids.ndim != 2:
         raise ShapeError(f"token_ids must be (batch, time), got {ids.shape}")
+    memory = _check_memory(memory, config, ids.shape[0])
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
         raise IndexError(f"token id out of range [0, {config.vocab_size})")
+    positions = memory.offset + np.arange(ids.shape[1], dtype=np.int64)
     h = T.embedding(params["embed"], ids)
     if config.pe_mode == "absolute":
         pe = relpos.sinusoidal_pe(positions, config.model_dim, h.dtype)
         h = h + Tensor(pe[None, :, :])
-    return relpos.dropout_site(h, config.dropout, streams, train)
+    h = relpos.dropout_site(h, config.dropout, streams, train)
+    return ids, memory, positions, h, _rel_indexes(config, memory.offset, ids.shape[1], k_eff)
 
 
 def _layer_memory(memory: SegmentMemory, i: int, h: Tensor, config: ModelConfig):
@@ -256,23 +263,23 @@ def _rel_indexes(config: ModelConfig, offset: int, t: int, k_eff):
     return index
 
 
-def _run_content_stack(h: Tensor, stack: str, first: int, n_layers: int, config: ModelConfig,
-                       params, memory: SegmentMemory, streams, train: bool,
-                       rel_indexes) -> tuple[Tensor, list[np.ndarray]]:
-    """Blocks first .. first + n_layers - 1, left to right over
-    [memory ; current] under the causal mask; returns their new memory."""
-    t = h.shape[1]
-    table = rel_table(params, stack, config) if n_layers > 0 else None
-    causal = np.tril(np.ones((t, t), dtype=bool))
+def _run_stack(xs: tuple[Tensor, ...], masks, n_blocks: int, config: ModelConfig, params,
+               memory: SegmentMemory, streams, train: bool,
+               rel_indexes) -> tuple[tuple[Tensor, ...], list[np.ndarray]]:
+    """The first n_blocks encoder blocks, lower stack then upper stack,
+    left to right over [memory ; xs[0]]: stream s of xs attends under
+    masks[s], a (T, T) mask widened by each block's memory. Returns the
+    streams and the new memory of those blocks."""
     new_mems = []
-    for i in range(n_layers):
-        mem, m_len, cache = _layer_memory(memory, first + i, h, config)
+    for i in range(n_blocks):
+        stack, j = ("xl", i) if i < config.xlnet_layers else ("tr", i - config.xlnet_layers)
+        mem, m_len, cache = _layer_memory(memory, i, xs[0], config)
         new_mems.append(cache)
-        (h,) = relpos.block_forward(
-            (h,), (plm.extend_mask_for_memory(causal, m_len),), mem,
-            block_params(params, f"{stack}.{i}."), config.attention_config(),
-            table, rel_indexes(m_len), streams, train, config.dropout)
-    return h, new_mems
+        xs = relpos.block_forward(
+            xs, [plm.extend_mask_for_memory(m, m_len) for m in masks], mem,
+            block_params(params, f"{stack}.{j}."), config.attention_config(),
+            rel_table(params, stack, config), rel_indexes(m_len), streams, train)
+    return xs, new_mems
 
 
 def encode(token_ids, memory, config: ModelConfig, params, streams=None,
@@ -281,20 +288,13 @@ def encode(token_ids, memory, config: ModelConfig, params, streams=None,
 
     Returns the hidden states and an updated memory holding the last
     memory_len positions of each block's input, detached."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    memory = _check_memory(memory, config, ids.shape[0])
-    h, new_mems = _encode(ids, memory, config, params, streams, train,
-                          _rel_indexes(config, memory.offset, ids.shape[1], k_eff))
-    return h, SegmentMemory(new_mems, memory.offset + ids.shape[1])
-
-
-def _encode(ids: np.ndarray, memory: SegmentMemory, config: ModelConfig, params, streams,
-            train: bool, rel_indexes) -> tuple[Tensor, list[np.ndarray]]:
-    """Embedding and lower stack; the new memory of the lower stack."""
-    positions = memory.offset + np.arange(ids.shape[1], dtype=np.int64)
-    h = _embed(ids, config, params, positions, streams, train)
-    return _run_content_stack(h, "xl", 0, config.xlnet_layers, config, params,
-                              memory, streams, train, rel_indexes)
+    ids, memory, _, h, rel_indexes = _prelude(token_ids, memory, config, params,
+                                              streams, train, k_eff)
+    t = ids.shape[1]
+    (h,), new_mems = _run_stack((h,), (np.tril(np.ones((t, t), dtype=bool)),),
+                                config.xlnet_layers, config, params, memory, streams,
+                                train, rel_indexes)
+    return h, SegmentMemory(new_mems, memory.offset + t)
 
 
 def forward_ner(token_ids, memory, config: ModelConfig, params, streams=None,
@@ -303,15 +303,14 @@ def forward_ner(token_ids, memory, config: ModelConfig, params, streams=None,
 
     Returns per-token log-probabilities (B, T, num_tags) and the
     updated memory across all blocks."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    memory = _check_memory(memory, config, ids.shape[0])
-    rel_indexes = _rel_indexes(config, memory.offset, ids.shape[1], k_eff)
-    h, xl_mems = _encode(ids, memory, config, params, streams, train, rel_indexes)
-    h, tr_mems = _run_content_stack(h, "tr", config.xlnet_layers, config.transformer_layers,
-                                    config, params, memory, streams, train, rel_indexes)
+    ids, memory, _, h, rel_indexes = _prelude(token_ids, memory, config, params,
+                                              streams, train, k_eff)
+    t = ids.shape[1]
+    (h,), new_mems = _run_stack((h,), (np.tril(np.ones((t, t), dtype=bool)),),
+                                config.num_layers, config, params, memory, streams,
+                                train, rel_indexes)
     h = T.layer_norm(h, params["final_ln_g"], params["final_ln_b"])
-    log_probs = classify(h, params)
-    return log_probs, SegmentMemory(xl_mems + tr_mems, memory.offset + ids.shape[1])
+    return classify(h, params), SegmentMemory(new_mems, memory.offset + t)
 
 
 def classify(hidden: Tensor, params) -> Tensor:
@@ -322,32 +321,22 @@ def classify(hidden: Tensor, params) -> Tensor:
 def pretrain_forward(token_ids, plan: plm.PermutationPlan, memory, config: ModelConfig,
                      params, streams=None, train: bool = False,
                      k_eff: int | None = None) -> tuple[Tensor, SegmentMemory]:
-    """Two-stream permutation-LM pass of the lower stack; returns the
-    prediction loss over the plan's targets and updated memory."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
-    memory = _check_memory(memory, config, ids.shape[0])
+    """Two-stream permutation-LM pass of the lower stack: the content
+    stream (the embeddings) under the plan's content mask, the query
+    stream (w_init) under its query mask. Returns the prediction loss
+    over the plan's targets and updated memory."""
+    ids, memory, positions, h, rel_indexes = _prelude(token_ids, memory, config, params,
+                                                      streams, train, k_eff)
     batch, t = ids.shape
     if plan.order.shape[0] != t:
         raise ContractError(f"plan covers {plan.order.shape[0]} tokens, batch has {t}")
-    positions = memory.offset + np.arange(t, dtype=np.int64)
-    h = _embed(ids, config, params, positions, streams, train)
     D = config.model_dim
     g = Tensor(np.zeros((batch, t, D), dtype=h.dtype)) + T.reshape(params["w_init"], (1, 1, D))
     if config.pe_mode == "absolute":
         g = g + Tensor(relpos.sinusoidal_pe(positions, D, h.dtype)[None, :, :])
-    table = rel_table(params, "xl", config)
-    rel_indexes = _rel_indexes(config, memory.offset, t, k_eff)
-    new_mems = []
-    for i in range(config.xlnet_layers):
-        mem, m_len, cache = _layer_memory(memory, i, h, config)
-        new_mems.append(cache)
-        h, g = plm.two_stream_layer(
-            h, g, plm.extend_mask_for_memory(plan.query_mask, m_len),
-            plm.extend_mask_for_memory(plan.content_mask, m_len),
-            block_params(params, f"xl.{i}."), config.attention_config(),
-            table, rel_indexes(m_len), mem, streams, train, config.dropout)
+    (_, g), new_mems = _run_stack((h, g), (plan.content_mask, plan.query_mask),
+                                  config.xlnet_layers, config, params, memory, streams,
+                                  train, rel_indexes)
     g = T.layer_norm(g, params["final_ln_g"], params["final_ln_b"])
     loss = plm.plm_loss(g, plan.targets, ids, params["plm_head_w"], params["plm_head_b"])
     return loss, SegmentMemory(new_mems, memory.offset + t)

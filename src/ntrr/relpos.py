@@ -28,7 +28,7 @@ class AttentionConfig:
     num_heads: int
     clip_k: int
     mode: str = "relative"
-    attn_dropout: float = 0.0
+    dropout: float = 0.0  # the drop rate at every site of the block
 
     def __post_init__(self):
         if self.model_dim % self.num_heads != 0:
@@ -110,7 +110,7 @@ def dropout_site(x: Tensor, drop_prob: float, streams, train: bool) -> Tensor:
 def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams,
                   attn_config: AttentionConfig, rel_table: RelPosTable | None = None,
                   rel_index: T.BucketIndex | None = None, streams=None,
-                  train: bool = False, dropout: float = 0.0) -> tuple[Tensor, ...]:
+                  train: bool = False) -> tuple[Tensor, ...]:
     """One pre-norm block over a tuple of query streams with shared weights.
 
     Stream s attends under masks[s] to keys and values from
@@ -119,7 +119,7 @@ def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams,
     queries over those keys. The streams advance in lockstep, one
     sublayer at a time: all attentions, then all attention residuals,
     then all FFN residuals. That order fixes which dropout mask each
-    site draws."""
+    site draws; every site drops at attn_config.dropout."""
     normed = [T.layer_norm(x, block.ln1_g, block.ln1_b) for x in xs]
     normed_kv = normed[0]
     if memory is not None:
@@ -128,9 +128,9 @@ def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams,
     atts = [multi_head_attention(q, normed_kv, attn_config, block.attn, mask,
                                  rel_table, rel_index, streams, train)
             for q, mask in zip(normed, masks)]
-    xs = [x + dropout_site(a, dropout, streams, train) for x, a in zip(xs, atts)]
+    xs = [x + dropout_site(a, attn_config.dropout, streams, train) for x, a in zip(xs, atts)]
     return tuple(x + dropout_site(feed_forward(T.layer_norm(x, block.ln2_g, block.ln2_b), block),
-                                  dropout, streams, train)
+                                  attn_config.dropout, streams, train)
                  for x in xs)
 
 
@@ -249,6 +249,6 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, config: AttentionConfig,
     v = split_heads(T.linear(x_kv, params.wv, params.bv), config.num_heads)
     scores = rel_attention_scores(q, k, rel_table, rel_index)
     weights = T.masked_softmax(scores, True if mask is None else mask)
-    weights = dropout_site(weights, config.attn_dropout, streams, train)
+    weights = dropout_site(weights, config.dropout, streams, train)
     mixed = rel_attention_values(weights, v, rel_table, rel_index)
     return T.linear(merge_heads(mixed), params.wo, params.bo)

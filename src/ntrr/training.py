@@ -30,11 +30,9 @@ class TrainConfig:
     total_steps: int = 0  # 0 = epochs * batches per epoch
     epochs: int = 50
     alpha: float = 1.0
-    dropout: float = 0.15
     batch_size: int = 8
     seed: int = 42
     rdrop_enabled: bool = True
-    kl_half: bool = False
     grad_clip_norm: float = 1.0  # 0 disables clipping
     min_freq: int = 1
     stop_at_f1: float = 0.0  # 0 disables early exit
@@ -49,8 +47,6 @@ class TrainConfig:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.dtype not in M.DTYPES:
             raise ConfigError(f"unknown dtype '{self.dtype}'")
 
@@ -71,11 +67,11 @@ class RDropLossBreakdown:
 
 
 def rdrop_loss(log_probs_1: Tensor, log_probs_2: Tensor, targets, alpha: float,
-               token_mask=None, kl_half: bool = False) -> RDropLossBreakdown:
+               token_mask=None) -> RDropLossBreakdown:
     """ce = CE(branch 1) + CE(branch 2); kl_sym = KL(p1||p2) + KL(p2||p1);
     total = ce + alpha * kl_sym. Every term is a mean over unmasked
-    tokens; kl_half averages the two KL directions instead of summing,
-    for comparisons against halved-variant implementations."""
+    tokens. The convention that averages the two KL directions is
+    alpha / 2 here."""
     if log_probs_1.shape != log_probs_2.shape:
         raise ContractError(f"branch shapes disagree: {log_probs_1.shape} vs {log_probs_2.shape}")
     ce = T.cross_entropy(log_probs_1, targets, token_mask) \
@@ -83,8 +79,6 @@ def rdrop_loss(log_probs_1: Tensor, log_probs_2: Tensor, targets, alpha: float,
     p1 = T.texp(log_probs_1)
     p2 = T.texp(log_probs_2)
     kl = T.kl_divergence(p1, p2, token_mask) + T.kl_divergence(p2, p1, token_mask)
-    if kl_half:
-        kl = kl * 0.5
     total = ce + kl * alpha
     return RDropLossBreakdown(ce, kl, alpha, total, p1, p2)
 
@@ -188,8 +182,7 @@ def train_step(batch, params: dict[str, Tensor], opt: OptimizerState,
         b = ids.shape[0]
         lp1 = T.slice_axis(lp, 0, 0, b)
         lp2 = T.slice_axis(lp, 0, b, 2 * b)
-        breakdown = rdrop_loss(lp1, lp2, tags, train_config.alpha, mask,
-                               train_config.kl_half)
+        breakdown = rdrop_loss(lp1, lp2, tags, train_config.alpha, mask)
     ce, kl, total = breakdown.floats()
     if not (math.isfinite(ce) and math.isfinite(kl) and math.isfinite(total)):
         raise NumericsError(
@@ -222,7 +215,7 @@ def evaluate(corpus, vocab, params, model_config: M.ModelConfig,
     repairs = 0
     base = 0
     with T.no_grad():
-        for batch in make_batches(corpus, vocab, batch_size, rng=None):
+        for batch in make_batches(corpus, vocab, batch_size, None, label_set):
             lp, _ = M.forward_ner(batch.token_ids, None, model_config, params,
                                   None, False, k_eff)
             for row in range(batch.token_ids.shape[0]):
@@ -287,12 +280,13 @@ def train(train_corpus, dev_corpus, model_config: M.ModelConfig,
     if vocab is None:
         vocab = D.build_vocab(train_corpus, train_config.min_freq)
     label_types = model_config.entity_types or train_corpus.label_set.entity_types
-    missing = set(train_corpus.label_set.entity_types) - set(label_types)
-    if missing:
-        raise ConfigError(f"corpus has entity types outside the label set: {sorted(missing)}")
+    for name, corpus in (("training", train_corpus), ("dev", dev_corpus)):
+        missing = set(corpus.label_set.entity_types) - set(label_types)
+        if missing:
+            raise ConfigError(f"{name} corpus has entity types outside the label set "
+                              f"{list(label_types)}: {sorted(missing)}")
     model_config = replace(model_config, vocab_size=len(vocab),
-                           entity_types=tuple(label_types),
-                           dropout=train_config.dropout)
+                           entity_types=tuple(label_types))
     params = M.init_params(model_config, Rng.for_stream(train_config.seed, "init"),
                            train_config.dtype)
     if init_params_from is not None:
@@ -307,7 +301,8 @@ def train(train_corpus, dev_corpus, model_config: M.ModelConfig,
     for epoch in range(1, cfg.epochs + 1):
         k_eff = k_effective(model_config, cfg, epoch, cfg.epochs)
         batches = D.make_batches(train_corpus, vocab, cfg.batch_size,
-                                 Rng.for_stream(cfg.seed, "shuffle", epoch))
+                                 Rng.for_stream(cfg.seed, "shuffle", epoch),
+                                 model_config.label_set)
         sums = np.zeros(3)
         for batch in batches:
             step += 1
@@ -357,8 +352,7 @@ def pretrain(corpus, model_config: M.ModelConfig, train_config: TrainConfig,
     vocab = D.build_vocab(corpus, train_config.min_freq)
     label_types = model_config.entity_types or corpus.label_set.entity_types or ("X",)
     model_config = replace(model_config, vocab_size=len(vocab),
-                           entity_types=tuple(label_types),
-                           dropout=train_config.dropout)
+                           entity_types=tuple(label_types))
     params = M.init_params(model_config, Rng.for_stream(train_config.seed, "init"),
                            train_config.dtype)
     opt = OptimizerState.for_params(params)

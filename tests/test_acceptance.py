@@ -342,7 +342,7 @@ def test_criterion_7_ablation_grid():
                                transformer_layers=1, num_heads=2, clip_k=4,
                                pe_mode=pe_mode, dropout=0.1,
                                entity_types=("LOC", "ORG", "PER"))
-            tc = TR.TrainConfig(epochs=40, batch_size=8, seed=42, dropout=0.1,
+            tc = TR.TrainConfig(epochs=40, batch_size=8, seed=42,
                                 rdrop_enabled=rdrop, stop_at_f1=1.0)
             report = TR.train(corpus, dev, mc, tc)
             ok = ok and 0.0 <= report.best_f1 <= 1.0 and len(report.history) > 0
@@ -468,8 +468,8 @@ def test_criterion_9_persistence_and_determinism(tmp_path):
     logs = []
     for _ in range(2):
         lines = []
-        tc = TR.TrainConfig(epochs=4, batch_size=8, seed=123, dropout=0.1)
-        TR.train(corpus, dev, mc, tc, log=lines.append)
+        tc = TR.TrainConfig(epochs=4, batch_size=8, seed=123)
+        TR.train(corpus, dev, replace(mc, dropout=0.1), tc, log=lines.append)
         logs.append(lines)
     determinism_ok = logs[0] == logs[1]
     epoch_lines = sum(1 for l in logs[0] if l.startswith("epoch"))

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import ntrr.data as D
+import ntrr.model as M
 import ntrr.training as TR
 from ntrr.cli import main
+from ntrr.rng import Rng
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -215,6 +217,37 @@ def test_predict_empty_input_is_exit_2(trained, tmp_path):
                           "--in", str(empty), "--out", str(tmp_path / "p.bmes")])
     assert code == 2
     assert "no sentences" in err
+
+
+def test_eval_indexes_gold_tags_in_the_model_label_set(tmp_path):
+    # a LOC/ORG/PER model that tags every token S-PER, on gold that holds
+    # only S-PER: the file's own label set would read S-PER as S-LOC
+    mc = M.ModelConfig(vocab_size=5, model_dim=8, ffn_dim=8, xlnet_layers=1,
+                       transformer_layers=1, num_heads=2, clip_k=2,
+                       entity_types=("LOC", "ORG", "PER"))
+    params = {name: p.data for name, p in M.init_params(mc, Rng(3, 0)).items()}
+    params["cls_w"][:] = 0.0
+    params["cls_b"][:] = 0.0
+    params["cls_b"][mc.label_set.index("S-PER")] = 10.0
+    D.save_checkpoint(str(tmp_path / "model.ckpt"), params, mc)
+    D.save_vocab(str(tmp_path / "vocab.txt"), D.Vocab(["<pad>", "<unk>", "a", "b", "c"]))
+    gold = tmp_path / "gold.bmes"
+    gold.write_text("a S-PER\nb S-PER\n\nc S-PER\n")
+    code, out, err = run(["eval", "--ckpt", str(tmp_path / "model.ckpt"),
+                          "--data", str(gold)])
+    assert code == 0, err
+    assert out.splitlines()[1] == "100.00\t100.00\t100.00"
+
+
+def test_train_rejects_dev_types_outside_the_label_set(tmp_path):
+    dev = tmp_path / "dev.bmes"
+    dev.write_text("a S-X\nb O\n")
+    code, out, err = run(["train", "--train", str(DATA / "train.bmes"), "--dev", str(dev),
+                          "--out", str(tmp_path / "o"), "--config", CFG,
+                          "--set", "epochs=1"])
+    assert code == 2, err
+    assert "dev corpus" in err and "['X']" in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------- pretrain

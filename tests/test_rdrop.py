@@ -9,7 +9,7 @@ import pytest
 import ntrr.model as M
 import ntrr.tensor as T
 import ntrr.training as TR
-from ntrr.data import build_vocab, make_batches
+from ntrr.data import build_vocab, load_checkpoint, make_batches
 from ntrr.errors import ConfigError, ContractError
 from ntrr.rng import DropoutStreams, DualDropoutStreams, Rng
 from ntrr.synthetic import generate_corpus
@@ -69,13 +69,34 @@ def test_branch_swap_symmetry():
     assert abs(a.kl_sym.item() - b.kl_sym.item()) <= 1e-12
 
 
-def test_kl_half_variant():
+def test_halved_kl_convention_is_half_alpha():
+    # averaging the two KL directions at weight alpha is, bit for bit,
+    # summing them at weight alpha / 2: forward and gradients
     rng = Rng(5, 5)
-    lp1 = T.log_softmax(T.Tensor(rng.normal((3, 4))))
-    lp2 = T.log_softmax(T.Tensor(rng.normal((3, 4))))
-    full = TR.rdrop_loss(lp1, lp2, [0, 1, 2], alpha=1.0)
-    half = TR.rdrop_loss(lp1, lp2, [0, 1, 2], alpha=1.0, kl_half=True)
-    assert abs(half.kl_sym.item() - 0.5 * full.kl_sym.item()) <= 1e-12
+    z1 = T.Tensor(rng.normal((3, 4)), requires_grad=True)
+    z2 = T.Tensor(rng.normal((3, 4)), requires_grad=True)
+    mask = np.array([1.0, 1.0, 0.0])
+
+    def halved(alpha):
+        lp1, lp2 = T.log_softmax(z1), T.log_softmax(z2)
+        ce = T.cross_entropy(lp1, [0, 2, 1], mask) + T.cross_entropy(lp2, [0, 2, 1], mask)
+        p1, p2 = T.texp(lp1), T.texp(lp2)
+        kl = T.kl_divergence(p1, p2, mask) + T.kl_divergence(p2, p1, mask)
+        return ce + (kl * 0.5) * alpha
+
+    def folded(alpha):
+        return TR.rdrop_loss(T.log_softmax(z1), T.log_softmax(z2), [0, 2, 1],
+                             alpha=alpha / 2, token_mask=mask).total
+
+    for alpha in (1.0, 0.6, 0.3, 1.7):
+        seen = []
+        for loss in (halved, folded):
+            T.zero_grads([z1, z2])
+            total = loss(alpha)
+            T.backward(total)
+            seen.append([total.data, z1.grad.copy(), z2.grad.copy()])
+        for a, b in zip(*seen):
+            assert np.array_equal(a, b), alpha
 
 
 def test_rdrop_loss_gradients_match_finite_differences():
@@ -106,7 +127,7 @@ def dual_path_setup(seed=42, step=3, dropout=0.2):
                        clip_k=2, entity_types=("LOC", "ORG", "PER"),
                        dropout=dropout)
     params = M.init_params(mc, Rng.for_stream(1, "init"), "float64")
-    batch = next(iter(make_batches(corpus, vocab, 4, rng=None)))
+    batch = next(iter(make_batches(corpus, vocab, 4, None, mc.label_set)))
     return mc, params, batch, seed, step
 
 
@@ -128,14 +149,13 @@ def test_duplicated_batch_equals_two_passes():
 def test_train_step_paths_produce_identical_losses():
     # train_step's duplicated batch against two separate branch forwards
     mc, params, batch, seed, step = dual_path_setup()
-    tc = TR.TrainConfig(seed=seed, dropout=0.2, warmup_steps=10, total_steps=100)
+    tc = TR.TrainConfig(seed=seed, warmup_steps=10, total_steps=100)
     with T.no_grad():
         lp1, _ = M.forward_ner(batch.token_ids, None, mc, params,
                                DropoutStreams(seed, step, 1), True)
         lp2, _ = M.forward_ner(batch.token_ids, None, mc, params,
                                DropoutStreams(seed, step, 2), True)
-        want = TR.rdrop_loss(lp1, lp2, batch.tag_ids, tc.alpha, batch.token_mask,
-                             tc.kl_half).floats()
+        want = TR.rdrop_loss(lp1, lp2, batch.tag_ids, tc.alpha, batch.token_mask).floats()
     opt = TR.OptimizerState.for_params(params)
     got = TR.train_step(batch, params, opt, mc, tc, step, lr=1e-3, k_eff=None)
     for a, b in zip(got, want):
@@ -144,8 +164,7 @@ def test_train_step_paths_produce_identical_losses():
 
 def test_rdrop_disabled_is_single_branch_ce():
     mc, params, batch, seed, step = dual_path_setup(dropout=0.0)
-    tc = TR.TrainConfig(seed=seed, dropout=0.0, rdrop_enabled=False,
-                        warmup_steps=10, total_steps=100)
+    tc = TR.TrainConfig(seed=seed, rdrop_enabled=False, warmup_steps=10, total_steps=100)
     opt = TR.OptimizerState.for_params(params)
     with T.no_grad():
         lp, _ = M.forward_ner(batch.token_ids, None, mc, params, None, False)
@@ -263,12 +282,28 @@ def test_k_effective_schedule():
     assert TR.k_effective(mc, tc2, 8, 8) == 8
 
 
+def test_train_uses_the_model_dropout(tmp_path, monkeypatch):
+    # the model config is the one home of the rate: 0.0 draws no mask
+    draws = []
+    real = DualDropoutStreams.mask
+    monkeypatch.setattr(DualDropoutStreams, "mask",
+                        lambda self, *args: draws.append(args) or real(self, *args))
+    corpus = generate_corpus(8, seed=4)
+    mc = M.ModelConfig(model_dim=8, ffn_dim=8, xlnet_layers=1, transformer_layers=1,
+                       num_heads=2, clip_k=2, dropout=0.0)
+    path = str(tmp_path / "model.ckpt")
+    report = TR.train(corpus, corpus, mc, TR.TrainConfig(epochs=1), checkpoint_path=path)
+    assert report.model_config.dropout == 0.0
+    assert load_checkpoint(path).model_config.dropout == 0.0
+    assert draws == []
+
+
 def test_loss_decreases_on_toy_problem():
     corpus = generate_corpus(20, seed=4)
     mc = M.ModelConfig(model_dim=16, ffn_dim=32, xlnet_layers=1,
                        transformer_layers=1, num_heads=2, clip_k=4,
-                       entity_types=("LOC", "ORG", "PER"))
-    tc = TR.TrainConfig(epochs=10, batch_size=4, seed=3, dropout=0.1)
+                       entity_types=("LOC", "ORG", "PER"), dropout=0.1)
+    tc = TR.TrainConfig(epochs=10, batch_size=4, seed=3)
     lines = []
     TR.train(corpus, corpus, mc, tc, log=lines.append)
     totals = [float(l.split("\t")[4]) for l in lines if not l.startswith("epoch")]

@@ -107,6 +107,30 @@ def test_two_token_scores_match_hand_expansion():
             assert abs(got[i, l] - want) <= 1e-12
 
 
+def test_scores_scale_the_summed_terms_at_head_dim_6():
+    # 1/sqrt(6) is inexact, so scaling q, or each term apart, moves bits
+    rng = Rng(6, 0)
+    q = T.Tensor(rng.normal((2, 2, 4, 6)), requires_grad=True)
+    k = T.Tensor(rng.normal((2, 2, 7, 6)), requires_grad=True)
+    table = make_table(rng, 2, 6)
+    cotangent = T.Tensor(rng.normal((2, 2, 4, 7)))
+    idx = relative_index([3, 4, 5, 6], range(7), table.k)
+
+    def by_definition():
+        qk = T.matmul(q, T.permute(k, (0, 1, 3, 2)))
+        per_disp = T.matmul(q, T.permute(table.wk, (1, 0)))
+        return (qk + T.index_select_last(per_disp, idx)) * (1.0 / np.sqrt(6))
+
+    seen = []
+    for scores in (lambda: rel_attention_scores(q, k, table, idx), by_definition):
+        T.zero_grads([q, k, table.wk])
+        out = scores()
+        T.backward(T.tsum(out * cotangent))
+        seen.append([out.data, q.grad.copy(), k.grad.copy(), table.wk.grad.copy()])
+    for a, b in zip(*seen):
+        assert np.array_equal(a, b)
+
+
 def test_translation_invariance_bitwise():
     rng = Rng(2, 0)
     q = T.Tensor(rng.normal((1, 2, 4, 3)))

@@ -1,0 +1,30 @@
+"""The checked-in scripts run end to end from a checkout."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / name), *args],
+                          cwd=REPO, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_run_ablation_prints_the_grid():
+    lines = run_script("run_ablation.py", "--epochs", "1").splitlines()
+    header = lines.index("pe_mode\trdrop\tbest_F1\tbest_epoch\tseconds")
+    rows = [line.split("\t") for line in lines[header + 1:]]
+    assert [row[:2] for row in rows] == [["relative", "on"], ["relative", "off"],
+                                         ["absolute", "on"], ["absolute", "off"]]
+    for row in rows:
+        assert 0.0 <= float(row[2]) <= 1.0 and row[3] == "1"
+
+
+def test_forward_digest_prints_one_digest():
+    out = run_script("forward_digest.py")
+    assert re.fullmatch(r"[0-9a-f]{64}  48 cases\n", out)
