@@ -98,13 +98,19 @@ def feed_forward(x: Tensor, block: BlockParams) -> Tensor:
                     block.ffn_w2, block.ffn_b2)
 
 
-def dropout_site(x: Tensor, drop_prob: float, streams, train: bool) -> Tensor:
-    """One dropout site: in a training forward, the next mask from streams."""
+def _site_keep(shape, drop_prob: float, streams, train: bool) -> np.ndarray | None:
+    """The next keep-mask from streams in a training forward, else None."""
     if not train or drop_prob == 0.0:
-        return x
+        return None
     if streams is None:
         raise ContractError("training forward needs dropout streams")
-    return T.dropout(x, drop_prob, streams.mask(x.shape, drop_prob))
+    return streams.mask(shape, drop_prob)
+
+
+def dropout_site(x: Tensor, drop_prob: float, streams, train: bool) -> Tensor:
+    """One dropout site: in a training forward, the next mask from streams."""
+    keep = _site_keep(x.shape, drop_prob, streams, train)
+    return x if keep is None else T.dropout(x, drop_prob, keep)
 
 
 def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams,
@@ -248,7 +254,7 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, config: AttentionConfig,
     k = split_heads(T.linear(x_kv, params.wk, params.bk), config.num_heads)
     v = split_heads(T.linear(x_kv, params.wv, params.bv), config.num_heads)
     scores = rel_attention_scores(q, k, rel_table, rel_index)
-    weights = T.masked_softmax(scores, True if mask is None else mask)
-    weights = dropout_site(weights, config.dropout, streams, train)
+    keep = _site_keep(scores.shape, config.dropout, streams, train)
+    weights = T.masked_softmax(scores, True if mask is None else mask, keep, config.dropout)
     mixed = rel_attention_values(weights, v, rel_table, rel_index)
     return T.linear(merge_heads(mixed), params.wo, params.bo)

@@ -2,9 +2,9 @@
 
 Arrays are numpy (float64 by default, float32 on request); every op
 records a backward closure, and backward() walks the graph once in
-reverse topological order. Gradients accumulate into .grad until the
-caller zeroes them. This module is the only numerical substrate the
-rest of the package uses.
+reverse topological order. .grad accumulates on leaves until the caller
+zeroes it; intermediate grads are released as the sweep passes. This
+module is the only numerical substrate the rest of the package uses.
 """
 
 from __future__ import annotations
@@ -392,23 +392,27 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def masked_softmax(scores: Tensor, mask) -> Tensor:
+def masked_softmax(scores: Tensor, mask, keep=None, drop_prob: float = 0.0) -> Tensor:
     """Softmax over the last axis restricted to mask==True positions.
 
     Masked positions get exactly zero weight; rows with no admissible
-    position come out as all zeros rather than NaN.
-    """
+    position come out as all zeros rather than NaN. A keep-mask folds in
+    dropout(..., drop_prob, keep) bitwise, saving the mask, not a factor."""
     m = np.broadcast_to(np.asarray(mask, dtype=bool), scores.data.shape)
-    out = np.where(m, scores.data, -np.inf)  # the only buffer; updated in place below
-    rowmax = out.max(axis=-1, keepdims=True)
+    p = np.where(m, scores.data, -np.inf)  # the softmax buffer; updated in place below
+    rowmax = p.max(axis=-1, keepdims=True)
     rowmax[~np.isfinite(rowmax)] = 0.0
-    np.exp(np.subtract(out, rowmax, out=out), out=out)
-    denom = out.sum(axis=-1, keepdims=True)
-    np.divide(out, np.where(denom > 0.0, denom, 1.0), out=out)
+    np.exp(np.subtract(p, rowmax, out=p), out=p)
+    denom = p.sum(axis=-1, keepdims=True)
+    np.divide(p, np.where(denom > 0.0, denom, 1.0), out=p)
+    scale = None if keep is None else _keep_scale(drop_prob, scores.dtype)
+    out = p if keep is None else _apply_keep(p, keep, scale)
 
     def backward(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        if keep is not None:
+            g = _apply_keep(g, keep, scale)
+        dot = (g * p).sum(axis=-1, keepdims=True)
+        return (p * (g - dot),)
 
     return _make(out, (scores,), backward)
 
@@ -429,26 +433,31 @@ def mask_scores(x: Tensor, mask) -> Tensor:
     return Tensor(out)
 
 
-def dropout(x: Tensor, drop_prob: float, rng) -> Tensor:
-    """Inverted dropout. rng is an Rng-like with .uniform(shape), or a
-    precomputed boolean keep-mask. drop_prob == 0 is the identity,
-    bitwise (the input tensor is returned unchanged)."""
+def _keep_scale(drop_prob: float, dtype) -> np.ndarray:
     if not 0.0 <= drop_prob < 1.0:
         raise ConfigError(f"drop_prob must be in [0, 1), got {drop_prob}")
+    return np.asarray(1.0 / (1.0 - drop_prob), dtype=dtype)
+
+
+def _apply_keep(x: np.ndarray, keep: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """(x * keep) * scale in one new buffer, bitwise x * (keep * scale)."""
+    out = x * keep
+    return np.multiply(out, scale, out=out)
+
+
+def dropout(x: Tensor, drop_prob: float, rng) -> Tensor:
+    """Inverted dropout. rng is an Rng-like with .uniform(shape), or a
+    precomputed boolean keep-mask; backward saves only the mask. drop_prob
+    == 0 is the identity, bitwise (the input tensor is returned unchanged)."""
+    scale = _keep_scale(drop_prob, x.dtype)
     if drop_prob == 0.0:
         return x
-    if isinstance(rng, np.ndarray):
-        keep = rng
-    else:
-        keep = rng.uniform(x.data.shape) >= drop_prob
-    scale = np.asarray(1.0 / (1.0 - drop_prob), dtype=x.dtype)
-    factor = keep.astype(x.dtype) * scale
-    out = x.data * factor
+    keep = rng if isinstance(rng, np.ndarray) else rng.uniform(x.data.shape) >= drop_prob
 
     def backward(g):
-        return (g * factor,)
+        return (_apply_keep(g, keep, scale),)
 
-    return _make(out, (x,), backward)
+    return _make(_apply_keep(x.data, keep, scale), (x,), backward)
 
 
 def cross_entropy(log_probs: Tensor, targets, mask=None, reduction: str = "mean") -> Tensor:
@@ -634,8 +643,10 @@ def index_bucket_last(x: Tensor, idx, nbuckets: int) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar. Repeated calls accumulate into
-    .grad of every reachable tensor with requires_grad until zeroed."""
+    """Reverse-mode sweep from a scalar. .grad accumulates on leaves (and
+    the loss) across calls until zeroed; intermediate grads are released
+    as the sweep passes. Accumulation stays out of place: add hands one
+    array to both parents."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -663,6 +674,8 @@ def backward(loss: Tensor) -> None:
         if node._backward is None or node.grad is None:
             continue
         grads = node._backward(node.grad)
+        if node is not loss:
+            node.grad = None  # every consumer of node ran before it
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue

@@ -133,7 +133,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     sq = 0.0
     for p in params.values():
         if p.grad is not None:
-            sq += float((p.grad.astype(np.float64) ** 2).sum())
+            sq += float((p.grad.astype(np.float64, copy=False) ** 2).sum())
     norm = math.sqrt(sq)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm

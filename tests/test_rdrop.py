@@ -2,6 +2,8 @@
 schedule, Adam, and gradient clipping."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,3 +312,33 @@ def test_loss_decreases_on_toy_problem():
     first = np.mean(totals[:5])
     last = np.mean(totals[-5:])
     assert last < first
+
+
+def test_rdrop_step_peak_memory_stays_near_the_forward():
+    """Bytes traced by tracemalloc (this process's allocations only) over one
+    R-Drop step at the default config, B = 2, T = 64: the backward sweep
+    peaks at most 1.35x what the forward holds when it returns. Releasing
+    intermediate grads and saving boolean keep-masks reads 1.13 here; a
+    sweep that keeps every grad, with float dropout factors, read 1.68."""
+    config = replace(M.ModelConfig(), vocab_size=60, entity_types=("LOC", "ORG", "PER"))
+    params = M.init_params(config, Rng(0, 0), "float64")
+    rng = Rng(1, 1)
+    ids = (rng.uniform((2, 64)) * 60).astype(np.int64)
+    tags = (rng.uniform((2, 64)) * config.num_tags).astype(np.int64)
+    T.zero_grads(params.values())
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lp, _ = M.forward_ner(np.concatenate([ids, ids]), None, config, params,
+                              DualDropoutStreams(3, 1), True)
+        loss = TR.rdrop_loss(T.slice_axis(lp, 0, 0, 2), T.slice_axis(lp, 0, 2, 4), tags, 1.0).total
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak / held <= 1.35, (peak, held)

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ntrr.model as M
 import ntrr.tensor as T
+import ntrr.training as TR
 from ntrr.errors import ConfigError, ContractError, NumericsError, ShapeError
+from ntrr.gradcheck import tiny_config
 from ntrr.relpos import displacement_index
-from ntrr.rng import Rng
+from ntrr.rng import DualDropoutStreams, Rng
 
 TOL = 1e-4
 
@@ -69,6 +72,37 @@ def ref_masked_softmax(s, mask):
     e = np.exp(np.where(m, s - rowmax, -np.inf))
     denom = e.sum(axis=-1, keepdims=True)
     return e / np.where(denom > 0.0, denom, 1.0)
+
+
+def ref_dropout(x, drop_prob, keep):
+    """dropout with the keep-mask cast to a float factor, which backward
+    keeps."""
+    scale = np.asarray(1.0 / (1.0 - drop_prob), dtype=x.dtype)
+    factor = keep.astype(x.dtype) * scale
+    return T.Tensor(x.data * factor, requires_grad=True, parents=(x,),
+                    backward=lambda g: (g * factor,))
+
+
+def ref_backward(loss):
+    """The sweep that keeps .grad on every reachable tensor, visiting
+    nodes in backward()'s order."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._backward(node.grad)):
+            if g is not None and parent.requires_grad:
+                parent.grad = (g.astype(parent.data.dtype, copy=False) if parent.grad is None
+                               else parent.grad + g)
 
 
 @st.composite
@@ -291,6 +325,57 @@ def test_backward_accumulates_until_zeroed():
     assert x.grad == 0.0
 
 
+def _inner_nodes(loss):
+    """Every tensor reachable from loss that an op made, loss excluded."""
+    nodes, seen, stack = [], {id(loss)}, list(loss._parents)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return [n for n in nodes if n._backward is not None]
+
+
+def test_backward_keeps_grads_only_on_leaves_and_loss():
+    x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = T.Tensor(np.array([0.5, 1.5, -1.0]), requires_grad=True)
+
+    def loss_fn():
+        # x and w reach the loss by two paths each; the sweep runs the add
+        # first, which hands one array to both leaves
+        return T.tsum((x + w) * 2.0) + T.tsum(x * w)
+
+    loss = loss_fn()
+    inner = _inner_nodes(loss)
+    T.backward(loss)
+    assert len(inner) == 5 and all(n.grad is None for n in inner)
+    assert np.array_equal(loss.grad, 1.0)
+    assert np.array_equal(x.grad, 2.0 + w.data) and np.array_equal(w.grad, 2.0 + x.data)
+    T.backward(loss_fn())  # a fresh graph accumulates into the leaves
+    assert np.array_equal(x.grad, 2 * (2.0 + w.data)) and np.array_equal(w.grad, 2 * (2.0 + x.data))
+
+    # an R-Drop step of the gradcheck model: the leaves and the loss get the
+    # bits of the sweep that keeps every grad
+    config = tiny_config("relative")
+    params = M.init_params(config, Rng(4, 0), "float64")
+    ids = np.array([[3, 9, 27, 4, 11]] * 2)
+    tags = np.array([[0, 1, 2, 3, 0]])
+    seen = []
+    for sweep in (T.backward, ref_backward):
+        T.zero_grads(params.values())
+        lp, _ = M.forward_ner(ids, None, config, params, DualDropoutStreams(5, 1), True)
+        loss = TR.rdrop_loss(T.slice_axis(lp, 0, 0, 1), T.slice_axis(lp, 0, 1, 2), tags, 1.0).total
+        inner = _inner_nodes(loss)
+        sweep(loss)
+        seen.append((loss.grad, [p.grad.copy() for p in params.values()],
+                     [n.grad is None for n in inner]))
+    (loss_grad, grads, released), (ref_loss_grad, ref_grads, ref_released) = seen
+    assert np.array_equal(loss_grad, ref_loss_grad)
+    assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
+    assert all(released) and not any(ref_released)
+
+
 def test_backward_rejects_nonscalar():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):
@@ -337,6 +422,7 @@ def _op_cases(rng):
     idx34 = np.array([[rng.randbelow(5) for _ in range(4)] for _ in range(3)])
     s_last = rand(rng, (2, 3, 4))
     x_wide = rand(rng, (2, 3, 5))
+    keep_w = rng.uniform((2, 3)) >= 0.4
 
     cases = [
         ("add", lambda: T.tsum((a + b) * b), [a, b]),
@@ -363,6 +449,8 @@ def _op_cases(rng):
         ("masked_softmax", lambda: T.tsum(T.masked_softmax(a, mask3) * b), [a, b]),
         ("mask_scores", lambda: T.tsum(T.masked_softmax(T.mask_scores(a, mask3), mask3) * b), [a, b]),
         ("dropout", lambda: T.tsum(T.dropout(a, 0.3, keep) * b), [a, b]),
+        ("masked_softmax_keep", lambda: T.tsum(T.masked_softmax(a, mask3, keep_w, 0.4) * b),
+         [a, b]),
         ("cross_entropy", lambda: T.cross_entropy(T.log_softmax(logits), targets), [logits]),
         ("kl", lambda: T.kl_divergence(T.softmax(a), T.softmax(b)), [a, b]),
         ("index_select_last", lambda: T.tsum(T.index_select_last(x_last, idx2) * 1.3), [x_last]),
@@ -561,6 +649,71 @@ def test_masked_softmax_matches_reference(tq, tk, seed):
     assert np.array_equal(out.data, want)
     assert np.array_equal(scores.grad, want * (g - (g * want).sum(axis=-1, keepdims=True)))
     assert np.all(scores.grad[..., ~mask] == 0.0)
+
+
+def _bits_equal(a, b):
+    """Same values, dtype and zero signs."""
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@given(st.integers(1, 12), st.integers(1, 24), st.sampled_from([0.1, 0.15, 0.5]),
+       st.sampled_from(["float64", "float32"]), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 0.15, "float64", 0)
+@example(7, 9, 0.5, "float32", 3)
+@settings(max_examples=60, deadline=None)
+def test_masked_softmax_keep_matches_dropout_after_softmax(tq, tk, drop_prob, dtype, seed):
+    """masked_softmax(s, m, keep, p) is bitwise dropout(masked_softmax(s, m),
+    p, keep) in the float-factor form, forward and backward, with fully
+    masked rows, upstream gradients of both signs and a read-only mask."""
+    rng = Rng(seed, 12)
+    s0 = (rng.normal(LEAD + (tq, tk)) * 5.0).astype(dtype)
+    mask = rng.uniform((tq, tk)) < rng.uniform()
+    mask[rng.uniform(tq) < 0.2] = False
+    keep = rng.uniform(LEAD + (tq, tk)) >= drop_prob
+    keep.setflags(write=False)  # as gradcheck's replayed masks come
+    g = T.Tensor(rng.normal(LEAD + (tq, tk)).astype(dtype))
+
+    def run(op):
+        s = T.Tensor(s0.copy(), requires_grad=True)
+        out = op(s)
+        T.backward(T.tsum(out * g))
+        return out.data, s.grad
+
+    want = run(lambda s: ref_dropout(T.masked_softmax(s, mask), drop_prob, keep))
+    got = run(lambda s: T.masked_softmax(s, mask, keep, drop_prob))
+    for a, b in zip(got, want):
+        assert a.dtype == np.dtype(dtype) and _bits_equal(a, b)
+    assert np.all(got[0][~keep] == 0.0)
+
+
+@given(st.integers(1, 200), st.sampled_from([0.1, 0.15, 0.5]),
+       st.sampled_from(["float64", "float32"]), st.integers(0, 2 ** 32 - 1))
+@example(64, 0.15, "float64", 0)
+@settings(max_examples=60, deadline=None)
+def test_dropout_keep_mask_matches_float_factor(n, drop_prob, dtype, seed):
+    """The boolean-mask dropout is bitwise the float-factor form, forward and
+    backward; a dropped position keeps the sign of its input and of its
+    upstream gradient as a signed zero."""
+    rng = Rng(seed, 13)
+    x0 = rng.normal((3, n)).astype(dtype)
+    keep = rng.uniform((3, n)) >= drop_prob
+    keep.setflags(write=False)
+    g = T.Tensor(rng.normal((3, n)).astype(dtype))
+
+    def run(op):
+        x = T.Tensor(x0.copy(), requires_grad=True)
+        out = op(x)
+        T.backward(T.tsum(out * g))
+        return out.data, x.grad
+
+    want = run(lambda x: ref_dropout(x, drop_prob, keep))
+    got = run(lambda x: T.dropout(x, drop_prob, keep))
+    for a, b in zip(got, want):
+        assert a.dtype == np.dtype(dtype) and _bits_equal(a, b)
+    out, grad = got
+    assert np.array_equal(np.signbit(out[~keep]), np.signbit(x0[~keep]))
+    assert np.array_equal(np.signbit(grad[~keep]), np.signbit(g.data[~keep]))
 
 
 def test_debug_mode_rejects_nan():
