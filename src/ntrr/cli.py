@@ -18,7 +18,6 @@ from . import tensor as T
 from . import training as TR
 from .errors import CheckpointError, ConfigError, NtrrError, ParseError
 from .gradcheck import TOLERANCE, gradcheck_model
-from .rng import Rng
 from .tagging import Entity, entity_prf, scan_entities
 
 
@@ -110,19 +109,19 @@ def cmd_pretrain(args) -> int:
 
 
 def _check_registry(path: str, ckpt: D.Checkpoint) -> None:
-    """The stored tensors must be exactly init_params' registry for the
+    """The stored tensors must be exactly the parameter layout of the
     stored config, shape for shape, with finite values."""
-    expected = M.init_params(ckpt.model_config, Rng(0, 0))
-    extra = sorted(set(ckpt.params) - set(expected))
+    layout = M.param_layout(ckpt.model_config)
+    extra = sorted(set(ckpt.params) - set(layout))
     if extra:
         raise CheckpointError(f"{path}: unexpected tensor '{extra[0]}'")
-    for name, want in expected.items():
+    for name, (shape, _) in layout.items():
         arr = ckpt.params.get(name)
         if arr is None:
             raise CheckpointError(f"{path}: tensor '{name}' is missing")
-        if arr.shape != want.shape:
+        if arr.shape != shape:
             raise CheckpointError(f"{path}: tensor '{name}' has shape {arr.shape}, "
-                                  f"the config needs {want.shape}")
+                                  f"the config needs {shape}")
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{path}: tensor '{name}' has non-finite values")
 

@@ -101,81 +101,60 @@ class SegmentMemory:
         return cls([np.zeros((0, 0, 0))] * n_layers, 0)
 
 
-def _init_stream(rng: Rng, name: str):
-    return rng.derive(name)
+def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Name -> (shape, initializer) of every optimizable tensor, in
+    registry order. The initializers are "glorot", "normal", "ones" and
+    "zeros"; init_params says what each draws."""
+    if config.vocab_size < 2:
+        raise ConfigError(f"vocab_size must be >= 2, got {config.vocab_size}")
+    if not config.entity_types:
+        raise ConfigError("entity_types is empty; attach a label set first")
+    D, F, V, K = config.model_dim, config.ffn_dim, config.vocab_size, config.num_tags
+    rel = ((2 * config.clip_k + 1, config.head_dim), "normal")
+    block = [("ln1_g", (D,), "ones"), ("ln1_b", (D,), "zeros")]
+    for proj in ("wq", "wk", "wv", "wo"):
+        block += [(proj, (D, D), "glorot"), ("b" + proj[1], (D,), "zeros")]
+    block += [("ln2_g", (D,), "ones"), ("ln2_b", (D,), "zeros"),
+              ("ffn_w1", (D, F), "glorot"), ("ffn_b1", (F,), "zeros"),
+              ("ffn_w2", (F, D), "glorot"), ("ffn_b2", (D,), "zeros")]
+    layout = {"embed": ((V, D), "normal"), "w_init": ((D,), "normal")}
+    for stack, n_layers in (("xl", config.xlnet_layers), ("tr", config.transformer_layers)):
+        for i in range(n_layers):
+            layout.update((f"{stack}.{i}.{name}", (shape, init)) for name, shape, init in block)
+        if n_layers > 0:
+            layout.update({f"{stack}.rel_wk": rel, f"{stack}.rel_wv": rel})
+    layout.update({"final_ln_g": ((D,), "ones"), "final_ln_b": ((D,), "zeros"),
+                   "plm_head_w": ((D, V), "normal"), "plm_head_b": ((V,), "zeros"),
+                   "cls_w": ((D, K), "normal"), "cls_b": ((K,), "zeros")})
+    return layout
 
 
 def init_params(config: ModelConfig, rng: Rng, dtype: str = "float64") -> dict[str, Tensor]:
     """Fresh parameter registry; every optimizable tensor exactly once.
 
-    Projections get uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out));
-    embeddings, displacement tables, and the two output heads get
-    0.02-std normals (near-zero heads give near-uniform predictions at
-    initialization); gains start at one and biases at zero. Each tensor
-    draws from its own stream, so the registry is independent of
-    creation order."""
-    if config.vocab_size < 2:
-        raise ConfigError(f"vocab_size must be >= 2, got {config.vocab_size}")
-    if not config.entity_types:
-        raise ConfigError("entity_types is empty; attach a label set first")
+    Projections ("glorot") get uniform(-a, a) with
+    a = sqrt(6 / (fan_in + fan_out)); embeddings, displacement tables,
+    and the two output heads ("normal") get 0.02-std normals (near-zero
+    heads give near-uniform predictions at initialization); gains start
+    at one and biases at zero. Each drawn tensor has its own stream, so
+    the registry is independent of creation order."""
     nptype = DTYPES[dtype]
-    D, F, V = config.model_dim, config.ffn_dim, config.vocab_size
-    R = 2 * config.clip_k + 1
     params: dict[str, Tensor] = {}
-
-    def param(name, arr):
+    for name, (shape, init) in param_layout(config).items():
+        if init == "glorot":
+            a = math.sqrt(6.0 / sum(shape))
+            arr = (rng.derive(name).uniform(shape) * 2.0 - 1.0) * a
+        elif init == "normal":
+            arr = rng.derive(name).normal(shape, 0.02)
+        else:
+            arr = np.ones(shape) if init == "ones" else np.zeros(shape)
         params[name] = Tensor(np.ascontiguousarray(arr, dtype=nptype), requires_grad=True)
-
-    def glorot(name, fan_in, fan_out):
-        a = math.sqrt(6.0 / (fan_in + fan_out))
-        u = _init_stream(rng, name).uniform((fan_in, fan_out))
-        param(name, (u * 2.0 - 1.0) * a)
-
-    def normal02(name, shape):
-        param(name, _init_stream(rng, name).normal(shape, 0.02))
-
-    normal02("embed", (V, D))
-    normal02("w_init", (D,))
-    stacks = [("xl", config.xlnet_layers), ("tr", config.transformer_layers)]
-    for stack, n_layers in stacks:
-        for i in range(n_layers):
-            p = f"{stack}.{i}."
-            param(p + "ln1_g", np.ones(D))
-            param(p + "ln1_b", np.zeros(D))
-            for proj in ("wq", "wk", "wv", "wo"):
-                glorot(p + proj, D, D)
-                param(p + "b" + proj[1], np.zeros(D))
-            param(p + "ln2_g", np.ones(D))
-            param(p + "ln2_b", np.zeros(D))
-            glorot(p + "ffn_w1", D, F)
-            param(p + "ffn_b1", np.zeros(F))
-            glorot(p + "ffn_w2", F, D)
-            param(p + "ffn_b2", np.zeros(D))
-        if n_layers > 0:
-            normal02(f"{stack}.rel_wk", (R, config.head_dim))
-            normal02(f"{stack}.rel_wv", (R, config.head_dim))
-    param("final_ln_g", np.ones(D))
-    param("final_ln_b", np.zeros(D))
-    normal02("plm_head_w", (D, V))
-    param("plm_head_b", np.zeros(V))
-    normal02("cls_w", (D, config.num_tags))
-    param("cls_b", np.zeros(config.num_tags))
     return params
 
 
 def param_count(config: ModelConfig) -> int:
-    """Closed-form size of the registry init_params builds."""
-    D, F, V = config.model_dim, config.ffn_dim, config.vocab_size
-    K = config.num_tags
-    R = 2 * config.clip_k + 1
-    block = 4 * (D * D + D) + 4 * D + (D * F + F) + (F * D + D)
-    n_stacks_with_tables = 1 + (1 if config.transformer_layers > 0 else 0)
-    return (V * D + D
-            + config.num_layers * block
-            + n_stacks_with_tables * 2 * R * config.head_dim
-            + 2 * D
-            + (D * V + V)
-            + (D * K + K))
+    """Size of the registry init_params builds."""
+    return sum(math.prod(shape) for shape, _ in param_layout(config).values())
 
 
 def block_params(params: dict[str, Tensor], prefix: str) -> relpos.BlockParams:

@@ -110,4 +110,4 @@ def plm_loss(g_final: Tensor, targets, token_ids, head_w: Tensor, head_b: Tensor
     picked = T.take(g_final, targets, axis=1)  # (B, |targets|, D)
     logits = T.linear(picked, head_w, head_b)
     log_probs = T.log_softmax(logits, axis=-1)
-    return T.cross_entropy(log_probs, ids[:, targets], reduction="mean")
+    return T.cross_entropy(log_probs, ids[:, targets])

@@ -179,52 +179,45 @@ def extract_entities(tags: list[str]) -> list[Entity]:
     return scan_entities(tags)[0]
 
 
-def validate_bmes(tags: list[str]) -> list[int]:
-    """Indices where the BMES transition discipline is violated.
-
-    Position 0 must start a sequence (O, B-, S-); inside, B-T/M-T must
-    be followed by M-T/E-T and O/E/S by O/B/S; a trailing B or M flags
-    the final index because the span cannot close."""
-    bad: set[int] = set()
-    n = len(tags)
+def _parse_bmes(tags) -> list[tuple[str, str | None]]:
     parsed = []
     for i, tag in enumerate(tags):
         parts = split_tag(tag)
         if parts is None or parts[0] == "I":
             raise ContractError(f"tag {tag!r} at token {i} is not BMES")
         parsed.append(parts)
-    if n == 0:
-        return []
-    if parsed[0][0] in ("M", "E"):
-        bad.add(0)
-    for i in range(1, n):
-        pp, pt = parsed[i - 1]
-        cp, ct = parsed[i]
-        if pp in ("B", "M"):
-            ok = cp in ("M", "E") and ct == pt
-        else:  # O, E, S all close; next must open or stay outside
-            ok = cp in ("O", "B", "S")
-        if not ok:
-            bad.add(i)
-    if parsed[-1][0] in ("B", "M"):
-        bad.add(n - 1)
-    return sorted(bad)
+    return parsed
+
+
+_EDGE = ("O", None)  # the sequence start and end obey O's transitions
+
+
+def _may_follow(prev, cur) -> bool:
+    """The BMES transition rule over split tags: B-T/M-T must be followed
+    by M-T/E-T, and O/E/S by O/B/S."""
+    if prev[0] in ("B", "M"):
+        return cur[0] in ("M", "E") and cur[1] == prev[1]
+    return cur[0] in ("O", "B", "S")
+
+
+def validate_bmes(tags: list[str]) -> list[int]:
+    """Indices where the BMES transition discipline is violated: position
+    0 must start a sequence (O, B-, S-), every later tag must be allowed
+    after its predecessor, and a trailing B or M flags the final index
+    because the span cannot close."""
+    parsed = _parse_bmes(tags)
+    pairs = zip([_EDGE, *parsed], [*parsed, _EDGE])
+    return sorted({min(i, len(parsed) - 1) for i, (prev, cur) in enumerate(pairs)
+                   if not _may_follow(prev, cur)})
 
 
 def legal_transitions(label_set: LabelSet):
     """(start_ok, pair_ok, end_ok) boolean tables over tag indices, the
     same discipline validate_bmes checks, for constrained decoding."""
-    K = len(label_set)
-    parsed = [split_tag(t) for t in label_set.tags]
-    start_ok = np.array([p[0] in ("O", "B", "S") for p in parsed])
-    end_ok = np.array([p[0] in ("O", "E", "S") for p in parsed])
-    pair_ok = np.zeros((K, K), dtype=bool)
-    for a, (ap, at) in enumerate(parsed):
-        for b, (bp, bt) in enumerate(parsed):
-            if ap in ("B", "M"):
-                pair_ok[a, b] = bp in ("M", "E") and bt == at
-            else:
-                pair_ok[a, b] = bp in ("O", "B", "S")
+    parsed = _parse_bmes(label_set.tags)
+    start_ok = np.array([_may_follow(_EDGE, cur) for cur in parsed])
+    end_ok = np.array([_may_follow(prev, _EDGE) for prev in parsed])
+    pair_ok = np.array([[_may_follow(prev, cur) for cur in parsed] for prev in parsed])
     return start_ok, pair_ok, end_ok
 
 

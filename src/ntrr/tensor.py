@@ -2,9 +2,10 @@
 
 Arrays are numpy (float64 by default, float32 on request); every op
 records a backward closure, and backward() walks the graph once in
-reverse topological order. .grad accumulates on leaves until the caller
-zeroes it; intermediate grads are released as the sweep passes. This
-module is the only numerical substrate the rest of the package uses.
+reverse topological order from a seed of ones. .grad accumulates on
+leaves until the caller zeroes it; intermediate grads are released as
+the sweep passes. This module is the only numerical substrate the rest
+of the package uses.
 """
 
 from __future__ import annotations
@@ -261,15 +262,6 @@ def texp(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def tlog(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _make(out, (a,), backward)
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
@@ -318,10 +310,6 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
 def embedding(table: Tensor, ids) -> Tensor:
     """Row lookup: ids of any integer shape -> ids.shape + (dim,)."""
     return take(table, np.asarray(ids, dtype=np.int64), axis=0)
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    return Tensor(a.data)
 
 
 # ------------------------------------------------------------ neural-net ops
@@ -460,7 +448,7 @@ def dropout(x: Tensor, drop_prob: float, rng) -> Tensor:
     return _make(_apply_keep(x.data, keep, scale), (x,), backward)
 
 
-def cross_entropy(log_probs: Tensor, targets, mask=None, reduction: str = "mean") -> Tensor:
+def cross_entropy(log_probs: Tensor, targets, mask=None) -> Tensor:
     """Negative log likelihood of integer targets under given log-probs.
 
     log_probs (..., C) must already be normalized; targets has shape
@@ -473,8 +461,6 @@ def cross_entropy(log_probs: Tensor, targets, mask=None, reduction: str = "mean"
         raise ShapeError(f"targets shape {t.shape} does not match log_probs {log_probs.data.shape}")
     if t.size and (t.min() < 0 or t.max() >= C):
         raise IndexError(f"target id out of range [0, {C})")
-    if reduction not in ("mean", "sum"):
-        raise ConfigError(f"unknown reduction '{reduction}'")
     picked = np.take_along_axis(log_probs.data, t[..., None], axis=-1)[..., 0]
     if mask is not None:
         w = np.asarray(mask, dtype=log_probs.dtype)
@@ -485,12 +471,11 @@ def cross_entropy(log_probs: Tensor, targets, mask=None, reduction: str = "mean"
     count = w.sum()
     if count <= 0:
         raise ContractError("cross_entropy over an empty target set")
-    denom = count if reduction == "mean" else 1.0
-    out = np.asarray(-(picked * w).sum() / denom)
+    out = np.asarray(-(picked * w).sum() / count)
 
     def backward(g):
         glp = np.zeros_like(log_probs.data)
-        np.put_along_axis(glp, t[..., None], (-(w * float(g)) / denom)[..., None], axis=-1)
+        np.put_along_axis(glp, t[..., None], (-(w * float(g)) / count)[..., None], axis=-1)
         return (glp,)
 
     return _make(out, (log_probs,), backward)
@@ -643,10 +628,12 @@ def index_bucket_last(x: Tensor, idx, nbuckets: int) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar. .grad accumulates on leaves (and
-    the loss) across calls until zeroed; intermediate grads are released
-    as the sweep passes. Accumulation stays out of place: add hands one
-    array to both parents."""
+    """Reverse-mode sweep from a scalar, seeded with ones. .grad
+    accumulates on leaves across calls until zeroed; the loss's .grad is
+    set to the seed, so a second sweep over the same graph adds exactly
+    one more gradient. Intermediate grads are released as the sweep
+    passes. Accumulation stays out of place: add hands one array to both
+    parents."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -665,10 +652,7 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
-    if loss.grad is None:
-        loss.grad = np.ones_like(loss.data)
-    else:
-        loss.grad = loss.grad + np.ones_like(loss.data)
+    loss.grad = np.ones_like(loss.data)
 
     for node in reversed(topo):
         if node._backward is None or node.grad is None:

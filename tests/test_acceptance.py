@@ -185,9 +185,8 @@ def test_criterion_3_plm_masks():
               and set(np.nonzero(plan.query_mask[2])[0]) == set()
               and set(np.nonzero(plan.query_mask[3])[0]) == {1, 2})
 
-    # no-leakage gradient probe on 100 random (order, seed) cases; the
-    # graph is rebuilt per probe because repeated backward sweeps over a
-    # shared graph re-propagate the accumulated intermediate grads
+    # no-leakage gradient probe on 100 random (order, seed) cases, one
+    # fresh graph per probe
     leak_free = True
     probes = 0
     rng = Rng(31, 0)

@@ -185,6 +185,18 @@ def test_eval_rejects_checkpoint_off_registry(trained, tmp_path, edit, message):
     assert out == ""
 
 
+def test_eval_checks_registry_without_building_one(trained, monkeypatch):
+    # the check reads the parameter layout; drawing a registry is wasted work
+    def refuse(*args, **kwargs):
+        raise AssertionError("init_params called")
+
+    monkeypatch.setattr(M, "init_params", refuse)
+    out_dir, _ = trained
+    code, out, err = run(["eval", "--ckpt", str(out_dir / "model.ckpt"),
+                          "--data", str(DATA / "test.bmes")])
+    assert code == 0, err
+
+
 def test_predict_then_eval_matches_in_process_scores(trained, tmp_path):
     out_dir, _ = trained
     corpus = D.read_conll(str(DATA / "test.bmes"))

@@ -213,7 +213,7 @@ def ref_two_stream_layer(h_prev, g_prev, query_mask, content_mask, block, mc,
     normed_g = T.layer_norm(g_prev, block.ln1_g, block.ln1_b)
     normed_kv = normed_h
     if memory is not None:
-        kv = T.concat([T.stop_gradient(memory), h_prev], axis=1)
+        kv = T.concat([memory.detach(), h_prev], axis=1)
         normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
     h_att = relpos.multi_head_attention(normed_h, normed_kv, cfg, block.attn, content_mask,
                                         table, relpos.relative_index(pos_q, pos_k, mc.clip_k),

@@ -187,8 +187,7 @@ def test_no_leakage_gradient_probe_bulk():
             # positions holding the same token id; only unique ids probe
             if any(ids[0, j] == tok for j in range(n) if j != i):
                 continue
-            # fresh graph per backward: repeated sweeps over a shared
-            # graph re-propagate the accumulated intermediate grads
+            # one fresh graph per probe
             emb = T.embedding(params["embed"], ids)
             g0 = T.Tensor(np.broadcast_to(params["w_init"].data,
                                           emb.data.shape).copy())

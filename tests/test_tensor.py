@@ -325,6 +325,14 @@ def test_backward_accumulates_until_zeroed():
     assert x.grad == 0.0
 
 
+def test_second_sweep_over_one_graph_adds_one_gradient():
+    x = T.Tensor(np.array(2.0), requires_grad=True)
+    loss = T.tsum(x * 3.0)
+    T.backward(loss)
+    T.backward(loss)
+    assert x.grad == 6.0 and loss.grad == 1.0
+
+
 def _inner_nodes(loss):
     """Every tensor reachable from loss that an op made, loss excluded."""
     nodes, seen, stack = [], {id(loss)}, list(loss._parents)
@@ -406,7 +414,7 @@ def _op_cases(rng):
     sq = rand(rng, (3, 3))
     batched = rand(rng, (2, 3, 4))
     batched2 = rand(rng, (2, 4, 2))
-    pos = T.Tensor(np.abs(rng.normal((2, 3))) + 0.5, requires_grad=True)
+    rng.normal((2, 3))  # consumed so the cases below keep their seeded inputs
     gain = rand(rng, (4,))
     bias = rand(rng, (4,))
     w = rand(rng, (4, 3))
@@ -435,7 +443,6 @@ def _op_cases(rng):
         ("tsum_axis", lambda: T.tsum(T.tsum(batched, axis=1) * 2.0), [batched]),
         ("tmean", lambda: T.tmean(a * a), [a]),
         ("texp", lambda: T.tsum(T.texp(a * 0.3)), [a]),
-        ("tlog", lambda: T.tsum(T.tlog(pos)), [pos]),
         ("concat", lambda: T.tsum(T.concat([a, b], axis=0) * T.concat([b, a], axis=0)), [a, b]),
         ("slice", lambda: T.tsum(T.slice_axis(batched, 1, 1, 3)), [batched]),
         ("take", lambda: T.tsum(T.take(table, list(ids), axis=0) * 2.0), [table]),
@@ -458,8 +465,8 @@ def _op_cases(rng):
         ("add_select_scale",
          lambda: T.tsum(T.add_select_scale(s_last, x_wide, idx34, 0.7) * s_last),
          [s_last, x_wide]),
-        # stop_gradient is deliberately absent: finite differences see
-        # through the detachment, so it is checked analytically below
+        # detach is deliberately absent: finite differences see through
+        # the detachment, so it is checked analytically below
     ]
     return cases
 
@@ -488,7 +495,7 @@ def test_mul_skips_gradient_of_constant_operand():
 
 def test_stop_gradient_blocks():
     x = T.Tensor(np.array(3.0), requires_grad=True)
-    T.backward(x * T.stop_gradient(x))
+    T.backward(x * x.detach())
     assert x.grad == 3.0  # only the undetached factor contributes
 
 
