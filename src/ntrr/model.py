@@ -12,6 +12,7 @@ content and query streams under a permutation plan's masks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -342,11 +343,21 @@ def decode(log_probs: np.ndarray, label_set: LabelSet, mode: str = "constrained"
     return TagSequence(ids, not validate_bmes(tags))
 
 
-def _viterbi(lp: np.ndarray, label_set: LabelSet) -> list[int]:
+@functools.cache
+def _decode_tables(label_set: LabelSet):
+    """(start_ok, trans, end_ok) for constrained decoding: built once per
+    label set and read-only, because every decode over it shares them."""
     start_ok, pair_ok, end_ok = legal_transitions(label_set)
+    tables = start_ok, np.where(pair_ok, 0.0, -np.inf), end_ok
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _viterbi(lp: np.ndarray, label_set: LabelSet) -> list[int]:
+    start_ok, trans, end_ok = _decode_tables(label_set)
     neg = -np.inf
     t_steps, K = lp.shape
-    trans = np.where(pair_ok, 0.0, neg)
     score = np.where(start_ok, lp[0], neg)
     back = np.zeros((t_steps, K), dtype=np.int64)
     for t in range(1, t_steps):

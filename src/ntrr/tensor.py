@@ -6,6 +6,12 @@ reverse topological order from a seed of ones. .grad accumulates on
 leaves until the caller zeroes it; intermediate grads are released as
 the sweep passes. This module is the only numerical substrate the rest
 of the package uses.
+
+The graph is made of _Node objects, not tensors: a node holds its
+parents' nodes, the backward closure, the grad and the dtype, but no
+forward value. Closures save the arrays and shapes their backward reads,
+never a Tensor, so an op output that no closure saves is freed as soon
+as the forward drops it.
 """
 
 from __future__ import annotations
@@ -50,8 +56,31 @@ def no_grad():
         _GRAD_ENABLED = saved
 
 
+class _Node:
+    """The graph vertex of a grad-tracking tensor, without its data."""
+
+    __slots__ = ("_parents", "_backward", "grad", "dtype")
+    requires_grad = True
+
+    def __init__(self, parents, backward, dtype):
+        self._parents = parents
+        self._backward = backward
+        self.grad = None
+        self.dtype = dtype
+
+
+class _ConstNode(_Node):
+    """The one vertex of every tensor that needs no gradient."""
+
+    __slots__ = ()
+    requires_grad = False
+
+
+_CONST = _ConstNode((), None, None)
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         if isinstance(data, Tensor):
@@ -64,10 +93,32 @@ class Tensor:
         if _DEBUG_CHECKS and np.isnan(arr).any():
             raise NumericsError("NaN values in tensor construction")
         self.data = arr
-        self.requires_grad = requires_grad
-        self.grad = None
-        self._parents = parents
-        self._backward = backward
+        # parents link by node here and only here, so each tensor's
+        # gradient accumulates in exactly one place
+        self._node = (_Node(tuple([p._node for p in parents]), backward, arr.dtype)
+                      if requires_grad else _CONST)
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not _CONST
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self._node is _CONST:
+            raise ContractError("grad set on a tensor that does not require grad")
+        self._node.grad = g
+
+    @property
+    def _parents(self):
+        return self._node._parents
+
+    @property
+    def _backward(self):
+        return self._node._backward
 
     @property
     def shape(self):
@@ -140,7 +191,7 @@ def _make(data: np.ndarray, parents, backward) -> Tensor:
     """Wrap an op result; track the graph only when grad mode is on and needed."""
     if _DEBUG_CHECKS and not np.all(np.isfinite(data)):
         raise NumericsError("non-finite values produced by an op")
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any([p._node is not _CONST for p in parents]):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
     return Tensor(data)
 
@@ -165,10 +216,12 @@ def _sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
-    out = a.data + b.data
+    ad, bd = a.data, b.data
+    out = ad + bd
+    sa, sb = ad.shape, bd.shape
 
     def backward(g):
-        return _sum_to_shape(g, a.data.shape), _sum_to_shape(g, b.data.shape)
+        return _sum_to_shape(g, sa), _sum_to_shape(g, sb)
 
     return _make(out, (a, b), backward)
 
@@ -176,12 +229,19 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
+    sa, sb = ad.shape, bd.shape
+    # an operand that needs no gradient (a constant factor) costs nothing,
+    # and neither does saving the other factor for it
+    if a._node is _CONST:
+        bd = None
+    if b._node is _CONST:
+        ad = None
 
     def backward(g):
-        # an operand that needs no gradient (a constant factor) costs nothing
-        return (_sum_to_shape(g * b.data, a.data.shape) if a.requires_grad else None,
-                _sum_to_shape(g * a.data, b.data.shape) if b.requires_grad else None)
+        return (None if bd is None else _sum_to_shape(g * bd, sa),
+                None if ad is None else _sum_to_shape(g * ad, sb))
 
     return _make(out, (a, b), backward)
 
@@ -203,12 +263,13 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    out = ad @ bd
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _sum_to_shape(ga, a.data.shape), _sum_to_shape(gb, b.data.shape)
+        ga = g @ np.swapaxes(bd, -1, -2)
+        gb = np.swapaxes(ad, -1, -2) @ g
+        return _sum_to_shape(ga, ad.shape), _sum_to_shape(gb, bd.shape)
 
     return _make(out, (a, b), backward)
 
@@ -234,13 +295,12 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.data.shape
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(out, (a,), backward)
 
@@ -271,7 +331,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def backward(g):
         slicer = [slice(None)] * g.ndim
         grads = []
-        for i in range(len(tensors)):
+        for i in range(len(sizes)):
             slicer[axis] = slice(offsets[i], offsets[i + 1])
             grads.append(g[tuple(slicer)])
         return tuple(grads)
@@ -283,9 +343,10 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     slicer = [slice(None)] * a.ndim
     slicer[axis] = slice(start, stop)
     slicer = tuple(slicer)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[slicer] = g
         return (full,)
 
@@ -298,9 +359,10 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[axis]):
         raise IndexError(f"take index out of range for axis {axis} of size {a.data.shape[axis]}")
     out = np.take(a.data, idx, axis=axis)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
         return (full,)
 
@@ -342,15 +404,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> T
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = (x.data - mu) * inv
-    out = y * gain.data + bias.data
+    gd = gain.data
+    out = y * gd + bias.data
+    sb = bias.data.shape
 
     def backward(g):
-        gz = g * gain.data
+        gz = g * gd
         gx = inv * (gz - gz.mean(axis=-1, keepdims=True)
                     - y * (gz * y).mean(axis=-1, keepdims=True))
-        ggain = _sum_to_shape(g * y, gain.data.shape)
-        gbias = _sum_to_shape(g, bias.data.shape)
-        return gx, ggain, gbias
+        return gx, _sum_to_shape(g * y, gd.shape), _sum_to_shape(g, sb)
 
     return _make(out, (x, gain, bias), backward)
 
@@ -472,9 +534,10 @@ def cross_entropy(log_probs: Tensor, targets, mask=None) -> Tensor:
     if count <= 0:
         raise ContractError("cross_entropy over an empty target set")
     out = np.asarray(-(picked * w).sum() / count)
+    shape, dtype = log_probs.data.shape, log_probs.data.dtype
 
     def backward(g):
-        glp = np.zeros_like(log_probs.data)
+        glp = np.zeros(shape, dtype)
         np.put_along_axis(glp, t[..., None], (-(w * float(g)) / count)[..., None], axis=-1)
         return (glp,)
 
@@ -509,11 +572,12 @@ def kl_divergence(p: Tensor, q: Tensor, mask=None) -> Tensor:
     if count <= 0:
         raise ContractError("kl_divergence over an empty row set")
     out = np.asarray((rows * w).sum() / count)
+    pd, qd = p.data, q.data
 
     def backward(g):
         scale = (w * float(g) / count)[..., None]
-        gp = (diff + p.data * (p.data > _EPS_KL) / pc) * scale
-        gq = -(p.data / qc) * (q.data > _EPS_KL) * scale
+        gp = (diff + pd * (pd > _EPS_KL) / pc) * scale
+        gq = -(pd / qc) * (qd > _EPS_KL) * scale
         return gp, gq
 
     return _make(out, (p, q), backward)
@@ -636,9 +700,12 @@ def backward(loss: Tensor) -> None:
     parents."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    topo: list[Tensor] = []
+    root = loss._node
+    if root is _CONST:
+        raise ContractError("backward from a tensor that does not require grad")
+    topo: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -652,19 +719,19 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
 
     for node in reversed(topo):
         if node._backward is None or node.grad is None:
             continue
         grads = node._backward(node.grad)
-        if node is not loss:
+        if node is not root:
             node.grad = None  # every consumer of node ran before it
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = g if g.dtype == parent.data.dtype else g.astype(parent.data.dtype)
+                parent.grad = g if g.dtype == parent.dtype else g.astype(parent.dtype)
             else:
                 parent.grad = parent.grad + g
 

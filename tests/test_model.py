@@ -12,7 +12,7 @@ import ntrr.tensor as T
 from ntrr.errors import ConfigError, ContractError
 from ntrr.plm import extend_mask_for_memory, plm_loss, sample_permutation
 from ntrr.rng import DualDropoutStreams, Rng
-from ntrr.tagging import LabelSet, validate_bmes
+from ntrr.tagging import LabelSet, legal_transitions, validate_bmes
 
 TYPES = ("LOC", "ORG", "PER")
 
@@ -411,7 +411,6 @@ def test_constrained_decode_always_wellformed():
 
 def exhaustive_best_legal(lp, ls):
     """Highest-scoring legal tag sequence by full enumeration."""
-    from ntrr.tagging import legal_transitions
     start_ok, pair_ok, end_ok = legal_transitions(ls)
     n = lp.shape[0]
     best, best_score = None, -np.inf
@@ -436,6 +435,27 @@ def test_constrained_decode_matches_exhaustive_search():
         want, want_score = exhaustive_best_legal(lp, ls)
         got_score = sum(lp[j, t] for j, t in enumerate(seq.tags))
         assert abs(got_score - want_score) <= 1e-9, (i, seq.tags, want)
+
+
+def test_constrained_decode_builds_its_tables_once(monkeypatch):
+    """Two decodes over one label set build the transition tables once,
+    and the shared tables cannot be written."""
+    built = []
+
+    def counting(label_set):
+        built.append(label_set)
+        return legal_transitions(label_set)
+
+    monkeypatch.setattr(M, "legal_transitions", counting)
+    M._decode_tables.cache_clear()
+    ls = LabelSet(TYPES)
+    lp = np.log(T.softmax(T.Tensor(Rng(17, 0).normal((4, len(ls))))).data)
+    first = M.decode(lp, ls, "constrained")
+    second = M.decode(lp, LabelSet(TYPES), "constrained")
+    assert built == [ls] and first.tags == second.tags
+    for table in M._decode_tables(ls):
+        with pytest.raises(ValueError):
+            table[0] = table[0]
 
 
 def test_decode_empty_sequence():

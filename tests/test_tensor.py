@@ -1,6 +1,8 @@
 """Tensor core: op semantics and reverse-mode gradients vs central
 finite differences (h=1e-5, 64-bit, rel err <= 1e-4)."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -101,7 +103,7 @@ def ref_backward(loss):
             continue
         for parent, g in zip(node._parents, node._backward(node.grad)):
             if g is not None and parent.requires_grad:
-                parent.grad = (g.astype(parent.data.dtype, copy=False) if parent.grad is None
+                parent.grad = (g.astype(parent.dtype, copy=False) if parent.grad is None
                                else parent.grad + g)
 
 
@@ -334,7 +336,7 @@ def test_second_sweep_over_one_graph_adds_one_gradient():
 
 
 def _inner_nodes(loss):
-    """Every tensor reachable from loss that an op made, loss excluded."""
+    """Every graph node reachable from loss that an op made, loss excluded."""
     nodes, seen, stack = [], {id(loss)}, list(loss._parents)
     while stack:
         node = stack.pop()
@@ -382,6 +384,47 @@ def test_backward_keeps_grads_only_on_leaves_and_loss():
     assert np.array_equal(loss_grad, ref_loss_grad)
     assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
     assert all(released) and not any(ref_released)
+
+
+def test_graph_frees_forward_values_no_closure_saves():
+    """The graph links nodes, not tensors. Once the forward drops its
+    locals, the q.k^T product (read by no backward) and the scores (read
+    by no backward once masked_softmax has its own buffer) are collected
+    while the loss still reaches them; the sweep's gradients are the
+    bits of the sweep that keeps every grad."""
+    idx, nbuckets, rng = _displacement_case(6, 2, 3, 3, "contiguous", 5)
+    tq, tk = idx.shape
+    mask = rng.uniform((tq, tk)) >= 0.3
+    leaves = [T.Tensor(rng.normal(shape), requires_grad=True)
+              for shape in ((2, tq, 4), (2, 4, tk), (2, tq, nbuckets), (2, tq, tk))]
+
+    def forward():
+        a, b_t, x, w = leaves
+        s = T.matmul(a, b_t)
+        scores = T.add_select_scale(s, x, idx, 0.5)
+        refs = weakref.ref(s.data), weakref.ref(scores.data)
+        return T.tsum(T.masked_softmax(scores, mask) * w), refs
+
+    seen = []
+    for sweep in (T.backward, ref_backward):
+        T.zero_grads(leaves)
+        loss, refs = forward()
+        assert all(r() is None for r in refs)
+        sweep(loss)
+        seen.append([p.grad.copy() for p in leaves])
+    assert all(np.array_equal(g, h) for g, h in zip(*seen))
+
+
+def test_no_backward_closure_saves_a_tensor():
+    """Closures save the arrays and shapes they read, so no op's backward
+    keeps a Tensor (and with it a forward value) alive."""
+    for name, f, _ in _op_cases(Rng(0, 77)):
+        loss = f()
+        for fn in [loss._backward] + [n._backward for n in _inner_nodes(loss)]:
+            for cell in fn.__closure__ or ():
+                held = cell.cell_contents
+                items = held if isinstance(held, (list, tuple)) else (held,)
+                assert not any(isinstance(v, T.Tensor) for v in items), (name, fn.__qualname__)
 
 
 def test_backward_rejects_nonscalar():
