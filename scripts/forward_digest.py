@@ -60,11 +60,11 @@ def _case_arrays(model, pe_mode, dtype, memory_len, streams, k_eff):
         T.zero_grads(params.values())
         if model == "forward_ner":
             out, memory = M.forward_ner(x, memory, mc, params, _streams(streams, seg),
-                                        True, k_eff)
+                                        k_eff=k_eff)
         else:
             plan = sample_permutation(SEGMENT, Rng(14, seg))
             out, memory = M.pretrain_forward(x, plan, memory, mc, params,
-                                             _streams(streams, seg), True, k_eff)
+                                             _streams(streams, seg), k_eff=k_eff)
         T.backward(T.tsum(out * out))
         seen += [out.data, *memory.layers, *(params[k].grad for k in sorted(params))]
     return seen

@@ -191,7 +191,7 @@ def cmd_predict(args) -> int:
             if not tokens:
                 continue
             ids = vocab.encode(tokens)[None, :]
-            lp, _ = M.forward_ner(ids, None, mc, params, None, False)
+            lp, _ = M.forward_ner(ids, None, mc, params)
             seq = M.decode(lp.data[0], label_set, mc.decode_mode)
             sentences.append((tokens, label_set.decode(seq.tags)))
     if not sentences:

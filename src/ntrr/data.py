@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, ContractError, ParseError
-from .model import ModelConfig
+from .model import DECODE_MODES, DTYPES, TOKEN_MODES, ModelConfig
+from .relpos import PE_MODES
 from .rng import Rng
 from .tagging import LabelSet, bio_to_bmes, split_tag, validate_bmes
 from .tensor import Tensor
@@ -207,42 +208,52 @@ def make_batches(corpus: Corpus, vocab: Vocab, batch_size: int, rng: Rng | None,
 
 # ------------------------------------------------------------------ configs
 
-# key -> (python type or tuple of choices, default, doc)
-_MODEL_KEYS = {
-    "model_dim": (int, 64, "hidden width of every layer"),
-    "ffn_dim": (int, 128, "inner width of the feed-forward sublayers"),
-    "xlnet_layers": (int, 2, "blocks in the lower (pretrainable) stack"),
-    "transformer_layers": (int, 2, "blocks in the upper tagging stack"),
-    "num_heads": (int, 4, "attention heads; must divide model_dim"),
-    "clip_k": (int, 8, "displacement table radius: rows for [-k, k]"),
-    "pe_mode": (("absolute", "relative"), "relative",
-                "absolute sinusoidal input encoding, or learned relative tables"),
-    "memory_len": (int, 0, "cached positions per layer for segment recurrence"),
-    "dropout": (float, 0.15, "drop rate at every dropout site"),
-    "decode_mode": (("greedy", "constrained"), "constrained",
-                    "per-token argmax, or best path through BMES legality"),
-    "token_mode": (("char", "whitespace"), "char",
-                   "how plain prediction input is split into tokens"),
-    "vocab_size": (int, 0, "token inventory size; 0 = derive from training data"),
-    "entity_types": ("csv", (), "comma list of entity types; empty = derive from data"),
-}
+_CHOICES = {"pe_mode": PE_MODES, "decode_mode": DECODE_MODES, "token_mode": TOKEN_MODES,
+            "dtype": tuple(DTYPES)}
 
-_TRAIN_KEYS = {
-    "lr_init": (float, 0.002, "peak learning rate, reached at the end of warmup"),
-    "warmup_steps": (int, 0, "linear warmup length; 0 = a tenth of total_steps"),
-    "total_steps": (int, 0, "decay horizon; 0 = epochs * batches per epoch"),
-    "epochs": (int, 50, "passes over the training corpus"),
-    "alpha": (float, 1.0, "weight of the symmetric KL term (the sum of both directions)"),
-    "batch_size": (int, 8, "sentences per step (doubled internally by R-Drop)"),
-    "seed": (int, 42, "master seed; every stream derives from it"),
-    "rdrop_enabled": (bool, True, "train with the two-branch consistency loss"),
-    "grad_clip_norm": (float, 1.0, "global gradient norm ceiling; 0 disables"),
-    "min_freq": (int, 1, "drop tokens rarer than this from the vocabulary"),
-    "stop_at_f1": (float, 0.0, "stop once dev F1 reaches this; 0 disables"),
-    "clip_k_start": (int, 0, "radius schedule start; with clip_k_end > 0 enables it"),
-    "clip_k_end": (int, 0, "radius schedule end, reached at the last epoch"),
-    "dtype": (("float64", "float32"), "float64", "parameter and activation precision"),
-}
+
+def _schema(config, docs: dict[str, str]) -> dict:
+    """key -> (python type or tuple of choices, default, doc) for every
+    field of config; the types and defaults are the dataclass's own."""
+    defaults = vars(config)
+    if set(docs) != set(defaults):
+        raise ContractError(f"config docs do not match {type(config).__name__}'s fields")
+    return {key: (_CHOICES.get(key, type(defaults[key])), defaults[key], doc)
+            for key, doc in docs.items()}
+
+
+_MODEL_KEYS = _schema(ModelConfig(), {
+    "model_dim": "hidden width of every layer",
+    "ffn_dim": "inner width of the feed-forward sublayers",
+    "xlnet_layers": "blocks in the lower (pretrainable) stack",
+    "transformer_layers": "blocks in the upper tagging stack",
+    "num_heads": "attention heads; must divide model_dim",
+    "clip_k": "displacement table radius: rows for [-k, k]",
+    "pe_mode": "absolute sinusoidal input encoding, or learned relative tables",
+    "memory_len": "cached positions per layer for segment recurrence",
+    "dropout": "drop rate at every dropout site",
+    "decode_mode": "per-token argmax, or best path through BMES legality",
+    "token_mode": "how plain prediction input is split into tokens",
+    "vocab_size": "token inventory size; 0 = derive from training data",
+    "entity_types": "comma list of entity types; empty = derive from data",
+})
+
+_TRAIN_KEYS = _schema(TrainConfig(), {
+    "lr_init": "peak learning rate, reached at the end of warmup",
+    "warmup_steps": "linear warmup length; 0 = a tenth of total_steps",
+    "total_steps": "decay horizon; 0 = epochs * batches per epoch",
+    "epochs": "passes over the training corpus",
+    "alpha": "weight of the symmetric KL term (the sum of both directions)",
+    "batch_size": "sentences per step (doubled internally by R-Drop)",
+    "seed": "master seed; every stream derives from it",
+    "rdrop_enabled": "train with the two-branch consistency loss",
+    "grad_clip_norm": "global gradient norm ceiling; 0 disables",
+    "min_freq": "drop tokens rarer than this from the vocabulary",
+    "stop_at_f1": "stop once dev F1 reaches this; 0 disables",
+    "clip_k_start": "radius schedule start; with clip_k_end > 0 enables it",
+    "clip_k_end": "radius schedule end, reached at the last epoch",
+    "dtype": "parameter and activation precision",
+})
 
 _SCHEMA = {**_MODEL_KEYS, **_TRAIN_KEYS}
 assert set(_MODEL_KEYS) & set(_TRAIN_KEYS) == set()
@@ -267,7 +278,7 @@ def _parse_value(key: str, raw: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"key '{key}' expects true/false, got '{raw}'")
-    if spec == "csv":
+    if spec is tuple:
         return tuple(part.strip() for part in raw.split(",") if part.strip())
     if isinstance(spec, tuple):
         if raw not in spec:
@@ -356,7 +367,7 @@ def config_reference() -> str:
         for key, (spec, default, doc) in keys.items():
             if isinstance(spec, tuple):
                 kind = "|".join(spec)
-            elif spec == "csv":
+            elif spec is tuple:
                 kind = "comma list"
             else:
                 kind = spec.__name__

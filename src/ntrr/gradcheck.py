@@ -81,7 +81,7 @@ def gradcheck_model(pe_mode: str, seed: int = 0) -> dict[str, float]:
     def loss_fn():
         # replayed from site 0 so every evaluation sees identical masks
         streams.restart()
-        lp, _ = M.forward_ner(dup, None, config, params, streams, True)
+        lp, _ = M.forward_ner(dup, None, config, params, streams)
         lp1 = T.slice_axis(lp, 0, 0, 1)
         lp2 = T.slice_axis(lp, 0, 1, 2)
         return rdrop_loss(lp1, lp2, tags, 1.0, mask).total

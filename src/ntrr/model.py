@@ -26,6 +26,8 @@ from .tagging import LabelSet, TagSequence, legal_transitions, validate_bmes
 from .tensor import Tensor
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
+DECODE_MODES = ("greedy", "constrained")
+TOKEN_MODES = ("char", "whitespace")
 
 
 @dataclass
@@ -60,9 +62,9 @@ class ModelConfig:
             raise ConfigError("layer counts and memory_len must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.decode_mode not in ("greedy", "constrained"):
+        if self.decode_mode not in DECODE_MODES:
             raise ConfigError(f"unknown decode_mode '{self.decode_mode}'")
-        if self.token_mode not in ("char", "whitespace"):
+        if self.token_mode not in TOKEN_MODES:
             raise ConfigError(f"unknown token_mode '{self.token_mode}'")
 
     @property
@@ -80,10 +82,6 @@ class ModelConfig:
     @property
     def num_tags(self) -> int:
         return 1 + 4 * len(self.entity_types)
-
-    def attention_config(self) -> relpos.AttentionConfig:
-        return relpos.AttentionConfig(self.model_dim, self.num_heads, self.clip_k,
-                                      self.pe_mode, self.dropout)
 
 
 @dataclass
@@ -190,7 +188,7 @@ def _check_memory(memory, config: ModelConfig, batch: int):
     return memory
 
 
-def _prelude(token_ids, memory, config: ModelConfig, params, streams, train: bool, k_eff):
+def _prelude(token_ids, memory, config: ModelConfig, params, streams, k_eff):
     """What every forward does before its blocks. Returns the ids as a
     checked (B, T) array (one 1-d sentence is promoted), the checked
     memory, the segment's global positions, the embedded and dropped-out
@@ -208,7 +206,7 @@ def _prelude(token_ids, memory, config: ModelConfig, params, streams, train: boo
     if config.pe_mode == "absolute":
         pe = relpos.sinusoidal_pe(positions, config.model_dim, h.dtype)
         h = h + Tensor(pe[None, :, :])
-    h = relpos.dropout_site(h, config.dropout, streams, train)
+    h = relpos.dropout_site(h, config.dropout, streams)
     return ids, memory, positions, h, _rel_indexes(config, memory.offset, ids.shape[1], k_eff)
 
 
@@ -244,7 +242,7 @@ def _rel_indexes(config: ModelConfig, offset: int, t: int, k_eff):
 
 
 def _run_stack(xs: tuple[Tensor, ...], masks, n_blocks: int, config: ModelConfig, params,
-               memory: SegmentMemory, streams, train: bool,
+               memory: SegmentMemory, streams,
                rel_indexes) -> tuple[tuple[Tensor, ...], list[np.ndarray]]:
     """The first n_blocks encoder blocks, lower stack then upper stack,
     left to right over [memory ; xs[0]]: stream s of xs attends under
@@ -257,38 +255,23 @@ def _run_stack(xs: tuple[Tensor, ...], masks, n_blocks: int, config: ModelConfig
         new_mems.append(cache)
         xs = relpos.block_forward(
             xs, [plm.extend_mask_for_memory(m, m_len) for m in masks], mem,
-            block_params(params, f"{stack}.{j}."), config.attention_config(),
-            rel_table(params, stack, config), rel_indexes(m_len), streams, train)
+            block_params(params, f"{stack}.{j}."), config,
+            rel_table(params, stack, config), rel_indexes(m_len), streams)
     return xs, new_mems
 
 
-def encode(token_ids, memory, config: ModelConfig, params, streams=None,
-           train: bool = False, k_eff: int | None = None) -> tuple[Tensor, SegmentMemory]:
-    """Content-stream pass of the lower (pretrained) stack.
-
-    Returns the hidden states and an updated memory holding the last
-    memory_len positions of each block's input, detached."""
-    ids, memory, _, h, rel_indexes = _prelude(token_ids, memory, config, params,
-                                              streams, train, k_eff)
-    t = ids.shape[1]
-    (h,), new_mems = _run_stack((h,), (np.tril(np.ones((t, t), dtype=bool)),),
-                                config.xlnet_layers, config, params, memory, streams,
-                                train, rel_indexes)
-    return h, SegmentMemory(new_mems, memory.offset + t)
-
-
-def forward_ner(token_ids, memory, config: ModelConfig, params, streams=None,
-                train: bool = False, k_eff: int | None = None) -> tuple[Tensor, SegmentMemory]:
-    """Full tagging forward: lower stack, upper stack, classifier.
+def forward_ner(token_ids, memory, config: ModelConfig, params, streams=None, *,
+                k_eff: int | None = None) -> tuple[Tensor, SegmentMemory]:
+    """Full tagging forward: lower stack, upper stack, classifier. It
+    trains (draws dropout masks) exactly when given dropout streams.
 
     Returns per-token log-probabilities (B, T, num_tags) and the
     updated memory across all blocks."""
     ids, memory, _, h, rel_indexes = _prelude(token_ids, memory, config, params,
-                                              streams, train, k_eff)
+                                              streams, k_eff)
     t = ids.shape[1]
     (h,), new_mems = _run_stack((h,), (np.tril(np.ones((t, t), dtype=bool)),),
-                                config.num_layers, config, params, memory, streams,
-                                train, rel_indexes)
+                                config.num_layers, config, params, memory, streams, rel_indexes)
     h = T.layer_norm(h, params["final_ln_g"], params["final_ln_b"])
     return classify(h, params), SegmentMemory(new_mems, memory.offset + t)
 
@@ -299,14 +282,14 @@ def classify(hidden: Tensor, params) -> Tensor:
 
 
 def pretrain_forward(token_ids, plan: plm.PermutationPlan, memory, config: ModelConfig,
-                     params, streams=None, train: bool = False,
+                     params, streams=None, *,
                      k_eff: int | None = None) -> tuple[Tensor, SegmentMemory]:
     """Two-stream permutation-LM pass of the lower stack: the content
     stream (the embeddings) under the plan's content mask, the query
     stream (w_init) under its query mask. Returns the prediction loss
     over the plan's targets and updated memory."""
     ids, memory, positions, h, rel_indexes = _prelude(token_ids, memory, config, params,
-                                                      streams, train, k_eff)
+                                                      streams, k_eff)
     batch, t = ids.shape
     if plan.order.shape[0] != t:
         raise ContractError(f"plan covers {plan.order.shape[0]} tokens, batch has {t}")
@@ -315,8 +298,7 @@ def pretrain_forward(token_ids, plan: plm.PermutationPlan, memory, config: Model
     if config.pe_mode == "absolute":
         g = g + Tensor(relpos.sinusoidal_pe(positions, D, h.dtype)[None, :, :])
     (_, g), new_mems = _run_stack((h, g), (plan.content_mask, plan.query_mask),
-                                  config.xlnet_layers, config, params, memory, streams,
-                                  train, rel_indexes)
+                                  config.xlnet_layers, config, params, memory, streams, rel_indexes)
     g = T.layer_norm(g, params["final_ln_g"], params["final_ln_b"])
     loss = plm.plm_loss(g, plan.targets, ids, params["plm_head_w"], params["plm_head_b"])
     return loss, SegmentMemory(new_mems, memory.offset + t)

@@ -86,9 +86,8 @@ def extend_mask_for_memory(mask: np.ndarray, mem_len: int) -> np.ndarray:
 
 
 def two_stream_layer(h_prev: Tensor, g_prev: Tensor, query_mask, content_mask,
-                     block: relpos.BlockParams, attn_config: relpos.AttentionConfig,
-                     rel_table=None, rel_index=None, memory=None, streams=None,
-                     train: bool = False) -> tuple[Tensor, Tensor]:
+                     block: relpos.BlockParams, config, rel_table=None, rel_index=None,
+                     memory=None, streams=None) -> tuple[Tensor, Tensor]:
     """One pre-norm block over both streams with shared weights.
 
     Content stream: queries from h, content_mask. Query stream: queries
@@ -96,7 +95,7 @@ def two_stream_layer(h_prev: Tensor, g_prev: Tensor, query_mask, content_mask,
     if given, is a (B, M, D) array of the previous segment's states,
     visible to both streams."""
     return relpos.block_forward((h_prev, g_prev), (content_mask, query_mask), memory,
-                                block, attn_config, rel_table, rel_index, streams, train)
+                                block, config, rel_table, rel_index, streams)
 
 
 def plm_loss(g_final: Tensor, targets, token_ids, head_w: Tensor, head_b: Tensor) -> Tensor:

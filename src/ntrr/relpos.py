@@ -23,28 +23,6 @@ PE_MODES = ("absolute", "relative")
 
 
 @dataclass
-class AttentionConfig:
-    model_dim: int
-    num_heads: int
-    clip_k: int
-    mode: str = "relative"
-    dropout: float = 0.0  # the drop rate at every site of the block
-
-    def __post_init__(self):
-        if self.model_dim % self.num_heads != 0:
-            raise ConfigError(
-                f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
-        if self.mode not in PE_MODES:
-            raise ConfigError(f"unknown pe mode '{self.mode}'")
-        if self.mode == "relative" and self.clip_k < 1:
-            raise ConfigError(f"relative mode needs clip_k >= 1, got {self.clip_k}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
-
-
-@dataclass
 class RelPosTable:
     """Learned displacement tables, shared by every head of a stack.
 
@@ -98,45 +76,44 @@ def feed_forward(x: Tensor, block: BlockParams) -> Tensor:
                     block.ffn_w2, block.ffn_b2)
 
 
-def _site_keep(shape, drop_prob: float, streams, train: bool) -> np.ndarray | None:
-    """The next keep-mask from streams in a training forward, else None."""
-    if not train or drop_prob == 0.0:
+def _site_keep(shape, drop_prob: float, streams) -> np.ndarray | None:
+    """The next keep-mask from streams (a training forward), else None."""
+    if streams is None or drop_prob == 0.0:
         return None
-    if streams is None:
-        raise ContractError("training forward needs dropout streams")
     return streams.mask(shape, drop_prob)
 
 
-def dropout_site(x: Tensor, drop_prob: float, streams, train: bool) -> Tensor:
-    """One dropout site: in a training forward, the next mask from streams."""
-    keep = _site_keep(x.shape, drop_prob, streams, train)
+def dropout_site(x: Tensor, drop_prob: float, streams) -> Tensor:
+    """One dropout site: the next mask from streams, if given (a training forward)."""
+    keep = _site_keep(x.shape, drop_prob, streams)
     return x if keep is None else T.dropout(x, drop_prob, keep)
 
 
-def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams,
-                  attn_config: AttentionConfig, rel_table: RelPosTable | None = None,
-                  rel_index: T.BucketIndex | None = None, streams=None,
-                  train: bool = False) -> tuple[Tensor, ...]:
+def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams, config,
+                  rel_table: RelPosTable | None = None, rel_index: T.BucketIndex | None = None,
+                  streams=None) -> tuple[Tensor, ...]:
     """One pre-norm block over a tuple of query streams with shared weights.
 
     Stream s attends under masks[s] to keys and values from
     [memory ; xs[0]]; memory, if given, is a (B, M, D) array of earlier
-    states and gets no gradient. rel_index is the relative_index of the
-    queries over those keys. The streams advance in lockstep, one
-    sublayer at a time: all attentions, then all attention residuals,
-    then all FFN residuals. That order fixes which dropout mask each
-    site draws; every site drops at attn_config.dropout."""
+    states and gets no gradient. config is the ModelConfig. A rel_table
+    makes attention relative, with rel_index the relative_index of the
+    queries over those keys; dropout streams make it a training pass.
+    The query streams advance in lockstep, one sublayer at a time: all
+    attentions, then all attention residuals, then all FFN residuals.
+    That order fixes which dropout mask each site draws; every site
+    drops at config.dropout."""
     normed = [T.layer_norm(x, block.ln1_g, block.ln1_b) for x in xs]
     normed_kv = normed[0]
     if memory is not None:
         kv = T.concat([Tensor(memory), xs[0]], axis=1)
         normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
-    atts = [multi_head_attention(q, normed_kv, attn_config, block.attn, mask,
-                                 rel_table, rel_index, streams, train)
+    atts = [multi_head_attention(q, normed_kv, config, block.attn, mask,
+                                 rel_table, rel_index, streams)
             for q, mask in zip(normed, masks)]
-    xs = [x + dropout_site(a, attn_config.dropout, streams, train) for x, a in zip(xs, atts)]
+    xs = [x + dropout_site(a, config.dropout, streams) for x, a in zip(xs, atts)]
     return tuple(x + dropout_site(feed_forward(T.layer_norm(x, block.ln2_g, block.ln2_b), block),
-                                  attn_config.dropout, streams, train)
+                                  config.dropout, streams)
                  for x in xs)
 
 
@@ -211,7 +188,7 @@ def rel_attention_values(attn: Tensor, v: Tensor, rel_table: RelPosTable | None,
     rows picked by rel_index."""
     out = T.matmul(attn, v)
     if rel_table is not None:
-        pooled = T.index_bucket_last(attn, rel_index, rel_table.wk.shape[0])  # (..., Tq, 2k+1)
+        pooled = T.index_bucket_last(attn, rel_index)  # (..., Tq, 2k+1)
         out = out + T.matmul(pooled, rel_table.wv)
     return out
 
@@ -234,27 +211,24 @@ def merge_heads(x: Tensor) -> Tensor:
     return T.reshape(T.permute(x, (0, 2, 1, 3)), (b, t, h * d))
 
 
-def multi_head_attention(x_q: Tensor, x_kv: Tensor, config: AttentionConfig,
-                         params: AttentionParams, mask, rel_table: RelPosTable | None = None,
-                         rel_index: T.BucketIndex | None = None, streams=None,
-                         train: bool = False) -> Tensor:
+def multi_head_attention(x_q: Tensor, x_kv: Tensor, config, params: AttentionParams, mask,
+                         rel_table: RelPosTable | None = None,
+                         rel_index: T.BucketIndex | None = None, streams=None) -> Tensor:
     """Full attention sublayer body: project, score, mix, merge, project.
 
-    mask broadcasts to (B, H, Tq, Tk); True marks an admissible key.
-    Queries whose whole row is masked out produce exactly zero vectors.
-    Relative mode needs the table and the relative_index of the queries
-    over the keys. Residual connections and normalization belong to the
-    caller."""
-    if config.mode == "relative":
-        if rel_table is None or rel_index is None:
-            raise ContractError("relative mode needs a displacement table and index")
-    else:
-        rel_table = None
+    config is the ModelConfig. mask broadcasts to (B, H, Tq, Tk); True
+    marks an admissible key. Queries whose whole row is masked out
+    produce exactly zero vectors. Attention is relative exactly when it
+    gets a table, together with the relative_index of the queries over
+    the keys. Dropout streams, if given, drop the attention weights.
+    Residual connections and normalization belong to the caller."""
+    if (rel_table is None) != (rel_index is None):
+        raise ContractError("relative attention needs both a displacement table and an index")
     q = split_heads(T.linear(x_q, params.wq, params.bq), config.num_heads)
     k = split_heads(T.linear(x_kv, params.wk, params.bk), config.num_heads)
     v = split_heads(T.linear(x_kv, params.wv, params.bv), config.num_heads)
     scores = rel_attention_scores(q, k, rel_table, rel_index)
-    keep = _site_keep(scores.shape, config.dropout, streams, train)
+    keep = _site_keep(scores.shape, config.dropout, streams)
     weights = T.masked_softmax(scores, True if mask is None else mask, keep, config.dropout)
     mixed = rel_attention_values(weights, v, rel_table, rel_index)
     return T.linear(merge_heads(mixed), params.wo, params.bo)

@@ -495,14 +495,13 @@ def _apply_keep(x: np.ndarray, keep: np.ndarray, scale: np.ndarray) -> np.ndarra
     return np.multiply(out, scale, out=out)
 
 
-def dropout(x: Tensor, drop_prob: float, rng) -> Tensor:
-    """Inverted dropout. rng is an Rng-like with .uniform(shape), or a
-    precomputed boolean keep-mask; backward saves only the mask. drop_prob
-    == 0 is the identity, bitwise (the input tensor is returned unchanged)."""
+def dropout(x: Tensor, drop_prob: float, keep: np.ndarray) -> Tensor:
+    """Inverted dropout by a boolean keep-mask; backward saves only the
+    mask. drop_prob == 0 is the identity, bitwise (the input tensor is
+    returned unchanged)."""
     scale = _keep_scale(drop_prob, x.dtype)
     if drop_prob == 0.0:
         return x
-    keep = rng if isinstance(rng, np.ndarray) else rng.uniform(x.data.shape) >= drop_prob
 
     def backward(g):
         return (_apply_keep(g, keep, scale),)
@@ -606,14 +605,6 @@ class BucketIndex:
         self.keys = (np.arange(idx.shape[0])[:, None] * nbuckets + idx).ravel()
 
 
-def _as_index(idx, nbuckets: int) -> BucketIndex:
-    if not isinstance(idx, BucketIndex):
-        return BucketIndex(idx, nbuckets)
-    if idx.nbuckets != nbuckets:
-        raise ShapeError(f"index has {idx.nbuckets} buckets, operand has {nbuckets}")
-    return idx
-
-
 def _gather_last(x: np.ndarray, index: BucketIndex) -> np.ndarray:
     """(..., Tq, R) -> (..., Tq, Tk): one take over the flattened last two axes."""
     lead = x.shape[:-2]
@@ -629,20 +620,19 @@ def _bucket_sum(x: np.ndarray, index: BucketIndex) -> np.ndarray:
     return out
 
 
-def _select_index(x: Tensor, idx) -> BucketIndex:
-    """The checked index for gathering from x (..., Tq, R)."""
-    index = _as_index(idx, x.data.shape[-1])
+def _check_select(x: Tensor, index: BucketIndex) -> None:
+    """Raise unless index can gather from x (..., Tq, R)."""
+    if index.nbuckets != x.data.shape[-1]:
+        raise ShapeError(f"index has {index.nbuckets} buckets, operand has {x.data.shape[-1]}")
     if x.data.shape[-2] != index.shape[0]:
         raise ShapeError(f"row dim {x.data.shape[-2]} does not match index {index.shape}")
-    return index
 
 
-def index_select_last(x: Tensor, idx) -> Tensor:
-    """out[..., i, j] = x[..., i, idx[i, j]] for a constant 2-d index
-    (an array or a BucketIndex).
+def index_select_last(x: Tensor, index: BucketIndex) -> Tensor:
+    """out[..., i, j] = x[..., i, idx[i, j]] for the index's constant 2-d idx.
 
     Spreads per-displacement values (..., T, R) out to (..., T, Tk)."""
-    index = _select_index(x, idx)
+    _check_select(x, index)
 
     def backward(g):
         return (_bucket_sum(g, index),)
@@ -650,14 +640,14 @@ def index_select_last(x: Tensor, idx) -> Tensor:
     return _make(_gather_last(x.data, index), (x,), backward)
 
 
-def add_select_scale(s: Tensor, x: Tensor, idx, scale: float) -> Tensor:
-    """(s + index_select_last(x, idx)) * scale, in the gather's buffer.
+def add_select_scale(s: Tensor, x: Tensor, index: BucketIndex, scale: float) -> Tensor:
+    """(s + index_select_last(x, index)) * scale, in the gather's buffer.
 
     The same roundings in the same order as the three separate ops, so
     the result is bitwise theirs; used for relative attention scores
     with s (..., Tq, Tk) the content scores and x (..., Tq, R) the
     per-displacement ones."""
-    index = _select_index(x, idx)
+    _check_select(x, index)
     if s.data.shape != x.data.shape[:-1] + index.shape[1:]:
         raise ShapeError(f"scores {s.data.shape} do not match {x.data.shape} "
                          f"gathered by index {index.shape}")
@@ -672,13 +662,11 @@ def add_select_scale(s: Tensor, x: Tensor, idx, scale: float) -> Tensor:
     return _make(out, (s, x), backward)
 
 
-def index_bucket_last(x: Tensor, idx, nbuckets: int) -> Tensor:
-    """out[..., i, r] = sum_j x[..., i, j] where idx[i, j] == r, for idx
-    an array or a BucketIndex.
+def index_bucket_last(x: Tensor, index: BucketIndex) -> Tensor:
+    """out[..., i, r] = sum_j x[..., i, j] where the index's idx[i, j] == r.
 
     The adjoint of index_select_last; used to pool attention weights by
     displacement before mixing in the per-displacement value rows."""
-    index = _as_index(idx, nbuckets)
     if x.data.shape[-2:] != index.shape:
         raise ShapeError(f"trailing dims {x.data.shape[-2:]} do not match index {index.shape}")
 

@@ -57,10 +57,7 @@ class RDropLossBreakdown:
 
     ce: Tensor
     kl_sym: Tensor
-    alpha: float
     total: Tensor
-    p1: Tensor | None = None
-    p2: Tensor | None = None
 
     def floats(self) -> tuple[float, float, float]:
         return self.ce.item(), self.kl_sym.item(), self.total.item()
@@ -80,7 +77,7 @@ def rdrop_loss(log_probs_1: Tensor, log_probs_2: Tensor, targets, alpha: float,
     p2 = T.texp(log_probs_2)
     kl = T.kl_divergence(p1, p2, token_mask) + T.kl_divergence(p2, p1, token_mask)
     total = ce + kl * alpha
-    return RDropLossBreakdown(ce, kl, alpha, total, p1, p2)
+    return RDropLossBreakdown(ce, kl, total)
 
 
 def lr_schedule(step: int, config: TrainConfig) -> float:
@@ -172,13 +169,13 @@ def train_step(batch, params: dict[str, Tensor], opt: OptimizerState,
     T.zero_grads(params.values())
     if not train_config.rdrop_enabled:
         streams = DropoutStreams(seed, step, 1)
-        lp, _ = M.forward_ner(ids, None, model_config, params, streams, True, k_eff)
+        lp, _ = M.forward_ner(ids, None, model_config, params, streams, k_eff=k_eff)
         ce = T.cross_entropy(lp, tags, mask)
-        breakdown = RDropLossBreakdown(ce, Tensor(np.zeros(())), 0.0, ce)
+        breakdown = RDropLossBreakdown(ce, Tensor(np.zeros(())), ce)
     else:
         dup_ids = np.concatenate([ids, ids], axis=0)
         streams = DualDropoutStreams(seed, step)
-        lp, _ = M.forward_ner(dup_ids, None, model_config, params, streams, True, k_eff)
+        lp, _ = M.forward_ner(dup_ids, None, model_config, params, streams, k_eff=k_eff)
         b = ids.shape[0]
         lp1 = T.slice_axis(lp, 0, 0, b)
         lp2 = T.slice_axis(lp, 0, b, 2 * b)
@@ -216,8 +213,7 @@ def evaluate(corpus, vocab, params, model_config: M.ModelConfig,
     base = 0
     with T.no_grad():
         for batch in make_batches(corpus, vocab, batch_size, None, label_set):
-            lp, _ = M.forward_ner(batch.token_ids, None, model_config, params,
-                                  None, False, k_eff)
+            lp, _ = M.forward_ner(batch.token_ids, None, model_config, params, k_eff=k_eff)
             for row in range(batch.token_ids.shape[0]):
                 n = batch.lengths[row]
                 seq = M.decode(lp.data[row, :n], label_set, model_config.decode_mode)
@@ -372,8 +368,7 @@ def pretrain(corpus, model_config: M.ModelConfig, train_config: TrainConfig,
                                               Rng.for_stream(cfg.seed, "perm", step))
             T.zero_grads(params.values())
             streams = DropoutStreams(cfg.seed, step, 1)
-            loss, _ = M.pretrain_forward(ids, plan, None, model_config, params,
-                                         streams, True)
+            loss, _ = M.pretrain_forward(ids, plan, None, model_config, params, streams)
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericsError(f"non-finite pretraining loss at step {step}")

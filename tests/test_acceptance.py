@@ -209,7 +209,7 @@ def test_criterion_3_plm_masks():
                                         emb.data.shape).copy())
             _, g1 = two_stream_layer(emb, g0, plan.query_mask, plan.content_mask,
                                      M.block_params(params, "xl.0."),
-                                     mc.attention_config(), M.rel_table(params, "xl", mc),
+                                     mc, M.rel_table(params, "xl", mc),
                                      relative_index(range(n), range(n), mc.clip_k))
             T.zero_grads([params["embed"]])
             T.backward(T.tsum(T.slice_axis(g1, 1, i, i + 1)))
@@ -234,10 +234,10 @@ def test_criterion_4_segment_recurrence():
     r = Rng(41, 0)
     ids = np.array([[2 + r.randbelow(28) for _ in range(16)]])
     with T.no_grad():
-        full, _ = M.forward_ner(ids, None, mc, params, None, False)
+        full, _ = M.forward_ner(ids, None, mc, params)
         mem = M.SegmentMemory.empty(mc.num_layers)
-        _, mem = M.forward_ner(ids[:, :8], mem, mc, params, None, False)
-        second, _ = M.forward_ner(ids[:, 8:], mem, mc, params, None, False)
+        _, mem = M.forward_ner(ids[:, :8], mem, mc, params)
+        second, _ = M.forward_ner(ids[:, 8:], mem, mc, params)
     gap = float(np.max(np.abs(full.data[:, 8:] - second.data)))
     split_ok = gap <= 1e-5
 
@@ -246,13 +246,13 @@ def test_criterion_4_segment_recurrence():
         noise = Rng(42, 0)
         bumped = M.SegmentMemory([m + 0.5 * noise.normal(m.shape)
                                   for m in mem.layers], mem.offset)
-        moved, _ = M.forward_ner(ids[:, 8:], bumped, mc, params, None, False)
+        moved, _ = M.forward_ner(ids[:, 8:], bumped, mc, params)
     perturb_ok = float(np.max(np.abs(moved.data - second.data))) > 1e-6
 
     # and must receive zero gradient
     probes = [Tensor(m.copy(), requires_grad=True) for m in mem.layers]
     probed = M.SegmentMemory([p.data for p in probes], mem.offset)
-    lp, _ = M.forward_ner(ids[:, 8:], probed, mc, params, None, False)
+    lp, _ = M.forward_ner(ids[:, 8:], probed, mc, params)
     T.backward(T.tmean(lp))
     grad_ok = all(p.grad is None or np.max(np.abs(p.grad)) == 0.0 for p in probes)
 
@@ -292,9 +292,9 @@ def test_criterion_5_rdrop():
                     for b in range(4)])
     with T.no_grad():
         dup, _ = M.forward_ner(np.concatenate([ids, ids]), None, mc, params,
-                               DualDropoutStreams(9, 3), True)
-        one1, _ = M.forward_ner(ids, None, mc, params, DropoutStreams(9, 3, 1), True)
-        one2, _ = M.forward_ner(ids, None, mc, params, DropoutStreams(9, 3, 2), True)
+                               DualDropoutStreams(9, 3))
+        one1, _ = M.forward_ner(ids, None, mc, params, DropoutStreams(9, 3, 1))
+        one2, _ = M.forward_ner(ids, None, mc, params, DropoutStreams(9, 3, 2))
     path_gap = max(float(np.max(np.abs(dup.data[:4] - one1.data))),
                    float(np.max(np.abs(dup.data[4:] - one2.data))))
     path_ok = path_gap <= 1e-12

@@ -240,6 +240,18 @@ def test_config_reference_file_is_current():
         assert fh.read() == D.config_reference()
 
 
+def test_config_schema_reads_the_dataclasses():
+    # defaults and types are the dataclass's own, so a changed default
+    # reaches the reference; docs must name exactly the dataclass fields
+    docs = {key: doc for key, (_, _, doc) in D._MODEL_KEYS.items()}
+    schema = D._schema(M.ModelConfig(clip_k=3, decode_mode="greedy"), docs)
+    assert schema["clip_k"] == (int, 3, docs["clip_k"])
+    assert schema["decode_mode"] == (M.DECODE_MODES, "greedy", docs["decode_mode"])
+    del docs["clip_k"]
+    with pytest.raises(ContractError):
+        D._schema(M.ModelConfig(), docs)
+
+
 def test_model_config_text_round_trips():
     mc = M.ModelConfig(model_dim=32, ffn_dim=64, num_heads=2, clip_k=3,
                        entity_types=("LOC", "PER"), vocab_size=17)

@@ -38,6 +38,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(model_dim=10, num_heads=3)
     with pytest.raises(ConfigError):
+        small_config(clip_k=0)
+    with pytest.raises(ConfigError):
         small_config(pe_mode="sideways")
     with pytest.raises(ConfigError):
         small_config(dropout=1.0)
@@ -77,7 +79,7 @@ def test_memory_len_zero_is_plain_stack():
     params = M.init_params(mc, Rng.for_stream(1, "init"), "float64")
     ids = random_ids(1, 6)
     with T.no_grad():
-        lp, mem = M.forward_ner(ids, None, mc, params, None, False)
+        lp, mem = M.forward_ner(ids, None, mc, params)
     assert lp.shape == (1, 6, mc.num_tags)
     assert all(m.size == 0 for m in mem.layers)
 
@@ -87,10 +89,10 @@ def test_segment_consistency_split_vs_unsplit():
     params = M.init_params(mc, Rng.for_stream(2, "init"), "float64")
     ids = random_ids(5, 16)
     with T.no_grad():
-        full, _ = M.forward_ner(ids, None, mc, params, None, False)
+        full, _ = M.forward_ner(ids, None, mc, params)
         mem = M.SegmentMemory.empty(mc.num_layers)
-        _, mem = M.forward_ner(ids[:, :8], mem, mc, params, None, False)
-        second, _ = M.forward_ner(ids[:, 8:], mem, mc, params, None, False)
+        _, mem = M.forward_ner(ids[:, :8], mem, mc, params)
+        second, _ = M.forward_ner(ids[:, 8:], mem, mc, params)
     assert np.max(np.abs(full.data[:, 8:] - second.data)) <= 1e-5
 
 
@@ -100,13 +102,13 @@ def test_memory_perturbation_changes_outputs():
     ids = random_ids(6, 8)
     with T.no_grad():
         mem = M.SegmentMemory.empty(mc.num_layers)
-        _, mem = M.forward_ner(random_ids(7, 8), mem, mc, params, None, False)
-        base, _ = M.forward_ner(ids, mem, mc, params, None, False)
+        _, mem = M.forward_ner(random_ids(7, 8), mem, mc, params)
+        base, _ = M.forward_ner(ids, mem, mc, params)
         # constant shifts would be washed out by layer norm; use noise
         noise = Rng(8, 8)
         bumped = M.SegmentMemory([m + 0.5 * noise.normal(m.shape) for m in mem.layers],
                                  mem.offset)
-        moved, _ = M.forward_ner(ids, bumped, mc, params, None, False)
+        moved, _ = M.forward_ner(ids, bumped, mc, params)
     assert np.max(np.abs(base.data - moved.data)) > 1e-6
 
 
@@ -118,10 +120,10 @@ def test_memory_receives_zero_gradient():
     ids = random_ids(8, 6)
     mem = M.SegmentMemory.empty(mc.num_layers)
     with T.no_grad():
-        _, mem = M.forward_ner(random_ids(9, 6), mem, mc, params, None, False)
+        _, mem = M.forward_ner(random_ids(9, 6), mem, mc, params)
     probes = [T.Tensor(m.copy(), requires_grad=True) for m in mem.layers]
     probed = M.SegmentMemory([p.data for p in probes], mem.offset)
-    lp, _ = M.forward_ner(ids, probed, mc, params, None, False)
+    lp, _ = M.forward_ner(ids, probed, mc, params)
     loss = T.tmean(lp)
     T.backward(loss)
     for p in probes:
@@ -133,7 +135,7 @@ def test_memory_mismatch_rejected():
     params = M.init_params(mc, Rng.for_stream(5, "init"), "float64")
     bad = M.SegmentMemory([np.zeros((1, 2, 16))], 2)  # wrong layer count
     with pytest.raises(ContractError):
-        M.forward_ner(random_ids(1, 4), bad, mc, params, None, False)
+        M.forward_ner(random_ids(1, 4), bad, mc, params)
 
 
 def test_pretrain_memory_round_trip():
@@ -142,9 +144,9 @@ def test_pretrain_memory_round_trip():
     ids = random_ids(10, 6)
     plan = sample_permutation(6, Rng(1, 1))
     with T.no_grad():
-        loss1, mem = M.pretrain_forward(ids, plan, None, mc, params, None, False)
+        loss1, mem = M.pretrain_forward(ids, plan, None, mc, params)
         assert all(m.shape[1] == 4 for m in mem.layers)
-        loss2, _ = M.pretrain_forward(ids, plan, mem, mc, params, None, False)
+        loss2, _ = M.pretrain_forward(ids, plan, mem, mc, params)
     assert np.isfinite(loss1.item()) and np.isfinite(loss2.item())
     assert loss1.item() != loss2.item()  # memory changed the context
 
@@ -157,18 +159,25 @@ def test_pretrain_memory_round_trip():
 # lockstep) and the per-layer memory bookkeeping, bit for bit.
 
 
-def ref_drop(x, p, streams, train):
-    if train and p > 0.0:
+def ref_drop(x, p, streams):
+    if streams is not None and p > 0.0:
         return T.dropout(x, p, streams.mask(x.shape, p))
     return x
 
 
-def ref_embed(ids, mc, params, offset, streams, train):
+def ref_embed(ids, mc, params, offset, streams):
     h = T.embedding(params["embed"], ids)
     if mc.pe_mode == "absolute":
         pe = relpos.sinusoidal_pe(offset + np.arange(ids.shape[1]), mc.model_dim, h.dtype)
         h = h + T.Tensor(pe[None, :, :])
-    return ref_drop(h, mc.dropout, streams, train)
+    return ref_drop(h, mc.dropout, streams)
+
+
+def ref_index(mc, pos_q, pos_k):
+    # relative attention gets a table and its index; absolute gets neither
+    if mc.pe_mode == "relative":
+        return relpos.relative_index(pos_q, pos_k, mc.clip_k)
+    return None
 
 
 def ref_layer_memory(mem_layers, i, offset, h, mc):
@@ -181,7 +190,7 @@ def ref_layer_memory(mem_layers, i, offset, h, mc):
     return mem, m_len, pos_k, joined[:, -mc.memory_len:].copy()
 
 
-def ref_content_stack(h, stack, n_layers, mc, params, mem_layers, offset, streams, train):
+def ref_content_stack(h, stack, n_layers, mc, params, mem_layers, offset, streams):
     t = h.shape[1]
     table = M.rel_table(params, stack, mc)
     pos_q = offset + np.arange(t, dtype=np.int64)
@@ -195,56 +204,51 @@ def ref_content_stack(h, stack, n_layers, mc, params, mem_layers, offset, stream
         if m_len > 0:
             kv = T.concat([T.Tensor(mem), h], axis=1)
             normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
-        att = relpos.multi_head_attention(normed_q, normed_kv, mc.attention_config(),
-                                          block.attn, mask, table,
-                                          relpos.relative_index(pos_q, pos_k, mc.clip_k),
-                                          streams, train)
+        att = relpos.multi_head_attention(normed_q, normed_kv, mc, block.attn, mask, table,
+                                          ref_index(mc, pos_q, pos_k), streams)
         new_mems.append(cache)
-        h = h + ref_drop(att, mc.dropout, streams, train)
+        h = h + ref_drop(att, mc.dropout, streams)
         h = h + ref_drop(relpos.feed_forward(T.layer_norm(h, block.ln2_g, block.ln2_b),
-                                             block), mc.dropout, streams, train)
+                                             block), mc.dropout, streams)
     return h, new_mems
 
 
 def ref_two_stream_layer(h_prev, g_prev, query_mask, content_mask, block, mc,
-                         pos_q, pos_k, table, memory, streams, train):
-    cfg = mc.attention_config()
+                         pos_q, pos_k, table, memory, streams):
     normed_h = T.layer_norm(h_prev, block.ln1_g, block.ln1_b)
     normed_g = T.layer_norm(g_prev, block.ln1_g, block.ln1_b)
     normed_kv = normed_h
     if memory is not None:
         kv = T.concat([memory.detach(), h_prev], axis=1)
         normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
-    h_att = relpos.multi_head_attention(normed_h, normed_kv, cfg, block.attn, content_mask,
-                                        table, relpos.relative_index(pos_q, pos_k, mc.clip_k),
-                                        streams, train)
-    g_att = relpos.multi_head_attention(normed_g, normed_kv, cfg, block.attn, query_mask,
-                                        table, relpos.relative_index(pos_q, pos_k, mc.clip_k),
-                                        streams, train)
-    h = h_prev + ref_drop(h_att, mc.dropout, streams, train)
-    g = g_prev + ref_drop(g_att, mc.dropout, streams, train)
+    h_att = relpos.multi_head_attention(normed_h, normed_kv, mc, block.attn, content_mask,
+                                        table, ref_index(mc, pos_q, pos_k), streams)
+    g_att = relpos.multi_head_attention(normed_g, normed_kv, mc, block.attn, query_mask,
+                                        table, ref_index(mc, pos_q, pos_k), streams)
+    h = h_prev + ref_drop(h_att, mc.dropout, streams)
+    g = g_prev + ref_drop(g_att, mc.dropout, streams)
     h = h + ref_drop(relpos.feed_forward(T.layer_norm(h, block.ln2_g, block.ln2_b), block),
-                     mc.dropout, streams, train)
+                     mc.dropout, streams)
     g = g + ref_drop(relpos.feed_forward(T.layer_norm(g, block.ln2_g, block.ln2_b), block),
-                     mc.dropout, streams, train)
+                     mc.dropout, streams)
     return h, g
 
 
-def ref_forward_ner(ids, memory, mc, params, streams, train):
+def ref_forward_ner(ids, memory, mc, params, streams):
     layers, offset = (memory.layers, memory.offset) if memory else ([], 0)
-    h = ref_embed(ids, mc, params, offset, streams, train)
+    h = ref_embed(ids, mc, params, offset, streams)
     h, xl_mems = ref_content_stack(h, "xl", mc.xlnet_layers, mc, params,
-                                   layers[:mc.xlnet_layers], offset, streams, train)
+                                   layers[:mc.xlnet_layers], offset, streams)
     h, tr_mems = ref_content_stack(h, "tr", mc.transformer_layers, mc, params,
-                                   layers[mc.xlnet_layers:], offset, streams, train)
+                                   layers[mc.xlnet_layers:], offset, streams)
     h = T.layer_norm(h, params["final_ln_g"], params["final_ln_b"])
     return M.classify(h, params), M.SegmentMemory(xl_mems + tr_mems, offset + ids.shape[1])
 
 
-def ref_pretrain_forward(ids, plan, memory, mc, params, streams, train):
+def ref_pretrain_forward(ids, plan, memory, mc, params, streams):
     layers, offset = (memory.layers, memory.offset) if memory else ([], 0)
     batch, t = ids.shape
-    h = ref_embed(ids, mc, params, offset, streams, train)
+    h = ref_embed(ids, mc, params, offset, streams)
     g = (T.Tensor(np.zeros((batch, t, mc.model_dim)))
          + T.reshape(params["w_init"], (1, 1, mc.model_dim)))
     if mc.pe_mode == "absolute":
@@ -260,7 +264,7 @@ def ref_pretrain_forward(ids, plan, memory, mc, params, streams, train):
             h, g, extend_mask_for_memory(plan.query_mask, m_len),
             extend_mask_for_memory(plan.content_mask, m_len),
             M.block_params(params, f"xl.{i}."), mc, pos_q, pos_k, table,
-            T.Tensor(mem) if m_len else None, streams, train)
+            T.Tensor(mem) if m_len else None, streams)
     g = T.layer_norm(g, params["final_ln_g"], params["final_ln_b"])
     loss = plm_loss(g, plan.targets, ids, params["plm_head_w"], params["plm_head_b"])
     return loss, M.SegmentMemory(new_mems, offset + t)
@@ -289,10 +293,9 @@ def test_training_forward_matches_pre_merge_oracle(model, pe_mode):
 
     def run(ner, pretrain):
         if model == "forward_ner":
-            return lambda x, mem, seg: ner(x, mem, mc, params, DualDropoutStreams(15, seg),
-                                           True)
+            return lambda x, mem, seg: ner(x, mem, mc, params, DualDropoutStreams(15, seg))
         return lambda x, mem, seg: pretrain(x, plans[seg], mem, mc, params,
-                                            DualDropoutStreams(15, seg), True)
+                                            DualDropoutStreams(15, seg))
 
     got = two_segment_trace(run(M.forward_ner, M.pretrain_forward), params, ids)
     want = two_segment_trace(run(ref_forward_ner, ref_pretrain_forward), params, ids)
@@ -326,10 +329,10 @@ def test_each_forward_builds_the_relative_index_once(model, pe_mode, monkeypatch
         x = ids[:, 5 * seg:5 * seg + 5]
         streams = DualDropoutStreams(18, seg)
         if model == "forward_ner":
-            _, memory = M.forward_ner(x, memory, mc, params, streams, True, 2)
+            _, memory = M.forward_ner(x, memory, mc, params, streams, k_eff=2)
         else:
             _, memory = M.pretrain_forward(x, sample_permutation(5, Rng(19, seg)), memory,
-                                           mc, params, streams, True, 2)
+                                           mc, params, streams, k_eff=2)
         assert calls == ([5 + 3 * seg] if pe_mode == "relative" else [])
 
 
@@ -338,9 +341,59 @@ def test_eval_forward_is_pure():
     params = M.init_params(mc, Rng.for_stream(7, "init"), "float64")
     ids = random_ids(11, 7)
     with T.no_grad():
-        a, _ = M.forward_ner(ids, None, mc, params, None, False)
-        b, _ = M.forward_ner(ids, None, mc, params, None, False)
+        a, _ = M.forward_ner(ids, None, mc, params)
+        b, _ = M.forward_ner(ids, None, mc, params)
     assert np.array_equal(a.data, b.data)
+
+
+class CountedStreams:
+    """DualDropoutStreams that count the masks drawn from them."""
+
+    def __init__(self, seed, step):
+        self.streams, self.drawn = DualDropoutStreams(seed, step), 0
+
+    def mask(self, shape, drop_prob):
+        self.drawn += 1
+        return self.streams.mask(shape, drop_prob)
+
+
+@pytest.mark.parametrize("model", ["forward_ner", "pretrain_forward"])
+def test_streams_alone_make_a_training_forward(model):
+    # handed streams, a forward draws the embedding site's mask plus three
+    # per block and stream (attention weights, attention and FFN residuals);
+    # without streams it draws none and is the eval forward, bit for bit
+    mc = small_config(dropout=0.1)
+    params = M.init_params(mc, Rng.for_stream(20, "init"), "float64")
+    ids = random_ids(21, 6, batch=2)
+    plan = sample_permutation(6, Rng(22, 0))
+
+    def forward(*streams):
+        if model == "forward_ner":
+            return M.forward_ner(ids, None, mc, params, *streams)[0]
+        return M.pretrain_forward(ids, plan, None, mc, params, *streams)[0]
+
+    streams = CountedStreams(23, 1)
+    trained = forward(streams)
+    if model == "forward_ner":
+        assert streams.drawn == 1 + 3 * mc.num_layers
+    else:
+        assert streams.drawn == 1 + 6 * mc.xlnet_layers
+    with T.no_grad():
+        evaluated = forward()
+    untrained = forward()
+    assert not np.array_equal(trained.data, evaluated.data)
+    assert np.array_equal(untrained.data, evaluated.data)
+
+
+def test_forward_radius_is_keyword_only():
+    # a stale (..., streams, train) call must not read train as k_eff
+    mc = small_config()
+    params = M.init_params(mc, Rng.for_stream(24, "init"), "float64")
+    ids = random_ids(25, 5)
+    with pytest.raises(TypeError):
+        M.forward_ner(ids, None, mc, params, None, False)
+    with pytest.raises(TypeError):
+        M.pretrain_forward(ids, sample_permutation(5, Rng(26, 0)), None, mc, params, None, False)
 
 
 def test_pe_modes_differ_on_permuted_input():
@@ -351,8 +404,8 @@ def test_pe_modes_differ_on_permuted_input():
         mc = small_config(pe_mode=mode)
         params = M.init_params(mc, Rng.for_stream(8, "init"), "float64")
         with T.no_grad():
-            a, _ = M.forward_ner(ids, None, mc, params, None, False)
-            b, _ = M.forward_ner(perm, None, mc, params, None, False)
+            a, _ = M.forward_ner(ids, None, mc, params)
+            b, _ = M.forward_ner(perm, None, mc, params)
         outs[mode] = (a.data, b.data)
         assert not np.array_equal(a.data, b.data)
     assert not np.array_equal(outs["absolute"][0], outs["relative"][0])
@@ -373,7 +426,7 @@ def test_bad_token_ids_rejected():
     mc = small_config()
     params = M.init_params(mc, Rng.for_stream(10, "init"), "float64")
     with pytest.raises(IndexError):
-        M.forward_ner(np.array([[0, 5, 30]]), None, mc, params, None, False)
+        M.forward_ner(np.array([[0, 5, 30]]), None, mc, params)
 
 
 # ---------------------------------------------------------------- decoding
@@ -476,7 +529,7 @@ def test_pretrain_forward_gradient_check():
     plan = sample_permutation(6, Rng(4, 4))
 
     def f():
-        loss, _ = M.pretrain_forward(ids, plan, None, mc, params, None, False)
+        loss, _ = M.pretrain_forward(ids, plan, None, mc, params)
         return loss
 
     names = sorted(params)
@@ -496,11 +549,11 @@ def test_finetune_forward_gradient_check_with_memory():
     params = M.init_params(mc, Rng.for_stream(12, "init"), "float64")
     ids = random_ids(14, 4, vocab=15)
     with T.no_grad():
-        _, mem = M.forward_ner(random_ids(15, 5, vocab=15), None, mc, params, None, False)
+        _, mem = M.forward_ner(random_ids(15, 5, vocab=15), None, mc, params)
     targets = np.array([[0, 1, 2, 0]])
 
     def f():
-        lp, _ = M.forward_ner(ids, mem, mc, params, None, False)
+        lp, _ = M.forward_ner(ids, mem, mc, params)
         return T.cross_entropy(lp, targets)
 
     names = sorted(params)

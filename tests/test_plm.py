@@ -13,7 +13,7 @@ from ntrr.errors import ContractError
 from ntrr.plm import (build_masks, extend_mask_for_memory, make_plan,
                       plm_loss, sample_permutation, target_count,
                       two_stream_layer)
-from ntrr.relpos import relative_index
+from ntrr.relpos import block_forward, relative_index
 from ntrr.rng import Rng
 
 
@@ -156,16 +156,17 @@ def test_identity_order_h_stream_equals_causal_attention():
     # the fine-tune encoder path uses exactly that mask
     mc, params, ids = tiny_two_stream()
     emb = T.embedding(params["embed"], ids)
-    hidden, _ = M.encode(ids, None, mc, params, None, False)
-    assert np.all(np.isfinite(hidden.data))
-    # reconstruct: run the two-stream layer by hand with causal masks
     n = ids.shape[1]
-    q, c = build_masks(range(n))
     block = M.block_params(params, "xl.0.")
     table = M.rel_table(params, "xl", mc)
+    index = relative_index(range(n), range(n), mc.clip_k)
+    causal = np.tril(np.ones((n, n), dtype=bool))
+    (hidden,) = block_forward((emb,), (causal,), None, block, mc, table, index)
+    assert np.all(np.isfinite(hidden.data))
+    # reconstruct: run the two-stream layer by hand with causal masks
+    q, c = build_masks(range(n))
     g0 = T.Tensor(np.broadcast_to(params["w_init"].data, emb.data.shape).copy())
-    h1, g1 = two_stream_layer(emb, g0, q, c, block, mc.attention_config(),
-                              table, relative_index(range(n), range(n), mc.clip_k))
+    h1, g1 = two_stream_layer(emb, g0, q, c, block, mc, table, index)
     assert np.max(np.abs(h1.data - hidden.data)) <= 1e-12
 
 
@@ -192,7 +193,7 @@ def test_no_leakage_gradient_probe_bulk():
             g0 = T.Tensor(np.broadcast_to(params["w_init"].data,
                                           emb.data.shape).copy())
             _, g1 = two_stream_layer(emb, g0, plan.query_mask, plan.content_mask,
-                                     block, mc.attention_config(), table,
+                                     block, mc, table,
                                      relative_index(range(n), range(n), mc.clip_k))
             T.zero_grads([params["embed"]])
             T.backward(T.tsum(T.slice_axis(g1, 1, i, i + 1)))
@@ -210,7 +211,7 @@ def test_self_visibility_h_stream():
     table = M.rel_table(params, "xl", mc)
     g0 = T.Tensor(np.broadcast_to(params["w_init"].data, emb.data.shape).copy())
     h1, _ = two_stream_layer(emb, g0, plan.query_mask, plan.content_mask,
-                             block, mc.attention_config(), table,
+                             block, mc, table,
                              relative_index(range(4), range(4), mc.clip_k))
     i = int(plan.order[0])  # first in order: h_i sees only itself
     T.zero_grads([params["embed"]])
@@ -237,7 +238,7 @@ def test_plm_loss_rejects_empty_targets():
 def test_pretrain_loss_near_log_vocab_at_init():
     mc, params, ids = tiny_two_stream(seed=11, n=8)
     plan = sample_permutation(8, Rng(2, 2))
-    loss, _ = M.pretrain_forward(ids, plan, None, mc, params, None, False)
+    loss, _ = M.pretrain_forward(ids, plan, None, mc, params)
     assert abs(loss.item() - np.log(mc.vocab_size)) <= 0.1 * np.log(mc.vocab_size)
 
 
@@ -258,7 +259,7 @@ def test_no_leakage_through_full_stack():
         block = M.block_params(params, f"xl.{layer}.")
         table = M.rel_table(params, "xl", mc)
         h, g = two_stream_layer(h, g, plan.query_mask, plan.content_mask,
-                                block, mc.attention_config(), table,
+                                block, mc, table,
                                 relative_index(range(n), range(n), mc.clip_k))
     T.zero_grads([params["embed"]])
     T.backward(T.tsum(T.slice_axis(g, 1, i, i + 1)))

@@ -139,11 +139,11 @@ def test_duplicated_batch_equals_two_passes():
     with T.no_grad():
         dup = np.concatenate([batch.token_ids, batch.token_ids], axis=0)
         lp, _ = M.forward_ner(dup, None, mc, params,
-                              DualDropoutStreams(seed, step), True)
+                              DualDropoutStreams(seed, step))
         one1, _ = M.forward_ner(batch.token_ids, None, mc, params,
-                                DropoutStreams(seed, step, 1), True)
+                                DropoutStreams(seed, step, 1))
         one2, _ = M.forward_ner(batch.token_ids, None, mc, params,
-                                DropoutStreams(seed, step, 2), True)
+                                DropoutStreams(seed, step, 2))
     assert np.max(np.abs(lp.data[:b] - one1.data)) <= 1e-12
     assert np.max(np.abs(lp.data[b:] - one2.data)) <= 1e-12
 
@@ -154,9 +154,9 @@ def test_train_step_paths_produce_identical_losses():
     tc = TR.TrainConfig(seed=seed, warmup_steps=10, total_steps=100)
     with T.no_grad():
         lp1, _ = M.forward_ner(batch.token_ids, None, mc, params,
-                               DropoutStreams(seed, step, 1), True)
+                               DropoutStreams(seed, step, 1))
         lp2, _ = M.forward_ner(batch.token_ids, None, mc, params,
-                               DropoutStreams(seed, step, 2), True)
+                               DropoutStreams(seed, step, 2))
         want = TR.rdrop_loss(lp1, lp2, batch.tag_ids, tc.alpha, batch.token_mask).floats()
     opt = TR.OptimizerState.for_params(params)
     got = TR.train_step(batch, params, opt, mc, tc, step, lr=1e-3, k_eff=None)
@@ -169,7 +169,7 @@ def test_rdrop_disabled_is_single_branch_ce():
     tc = TR.TrainConfig(seed=seed, rdrop_enabled=False, warmup_steps=10, total_steps=100)
     opt = TR.OptimizerState.for_params(params)
     with T.no_grad():
-        lp, _ = M.forward_ner(batch.token_ids, None, mc, params, None, False)
+        lp, _ = M.forward_ner(batch.token_ids, None, mc, params)
         want = T.cross_entropy(lp, batch.tag_ids, batch.token_mask).item()
     ce, kl, total = TR.train_step(batch, params, opt, mc, tc, step, 1e-3, None)
     assert kl == 0.0
@@ -330,7 +330,7 @@ def _rdrop_step_traced_bytes():
     try:
         base = tracemalloc.get_traced_memory()[0]
         lp, _ = M.forward_ner(np.concatenate([ids, ids]), None, config, params,
-                              DualDropoutStreams(3, 1), True)
+                              DualDropoutStreams(3, 1))
         loss = TR.rdrop_loss(T.slice_axis(lp, 0, 0, 2), T.slice_axis(lp, 0, 2, 4), tags, 1.0).total
         held = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()

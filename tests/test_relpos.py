@@ -7,7 +7,8 @@ import pytest
 
 import ntrr.tensor as T
 from ntrr.errors import ConfigError, ContractError
-from ntrr.relpos import (AttentionConfig, AttentionParams, RelPosTable,
+from ntrr.model import ModelConfig
+from ntrr.relpos import (AttentionParams, RelPosTable,
                          clip_rel, displacement_index, multi_head_attention,
                          rel_attention_scores, rel_attention_values,
                          relative_index, sinusoidal_pe)
@@ -237,12 +238,11 @@ def test_relative_zero_tables_equals_absolute_layer():
     x = T.Tensor(rng.normal((2, 5, d)))
     params = make_params(rng.derive(1), d)
     pos = list(range(5))
-    rel_cfg = AttentionConfig(d, 2, clip_k=2, mode="relative")
-    abs_cfg = AttentionConfig(d, 2, clip_k=2, mode="absolute")
+    cfg = ModelConfig(model_dim=d, num_heads=2, clip_k=2)
     table = make_table(rng, 2, d // 2, zero=True)
-    a = multi_head_attention(x, x, rel_cfg, params, None, table,
+    a = multi_head_attention(x, x, cfg, params, None, table,
                              relative_index(pos, pos, 2)).data
-    b = multi_head_attention(x, x, abs_cfg, params, None).data
+    b = multi_head_attention(x, x, cfg, params, None).data
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -255,7 +255,7 @@ def test_fully_masked_query_row_outputs_zero():
         b.data[:] = 0.0
     mask = np.ones((3, 3), dtype=bool)
     mask[1, :] = False
-    cfg = AttentionConfig(d, 2, clip_k=2, mode="relative")
+    cfg = ModelConfig(model_dim=d, num_heads=2, clip_k=2)
     table = make_table(rng, 2, d // 2)
     out = multi_head_attention(x, x, cfg, params, mask, table,
                                relative_index(range(3), range(3), 2)).data
@@ -266,19 +266,12 @@ def test_fully_masked_query_row_outputs_zero():
 def test_relative_mode_requires_table():
     rng = Rng(10, 0)
     x = T.Tensor(rng.normal((1, 2, 4)))
-    cfg = AttentionConfig(4, 2, clip_k=2, mode="relative")
+    cfg = ModelConfig(model_dim=4, num_heads=2, clip_k=2)
     with pytest.raises(ContractError):
         multi_head_attention(x, x, cfg, make_params(rng, 4), None, None,
                              relative_index([0, 1], [0, 1], 2))
-
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        AttentionConfig(10, 3, clip_k=2)
-    with pytest.raises(ConfigError):
-        AttentionConfig(8, 2, clip_k=0, mode="relative")
-    with pytest.raises(ConfigError):
-        AttentionConfig(8, 2, clip_k=2, mode="diagonal")
+    with pytest.raises(ContractError):
+        multi_head_attention(x, x, cfg, make_params(rng, 4), None, make_table(rng, 2, 2))
 
 
 def test_attention_gradients_match_finite_differences():
@@ -287,7 +280,7 @@ def test_attention_gradients_match_finite_differences():
     x = T.Tensor(rng.normal((1, 3, d)), requires_grad=True)
     params = make_params(rng.derive(1), d)
     table = make_table(rng.derive(2), 2, d // 2)
-    cfg = AttentionConfig(d, 2, clip_k=2, mode="relative")
+    cfg = ModelConfig(model_dim=d, num_heads=2, clip_k=2)
     mask = np.tril(np.ones((3, 3), dtype=bool))
     tensors = [x, params.wq, params.wk, params.wv, params.wo,
                table.wk, table.wv]

@@ -240,19 +240,19 @@ def test_kl_debug_rejects_unnormalized():
 
 def test_dropout_zero_prob_is_identity_object():
     x = T.Tensor(np.ones(5), requires_grad=True)
-    assert T.dropout(x, 0.0, Rng(0, 0)) is x
+    assert T.dropout(x, 0.0, Rng(0, 0).uniform(x.shape) >= 0.0) is x
 
 
 def test_dropout_same_stream_same_mask():
     x = T.Tensor(np.ones((4, 4)))
-    a = T.dropout(x, 0.4, Rng(9, 3)).data
-    b = T.dropout(x, 0.4, Rng(9, 3)).data
+    a = T.dropout(x, 0.4, Rng(9, 3).uniform(x.shape) >= 0.4).data
+    b = T.dropout(x, 0.4, Rng(9, 3).uniform(x.shape) >= 0.4).data
     assert np.array_equal(a, b)
 
 
 def test_dropout_monte_carlo_mean():
     x = T.Tensor(np.full(100000, 2.5))
-    out = T.dropout(x, 0.3, Rng(1, 2)).data
+    out = T.dropout(x, 0.3, Rng(1, 2).uniform(x.shape) >= 0.3).data
     assert abs(out.mean() - 2.5) / 2.5 <= 0.02
 
 
@@ -260,7 +260,7 @@ def test_dropout_rejects_bad_prob():
     x = T.Tensor(np.ones(3))
     for bad in (1.0, 1.5, -0.1):
         with pytest.raises(ConfigError):
-            T.dropout(x, bad, Rng(0, 0))
+            T.dropout(x, bad, Rng(0, 0).uniform(x.shape) >= bad)
 
 
 def test_layer_norm_constant_row_is_zeros():
@@ -374,7 +374,7 @@ def test_backward_keeps_grads_only_on_leaves_and_loss():
     seen = []
     for sweep in (T.backward, ref_backward):
         T.zero_grads(params.values())
-        lp, _ = M.forward_ner(ids, None, config, params, DualDropoutStreams(5, 1), True)
+        lp, _ = M.forward_ner(ids, None, config, params, DualDropoutStreams(5, 1))
         loss = TR.rdrop_loss(T.slice_axis(lp, 0, 0, 1), T.slice_axis(lp, 0, 1, 2), tags, 1.0).total
         inner = _inner_nodes(loss)
         sweep(loss)
@@ -401,7 +401,7 @@ def test_graph_frees_forward_values_no_closure_saves():
     def forward():
         a, b_t, x, w = leaves
         s = T.matmul(a, b_t)
-        scores = T.add_select_scale(s, x, idx, 0.5)
+        scores = T.add_select_scale(s, x, T.BucketIndex(idx, nbuckets), 0.5)
         refs = weakref.ref(s.data), weakref.ref(scores.data)
         return T.tsum(T.masked_softmax(scores, mask) * w), refs
 
@@ -441,7 +441,7 @@ def test_finite_diff_self_check():
 
 def test_eval_mode_dropout_identity_bitwise():
     x = T.Tensor(Rng(3, 3).normal((4, 5)))
-    out = T.dropout(x, 0.0, Rng(0, 0))
+    out = T.dropout(x, 0.0, Rng(0, 0).uniform(x.shape) >= 0.0)
     assert out.data is x.data
 
 
@@ -464,13 +464,13 @@ def _op_cases(rng):
     x4 = rand(rng, (2, 4))
     table = rand(rng, (5, 3))
     ids = rng.randbelow(5), rng.randbelow(5)
-    idx2 = np.array([[rng.randbelow(3) for _ in range(3)] for _ in range(3)])
+    index2 = T.BucketIndex([[rng.randbelow(3) for _ in range(3)] for _ in range(3)], 3)
     x_last = rand(rng, (2, 3, 3))
     logits = rand(rng, (2, 4))
     targets = [rng.randbelow(4), rng.randbelow(4)]
     mask3 = np.array([[True, True, False], [True, False, True]])
     keep = rng.uniform((2, 3)) >= 0.3
-    idx34 = np.array([[rng.randbelow(5) for _ in range(4)] for _ in range(3)])
+    index34 = T.BucketIndex([[rng.randbelow(5) for _ in range(4)] for _ in range(3)], 5)
     s_last = rand(rng, (2, 3, 4))
     x_wide = rand(rng, (2, 3, 5))
     keep_w = rng.uniform((2, 3)) >= 0.4
@@ -503,10 +503,11 @@ def _op_cases(rng):
          [a, b]),
         ("cross_entropy", lambda: T.cross_entropy(T.log_softmax(logits), targets), [logits]),
         ("kl", lambda: T.kl_divergence(T.softmax(a), T.softmax(b)), [a, b]),
-        ("index_select_last", lambda: T.tsum(T.index_select_last(x_last, idx2) * 1.3), [x_last]),
-        ("index_bucket_last", lambda: T.tsum(T.index_bucket_last(x_last, idx2, 3)), [x_last]),
+        ("index_select_last", lambda: T.tsum(T.index_select_last(x_last, index2) * 1.3),
+         [x_last]),
+        ("index_bucket_last", lambda: T.tsum(T.index_bucket_last(x_last, index2)), [x_last]),
         ("add_select_scale",
-         lambda: T.tsum(T.add_select_scale(s_last, x_wide, idx34, 0.7) * s_last),
+         lambda: T.tsum(T.add_select_scale(s_last, x_wide, index34, 0.7) * s_last),
          [s_last, x_wide]),
         # detach is deliberately absent: finite differences see through
         # the detachment, so it is checked analytically below
@@ -555,7 +556,7 @@ def test_index_select_last_matches_double_loop(case):
     tq, tk = idx.shape
     x = T.Tensor(rng.normal(LEAD + (tq, nbuckets)), requires_grad=True)
     g = rng.normal(LEAD + (tq, tk))
-    out = T.index_select_last(x, idx)
+    out = T.index_select_last(x, T.BucketIndex(idx, nbuckets))
     T.backward(T.tsum(out * T.Tensor(g)))
     assert np.array_equal(out.data, ref_select_last(x.data, idx))
     assert np.array_equal(x.grad, ref_bucket_last(g, idx, nbuckets))
@@ -576,7 +577,7 @@ def test_index_bucket_last_matches_double_loop(case):
     tq, tk = idx.shape
     x = T.Tensor(rng.normal(LEAD + (tq, tk)), requires_grad=True)
     g = rng.normal(LEAD + (tq, nbuckets))
-    out = T.index_bucket_last(x, idx, nbuckets)
+    out = T.index_bucket_last(x, T.BucketIndex(idx, nbuckets))
     T.backward(T.tsum(out * T.Tensor(g)))
     assert np.array_equal(out.data, ref_bucket_last(x.data, idx, nbuckets))
     assert np.array_equal(x.grad, ref_select_last(g, idx))
@@ -603,8 +604,9 @@ def test_displacement_ops_float32(case):
     xb = T.Tensor(rng.normal(LEAD + (tq, tk)).astype(np.float32), requires_grad=True)
     gs = rng.normal(LEAD + (tq, tk)).astype(np.float32)
     gb = rng.normal(LEAD + (tq, nbuckets)).astype(np.float32)
-    sel = T.index_select_last(xs, idx)
-    pooled = T.index_bucket_last(xb, idx, nbuckets)
+    index = T.BucketIndex(idx, nbuckets)
+    sel = T.index_select_last(xs, index)
+    pooled = T.index_bucket_last(xb, index)
     T.backward(T.tsum(sel * T.Tensor(gs)) + T.tsum(pooled * T.Tensor(gb)))
     assert sel.dtype == pooled.dtype == xs.grad.dtype == xb.grad.dtype == np.float32
     assert np.array_equal(sel.data, ref_select_last(xs.data, idx))
@@ -622,8 +624,7 @@ def test_displacement_ops_float32(case):
 @settings(max_examples=25, deadline=None)
 def test_add_select_scale_matches_three_ops(case, dtype):
     """Bitwise (s + index_select_last(x, idx)) * c, forward and both
-    gradients, in float64 and float32, with the index given as an
-    array and as a BucketIndex."""
+    gradients, in float64 and float32."""
     idx, nbuckets, rng = _displacement_case(*case)
     tq, tk = idx.shape
     c = 1.0 / np.sqrt(1 + rng.randbelow(64))
@@ -638,26 +639,26 @@ def test_add_select_scale_matches_three_ops(case, dtype):
         T.backward(T.tsum(out * g))
         return out.data, s.grad, x.grad
 
-    want = run(lambda s, x: (s + T.index_select_last(x, idx)) * c)
-    for index in (idx, T.BucketIndex(idx, nbuckets)):
-        got = run(lambda s, x: T.add_select_scale(s, x, index, c))
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype == np.dtype(dtype)
-            assert np.array_equal(a, b)
+    index = T.BucketIndex(idx, nbuckets)
+    want = run(lambda s, x: (s + T.index_select_last(x, index)) * c)
+    got = run(lambda s, x: T.add_select_scale(s, x, index, c))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.dtype(dtype)
+        assert np.array_equal(a, b)
 
 
 def test_add_select_scale_rejects_mismatch():
     s = T.Tensor(np.zeros((2, 3, 4)))
     x = T.Tensor(np.zeros((2, 3, 5)))
-    idx = np.zeros((3, 4), dtype=np.int64)
+    idx = T.BucketIndex(np.zeros((3, 4), dtype=np.int64), 5)
     for bad_s in (np.zeros((2, 3, 5)), np.zeros((3, 3, 4)), np.zeros((3, 4))):
         with pytest.raises(ShapeError):
             T.add_select_scale(T.Tensor(bad_s), x, idx, 0.5)
-    for bad_index in (T.BucketIndex(idx, 6), T.BucketIndex(np.zeros((2, 4)), 5)):
+    for bad_index in (T.BucketIndex(np.zeros((3, 4)), 6), T.BucketIndex(np.zeros((2, 4)), 5)):
         with pytest.raises(ShapeError):
             T.add_select_scale(s, x, bad_index, 0.5)
     with pytest.raises(IndexError):
-        T.add_select_scale(s, x, np.full((3, 4), 5), 0.5)
+        T.add_select_scale(s, x, T.BucketIndex(np.full((3, 4), 5), 5), 0.5)
 
 
 def test_index_select_last_rejects_bad_index():
@@ -665,10 +666,10 @@ def test_index_select_last_rejects_bad_index():
     for bad in (np.zeros(3, dtype=np.int64), np.zeros((1, 3, 4), dtype=np.int64),
                 np.zeros((4, 4), dtype=np.int64)):
         with pytest.raises(ShapeError):
-            T.index_select_last(x, bad)
+            T.index_select_last(x, T.BucketIndex(bad, 5))
     for value in (-1, 5):
         with pytest.raises(IndexError):
-            T.index_select_last(x, np.full((3, 4), value))
+            T.index_select_last(x, T.BucketIndex(np.full((3, 4), value), 5))
 
 
 def test_index_bucket_last_rejects_bad_index():
@@ -676,10 +677,10 @@ def test_index_bucket_last_rejects_bad_index():
     for bad in (np.zeros(12, dtype=np.int64), np.zeros((1, 3, 4), dtype=np.int64),
                 np.zeros((3, 5), dtype=np.int64), np.zeros((4, 4), dtype=np.int64)):
         with pytest.raises(ShapeError):
-            T.index_bucket_last(x, bad, 5)
+            T.index_bucket_last(x, T.BucketIndex(bad, 5))
     for value in (-1, 5):
         with pytest.raises(IndexError):
-            T.index_bucket_last(x, np.full((3, 4), value), 5)
+            T.index_bucket_last(x, T.BucketIndex(np.full((3, 4), value), 5))
 
 
 @given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
