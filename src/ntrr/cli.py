@@ -7,6 +7,7 @@ configuration (including argparse usage errors)."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -22,26 +23,22 @@ from .tagging import Entity, entity_prf, scan_entities
 
 
 def _load_configs(args) -> tuple[M.ModelConfig, TR.TrainConfig]:
-    if getattr(args, "config", None):
-        mc, tc = D.load_run_config(args.config)
-    else:
-        mc, tc = M.ModelConfig(), TR.TrainConfig()
-    mc, tc = D.apply_overrides(mc, tc, getattr(args, "set", None) or [])
-    if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-        tc = replace(tc, seed=args.seed)
-    return mc, tc
+    """The --config file (or the defaults) under the --set items; --seed N
+    is the override seed=N."""
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    return D.load_run_config(args.config, (args.set or []) + seed)
 
 
+@contextlib.contextmanager
 def _tee_log(path: str):
-    fh = open(path, "w", encoding="utf-8")
+    """A log callback that prints each line and writes it to path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        def emit(line: str):
+            print(line)
+            fh.write(line + "\n")
+            fh.flush()
 
-    def emit(line: str):
-        print(line)
-        fh.write(line + "\n")
-        fh.flush()
-
-    return emit, fh
+        yield emit
 
 
 def _print_prf(precision: float, recall: float, f1: float,
@@ -71,23 +68,11 @@ def cmd_train(args) -> int:
     dev_corpus = D.read_conll(args.dev, scheme=args.scheme)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
-    vocab = None
-    init_arrays = None
-    if args.init:
-        ckpt = D.load_checkpoint(args.init)
-        _check_registry(args.init, ckpt)
-        init_arrays = ckpt.params
-        vocab_path = D.sibling_vocab_path(args.init)
-        if not os.path.exists(vocab_path):
-            raise ConfigError(f"warm start needs the pretraining vocabulary at {vocab_path}")
-        vocab = D.load_vocab(vocab_path)
-    emit, fh = _tee_log(os.path.join(args.out, "train.log"))
-    try:
+    init, vocab = D.load_model(args.init) if args.init else (None, None)
+    with _tee_log(os.path.join(args.out, "train.log")) as emit:
         report = TR.train(train_corpus, dev_corpus, mc, tc, log=emit,
                           checkpoint_path=ckpt_path, vocab=vocab,
-                          init_params_from=init_arrays)
-    finally:
-        fh.close()
+                          init_params_from=init.params if init else None)
     print(f"best dev F1 {report.best_f1:.4f} at epoch {report.best_epoch}; "
           f"checkpoint {ckpt_path}")
     return 0
@@ -98,44 +83,15 @@ def cmd_pretrain(args) -> int:
     corpus = D.read_conll(args.train, scheme=args.scheme)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "pretrain.ckpt")
-    emit, fh = _tee_log(os.path.join(args.out, "pretrain.log"))
-    try:
+    with _tee_log(os.path.join(args.out, "pretrain.log")) as emit:
         report = TR.pretrain(corpus, mc, tc, log=emit, checkpoint_path=ckpt_path)
-    finally:
-        fh.close()
     print(f"pretraining finished: {report.history[0].steps} steps, "
           f"mean loss {report.history[0].mean_total:.4f}; checkpoint {ckpt_path}")
     return 0
 
 
-def _check_registry(path: str, ckpt: D.Checkpoint) -> None:
-    """The stored tensors must be exactly the parameter layout of the
-    stored config, shape for shape, with finite values."""
-    layout = M.param_layout(ckpt.model_config)
-    extra = sorted(set(ckpt.params) - set(layout))
-    if extra:
-        raise CheckpointError(f"{path}: unexpected tensor '{extra[0]}'")
-    for name, (shape, _) in layout.items():
-        arr = ckpt.params.get(name)
-        if arr is None:
-            raise CheckpointError(f"{path}: tensor '{name}' is missing")
-        if arr.shape != shape:
-            raise CheckpointError(f"{path}: tensor '{name}' has shape {arr.shape}, "
-                                  f"the config needs {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: tensor '{name}' has non-finite values")
-
-
 def _load_model(args) -> tuple[M.ModelConfig, dict, D.Vocab]:
-    ckpt = D.load_checkpoint(args.ckpt)
-    _check_registry(args.ckpt, ckpt)
-    vocab_path = args.vocab or D.sibling_vocab_path(args.ckpt)
-    if not os.path.exists(vocab_path):
-        raise ConfigError(f"no vocabulary at {vocab_path}; pass --vocab")
-    vocab = D.load_vocab(vocab_path)
-    if ckpt.model_config.vocab_size != len(vocab):
-        raise ConfigError(f"checkpoint expects vocab of {ckpt.model_config.vocab_size}, "
-                          f"file has {len(vocab)}")
+    ckpt, vocab = D.load_model(args.ckpt, args.vocab)
     return ckpt.model_config, D.params_from_checkpoint(ckpt), vocab
 
 
@@ -179,6 +135,8 @@ def cmd_predict(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
+    except OSError as exc:
+        raise ParseError(f"{args.infile}: cannot read: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.infile}: not valid UTF-8 at byte {exc.start}") from None
     sentences = []
@@ -220,11 +178,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.log, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"{args.log}: cannot read: {exc}") from None
+    lines = D.read_text(args.log).splitlines()
     steps = []  # (step, lr, ce, kl, total)
     epochs = []  # (epoch, p, r, f1, first_step_index)
     for lineno, line in enumerate(lines, start=1):

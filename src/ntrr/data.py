@@ -12,12 +12,12 @@ from __future__ import annotations
 import io
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, ContractError, ParseError
-from .model import DECODE_MODES, DTYPES, TOKEN_MODES, ModelConfig
+from .model import DECODE_MODES, DTYPES, TOKEN_MODES, ModelConfig, param_layout
 from .relpos import PE_MODES
 from .rng import Rng
 from .tagging import LabelSet, bio_to_bmes, split_tag, validate_bmes
@@ -40,11 +40,21 @@ class Corpus:
     sentences: list[tuple[list[str], list[str]]]
     label_set: LabelSet
     repair_count: int = 0
-    warnings: list[str] = None
+    warnings: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.warnings is None:
-            self.warnings = []
+
+def read_text(path: str, error=ParseError) -> str:
+    """The text of a UTF-8 file; a file that cannot be read or decoded
+    raises error, naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc}") from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
 def read_conll(path: str, scheme: str = "bmes") -> Corpus:
@@ -54,16 +64,7 @@ def read_conll(path: str, scheme: str = "bmes") -> Corpus:
     as warnings and skipped."""
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme '{scheme}'")
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc}") from None
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-
+    text = read_text(path)
     valid_prefixes = ("B", "I") if scheme == "bio" else ("B", "M", "E", "S")
     sentences: list[tuple[list[str], list[str]]] = []
     warnings: list[str] = []
@@ -159,11 +160,13 @@ def save_vocab(path: str, vocab: Vocab) -> None:
 
 
 def load_vocab(path: str) -> Vocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        itos = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    itos = [line for line in read_text(path).splitlines() if line]
     if len(itos) < 2 or itos[0] != "<pad>" or itos[1] != "<unk>":
         raise ParseError(f"{path}: not a vocabulary file")
-    return Vocab(itos)
+    try:
+        return Vocab(itos)
+    except ContractError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def sibling_vocab_path(checkpoint_path: str) -> str:
@@ -311,33 +314,21 @@ def configs_from_values(values: dict) -> tuple[ModelConfig, TrainConfig]:
     return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
 
 
-def load_run_config(path: str) -> tuple[ModelConfig, TrainConfig]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-    return configs_from_values(parse_config_text(text, source=path))
+def load_run_config(path: str | None, overrides=()) -> tuple[ModelConfig, TrainConfig]:
+    """The config file at path (None: the defaults) under 'key=value'
+    overrides, one config line each; validated once, after all of them."""
+    values = parse_config_text(read_text(path, ConfigError), source=path) if path else {}
+    values.update(parse_config_text("\n".join(overrides), source="--set"))
+    return configs_from_values(values)
 
 
 def apply_overrides(model_config: ModelConfig, train_config: TrainConfig,
                     overrides) -> tuple[ModelConfig, TrainConfig]:
-    """Apply 'key=value' strings on top of existing config objects."""
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override '{item}' is not of the form key=value")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown key '{key}'")
-        value = _parse_value(key, raw)
-        if key in _MODEL_KEYS:
-            model_config = replace(model_config, **{key: value})
-        else:
-            train_config = replace(train_config, **{key: value})
-    return model_config, train_config
+    """Apply 'key=value' strings, one config line each, on top of existing
+    config objects; the result is validated once, after all of them."""
+    values = {**vars(model_config), **vars(train_config)}
+    values.update(parse_config_text("\n".join(overrides), source="--set"))
+    return configs_from_values(values)
 
 
 def _format_value(value) -> str:
@@ -512,3 +503,43 @@ def load_checkpoint(path: str) -> Checkpoint:
 def params_from_checkpoint(ckpt: Checkpoint) -> dict[str, Tensor]:
     return {name: Tensor(arr.copy(), requires_grad=True)
             for name, arr in ckpt.params.items()}
+
+
+def _check_registry(path: str, ckpt: Checkpoint) -> None:
+    """The stored tensors must be exactly the parameter layout of the
+    stored config, shape for shape, with finite values."""
+    layout = param_layout(ckpt.model_config)
+    extra = sorted(set(ckpt.params) - set(layout))
+    if extra:
+        raise CheckpointError(f"{path}: unexpected tensor '{extra[0]}'")
+    for name, (shape, _) in layout.items():
+        arr = ckpt.params.get(name)
+        if arr is None:
+            raise CheckpointError(f"{path}: tensor '{name}' is missing")
+        if arr.shape != shape:
+            raise CheckpointError(f"{path}: tensor '{name}' has shape {arr.shape}, "
+                                  f"the config needs {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: tensor '{name}' has non-finite values")
+
+
+def save_model(path: str, params: dict[str, Tensor], model_config: ModelConfig,
+               vocab: Vocab) -> None:
+    """The model artifact: the checkpoint and its vocab.txt beside it."""
+    save_checkpoint(path, params, model_config)
+    save_vocab(sibling_vocab_path(path), vocab)
+
+
+def load_model(path: str, vocab_path: str | None = None) -> tuple[Checkpoint, Vocab]:
+    """Read a checkpoint, check it against the parameter layout of its
+    config, and load its vocabulary (by default the one beside it)."""
+    ckpt = load_checkpoint(path)
+    _check_registry(path, ckpt)
+    vocab_path = vocab_path or sibling_vocab_path(path)
+    if not os.path.exists(vocab_path):
+        raise ConfigError(f"{path}: no vocabulary at {vocab_path}")
+    vocab = load_vocab(vocab_path)
+    if ckpt.model_config.vocab_size != len(vocab):
+        raise ConfigError(f"{path}: checkpoint expects vocab of "
+                          f"{ckpt.model_config.vocab_size}, {vocab_path} has {len(vocab)}")
+    return ckpt, vocab

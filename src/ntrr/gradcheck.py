@@ -10,6 +10,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
+from . import training as TR
 from .errors import ContractError
 from .model import ModelConfig
 from .rng import DualDropoutStreams, Rng
@@ -75,15 +76,12 @@ def gradcheck_model(pe_mode: str, seed: int = 0) -> dict[str, float]:
     tags = np.array([[int(rng.derive("tags", i).randbelow(config.num_tags))
                       for i in range(t)]], dtype=np.int64)
     mask = np.ones((1, t), dtype=bool)
-    dup = np.concatenate([ids, ids], axis=0)
     streams = _ReplayedMasks(seed)
 
     def loss_fn():
         # replayed from site 0 so every evaluation sees identical masks
         streams.restart()
-        lp, _ = M.forward_ner(dup, None, config, params, streams)
-        lp1 = T.slice_axis(lp, 0, 0, 1)
-        lp2 = T.slice_axis(lp, 0, 1, 2)
+        lp1, lp2 = TR.branch_log_probs(ids, config, params, streams)
         return rdrop_loss(lp1, lp2, tags, 1.0, mask).total
 
     T.zero_grads(params.values())

@@ -66,6 +66,10 @@ class ModelConfig:
             raise ConfigError(f"unknown decode_mode '{self.decode_mode}'")
         if self.token_mode not in TOKEN_MODES:
             raise ConfigError(f"unknown token_mode '{self.token_mode}'")
+        try:
+            LabelSet(tuple(self.entity_types))
+        except ContractError as exc:
+            raise ConfigError(f"entity_types: {exc}") from None
 
     @property
     def head_dim(self) -> int:

@@ -46,6 +46,11 @@ def build_masks(order) -> tuple[np.ndarray, np.ndarray]:
 
     query_mask[i][j] is True iff rank[j] < rank[i] (strict: a token
     never sees itself); content_mask allows equality."""
+    plan = make_plan(order)
+    return plan.query_mask, plan.content_mask
+
+
+def make_plan(order) -> PermutationPlan:
     order = np.asarray(order, dtype=np.int64)
     n = order.shape[0]
     if n < 1:
@@ -54,19 +59,9 @@ def build_masks(order) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"not a permutation of range({n}): {order.tolist()}")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
-    query_mask = rank[None, :] < rank[:, None]
-    content_mask = rank[None, :] <= rank[:, None]
-    return query_mask, content_mask
-
-
-def make_plan(order) -> PermutationPlan:
-    order = np.asarray(order, dtype=np.int64)
-    query_mask, content_mask = build_masks(order)
-    n = order.shape[0]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
     targets = np.sort(order[n - target_count(n):])
-    return PermutationPlan(order, rank, targets, query_mask, content_mask)
+    return PermutationPlan(order, rank, targets, rank[None, :] < rank[:, None],
+                           rank[None, :] <= rank[:, None])
 
 
 def sample_permutation(n: int, rng: Rng) -> PermutationPlan:

@@ -509,6 +509,21 @@ def dropout(x: Tensor, drop_prob: float, keep: np.ndarray) -> Tensor:
     return _make(_apply_keep(x.data, keep, scale), (x,), backward)
 
 
+def _mask_weights(mask, rows: np.ndarray, op: str):
+    """The weights of a masked mean over rows (all ones without a mask)
+    and their sum, which must be positive."""
+    if mask is None:
+        w = np.ones_like(rows)
+    else:
+        w = np.asarray(mask, dtype=rows.dtype)
+        if w.shape != rows.shape:
+            raise ShapeError(f"{op}: mask shape {w.shape} does not match row shape {rows.shape}")
+    count = w.sum()
+    if count <= 0:
+        raise ContractError(f"{op} over an empty row set")
+    return w, count
+
+
 def cross_entropy(log_probs: Tensor, targets, mask=None) -> Tensor:
     """Negative log likelihood of integer targets under given log-probs.
 
@@ -523,15 +538,7 @@ def cross_entropy(log_probs: Tensor, targets, mask=None) -> Tensor:
     if t.size and (t.min() < 0 or t.max() >= C):
         raise IndexError(f"target id out of range [0, {C})")
     picked = np.take_along_axis(log_probs.data, t[..., None], axis=-1)[..., 0]
-    if mask is not None:
-        w = np.asarray(mask, dtype=log_probs.dtype)
-        if w.shape != t.shape:
-            raise ShapeError(f"mask shape {w.shape} does not match targets {t.shape}")
-    else:
-        w = np.ones_like(picked)
-    count = w.sum()
-    if count <= 0:
-        raise ContractError("cross_entropy over an empty target set")
+    w, count = _mask_weights(mask, picked, "cross_entropy")
     out = np.asarray(-(picked * w).sum() / count)
     shape, dtype = log_probs.data.shape, log_probs.data.dtype
 
@@ -561,15 +568,7 @@ def kl_divergence(p: Tensor, q: Tensor, mask=None) -> Tensor:
     qc = np.maximum(q.data, _EPS_KL)
     diff = np.log(pc) - np.log(qc)
     rows = (p.data * diff).sum(axis=-1)
-    if mask is not None:
-        w = np.asarray(mask, dtype=p.dtype)
-        if w.shape != rows.shape:
-            raise ShapeError(f"mask shape {w.shape} does not match row shape {rows.shape}")
-    else:
-        w = np.ones_like(rows)
-    count = w.sum()
-    if count <= 0:
-        raise ContractError("kl_divergence over an empty row set")
+    w, count = _mask_weights(mask, rows, "kl_divergence")
     out = np.asarray((rows * w).sum() / count)
     pd, qd = p.data, q.data
 

@@ -157,6 +157,28 @@ def k_effective(model_config: M.ModelConfig, train_config: TrainConfig,
     return max(1, min(model_config.clip_k, k))
 
 
+def branch_log_probs(ids, model_config: M.ModelConfig, params, streams,
+                     k_eff: int | None = None) -> tuple[Tensor, Tensor]:
+    """The two R-Drop branches: one forward over the batch stacked on
+    itself, split back into its halves (the streams key masks by half)."""
+    b = ids.shape[0]
+    lp, _ = M.forward_ner(np.concatenate([ids, ids], axis=0), None, model_config, params,
+                          streams, k_eff=k_eff)
+    return T.slice_axis(lp, 0, 0, b), T.slice_axis(lp, 0, b, 2 * b)
+
+
+def _update(loss: Tensor, terms: dict[str, float], params: dict[str, Tensor],
+            opt: OptimizerState, cfg: TrainConfig, step: int, lr: float) -> None:
+    """Rejects a non-finite loss term, then backward, clip and Adam."""
+    if not all(math.isfinite(v) for v in terms.values()):
+        raise NumericsError(f"non-finite loss at step {step}: "
+                            + ", ".join(f"{k}={v}" for k, v in terms.items()))
+    T.zero_grads(params.values())
+    T.backward(loss)
+    clip_gradients(params, cfg.grad_clip_norm)
+    adam_step(params, opt, lr)
+
+
 def train_step(batch, params: dict[str, Tensor], opt: OptimizerState,
                model_config: M.ModelConfig, train_config: TrainConfig,
                step: int, lr: float, k_eff: int | None = None) -> tuple[float, float, float]:
@@ -165,28 +187,18 @@ def train_step(batch, params: dict[str, Tensor], opt: OptimizerState,
     With R-Drop on, it duplicates the batch and runs one forward whose
     dropout masks are branch-keyed per half."""
     ids, tags, mask = batch.token_ids, batch.tag_ids, batch.token_mask
-    seed = train_config.seed
-    T.zero_grads(params.values())
     if not train_config.rdrop_enabled:
-        streams = DropoutStreams(seed, step, 1)
+        streams = DropoutStreams(train_config.seed, step, 1)
         lp, _ = M.forward_ner(ids, None, model_config, params, streams, k_eff=k_eff)
         ce = T.cross_entropy(lp, tags, mask)
         breakdown = RDropLossBreakdown(ce, Tensor(np.zeros(())), ce)
     else:
-        dup_ids = np.concatenate([ids, ids], axis=0)
-        streams = DualDropoutStreams(seed, step)
-        lp, _ = M.forward_ner(dup_ids, None, model_config, params, streams, k_eff=k_eff)
-        b = ids.shape[0]
-        lp1 = T.slice_axis(lp, 0, 0, b)
-        lp2 = T.slice_axis(lp, 0, b, 2 * b)
+        lp1, lp2 = branch_log_probs(ids, model_config, params,
+                                    DualDropoutStreams(train_config.seed, step), k_eff)
         breakdown = rdrop_loss(lp1, lp2, tags, train_config.alpha, mask)
     ce, kl, total = breakdown.floats()
-    if not (math.isfinite(ce) and math.isfinite(kl) and math.isfinite(total)):
-        raise NumericsError(
-            f"non-finite loss at step {step}: ce={ce}, kl={kl}, total={total}")
-    T.backward(breakdown.total)
-    clip_gradients(params, train_config.grad_clip_norm)
-    adam_step(params, opt, lr)
+    _update(breakdown.total, {"ce": ce, "kl": kl, "total": total}, params, opt,
+            train_config, step, lr)
     return ce, kl, total
 
 
@@ -251,7 +263,6 @@ class TrainReport:
     params: dict[str, Tensor]
     vocab: object
     model_config: M.ModelConfig
-    stopped_early: bool = False
 
 
 def resolve_schedule(train_config: TrainConfig, n_batches: int) -> TrainConfig:
@@ -293,7 +304,6 @@ def train(train_corpus, dev_corpus, model_config: M.ModelConfig,
     step = 0
     best_f1, best_epoch = -1.0, 0
     history: list[EpochStats] = []
-    stopped = False
     for epoch in range(1, cfg.epochs + 1):
         k_eff = k_effective(model_config, cfg, epoch, cfg.epochs)
         batches = D.make_batches(train_corpus, vocab, cfg.batch_size,
@@ -314,13 +324,10 @@ def train(train_corpus, dev_corpus, model_config: M.ModelConfig,
         if res.f1 > best_f1:
             best_f1, best_epoch = res.f1, epoch
             if checkpoint_path is not None:
-                D.save_checkpoint(checkpoint_path, params, model_config)
-                D.save_vocab(D.sibling_vocab_path(checkpoint_path), vocab)
+                D.save_model(checkpoint_path, params, model_config, vocab)
         if cfg.stop_at_f1 > 0 and res.f1 >= cfg.stop_at_f1:
-            stopped = True
             break
-    return TrainReport(history, best_f1, best_epoch, params, vocab,
-                       model_config, stopped)
+    return TrainReport(history, best_f1, best_epoch, params, vocab, model_config)
 
 
 def _warm_start(params: dict[str, Tensor], source: dict[str, np.ndarray]) -> None:
@@ -366,23 +373,17 @@ def pretrain(corpus, model_config: M.ModelConfig, train_config: TrainConfig,
             ids = sentences[si][None, :]
             plan = plm_mod.sample_permutation(ids.shape[1],
                                               Rng.for_stream(cfg.seed, "perm", step))
-            T.zero_grads(params.values())
             streams = DropoutStreams(cfg.seed, step, 1)
             loss, _ = M.pretrain_forward(ids, plan, None, model_config, params, streams)
             value = loss.item()
-            if not math.isfinite(value):
-                raise NumericsError(f"non-finite pretraining loss at step {step}")
-            T.backward(loss)
-            clip_gradients(params, cfg.grad_clip_norm)
             lr = lr_schedule(step, cfg)
-            adam_step(params, opt, lr)
+            _update(loss, {"loss": value}, params, opt, cfg, step, lr)
             losses.append(value)
             emit(f"{step}\t{lr:.8g}\t{value:.6f}\t{0.0:.6f}\t{value:.6f}")
         if step > cfg.total_steps:
             break
     if checkpoint_path is not None:
-        D.save_checkpoint(checkpoint_path, params, model_config)
-        D.save_vocab(D.sibling_vocab_path(checkpoint_path), vocab)
+        D.save_model(checkpoint_path, params, model_config, vocab)
     history = [EpochStats(1, len(losses), float(np.mean(losses)) if losses else 0.0,
                           0.0, float(np.mean(losses)) if losses else 0.0, 0.0, 0.0, 0.0)]
     return TrainReport(history, 0.0, 0, params, vocab, model_config)

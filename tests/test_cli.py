@@ -3,6 +3,7 @@
 Everything calls main(argv) in-process; a tiny model is trained once on
 the bundled synthetic data and shared by the eval/predict tests."""
 
+import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -165,6 +166,49 @@ def test_eval_missing_vocab_is_exit_2(trained, tmp_path):
     assert "vocab" in err
 
 
+@pytest.mark.parametrize("content", [b"<pad>\n<unk>\na\na\n", b"<pad>\n<unk>\n\xff\n", None],
+                         ids=["duplicate", "utf8", "directory"])
+def test_eval_bad_vocab_is_exit_2_naming_it(trained, tmp_path, content):
+    out_dir, _ = trained
+    vocab = tmp_path / "vocab.txt"
+    if content is None:
+        vocab.mkdir()
+    else:
+        vocab.write_bytes(content)
+    code, out, err = run(["eval", "--ckpt", str(out_dir / "model.ckpt"),
+                          "--data", str(DATA / "test.bmes"), "--vocab", str(vocab)])
+    assert code == 2, err
+    assert str(vocab) in err and "internal error" not in err
+
+
+def test_predict_missing_input_is_exit_2(trained, tmp_path):
+    out_dir, _ = trained
+    missing = tmp_path / "absent.txt"
+    code, out, err = run(["predict", "--ckpt", str(out_dir / "model.ckpt"),
+                          "--in", str(missing), "--out", str(tmp_path / "p.bmes")])
+    assert code == 2, err
+    assert str(missing) in err and "cannot read" in err
+
+
+def test_duplicate_entity_type_override_is_exit_2(tmp_path):
+    code, out, err = run(["train", "--train", str(DATA / "train.bmes"),
+                          "--dev", str(DATA / "dev.bmes"), "--out", str(tmp_path / "o"),
+                          "--set", "entity_types=LOC,ORG,PER,PER"])
+    assert code == 2, err
+    assert "duplicate entity types" in err
+
+
+def test_overrides_apply_in_any_order(tmp_path):
+    for order in (["num_heads=3", "model_dim=48"], ["model_dim=48", "num_heads=3"]):
+        sets = [arg for item in order for arg in ("--set", item)]
+        code, out, err = run(["pretrain", "--train", str(DATA / "train.bmes"),
+                              "--out", str(tmp_path / "o"), "--config", CFG,
+                              "--set", "epochs=1", "--set", "ffn_dim=8",
+                              "--set", "xlnet_layers=1", "--set", "transformer_layers=0",
+                              *sets])
+        assert code == 0, err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda p: p.pop("cls_b"), "tensor 'cls_b' is missing"),
     (lambda p: p.update(cls_b=np.zeros(3)), "tensor 'cls_b' has shape (3,)"),
@@ -317,9 +361,52 @@ def test_report_summarizes_log(trained):
     assert "min " in out and "steps " in out
 
 
+def test_report_bad_utf8_is_exit_2(tmp_path):
+    log = tmp_path / "train.log"
+    log.write_bytes(b"1\t0.1\t\xff\n")
+    code, out, err = run(["report", str(log)])
+    assert code == 2, err
+    assert str(log) in err and "UTF-8" in err
+
+
 def test_report_rejects_junk(tmp_path):
     bad = tmp_path / "junk.log"
     bad.write_text("this is not a log\n")
     code, out, err = run(["report", str(bad)])
     assert code == 2
     assert "line 1" in err
+
+
+# ----------------------------------------------------------- pipeline pin
+
+# sha256 over every file the README pipeline writes at synthetic.cfg scale
+# (pretrain, warm-started train, predict) and eval --pred's table. A change
+# that moves one bit of a log, checkpoint, vocabulary or prediction moves it.
+PIPELINE_DIGEST = "34f2d5df4b31ca949be0a784495b3552cc3ae4a4d291def0f8ec317d33359880"
+
+
+def test_pipeline_outputs_are_pinned(tmp_path):
+    pre, ft = tmp_path / "pre", tmp_path / "ft"
+    code, _, err = run(["pretrain", "--train", str(DATA / "train.bmes"),
+                        "--out", str(pre), "--config", CFG, "--set", "epochs=1"])
+    assert code == 0, err
+    code, _, err = run(["train", "--train", str(DATA / "train.bmes"),
+                        "--dev", str(DATA / "dev.bmes"), "--out", str(ft),
+                        "--config", CFG, "--set", "epochs=2", "--set", "stop_at_f1=0",
+                        "--init", str(pre / "pretrain.ckpt")])
+    assert code == 0, err
+    text = tmp_path / "test.txt"
+    text.write_text("".join("".join(tokens) + "\n" for tokens, _ in
+                            D.read_conll(str(DATA / "test.bmes")).sentences))
+    pred = tmp_path / "pred.bmes"
+    code, _, err = run(["predict", "--ckpt", str(ft / "model.ckpt"),
+                        "--in", str(text), "--out", str(pred)])
+    assert code == 0, err
+    code, table, err = run(["eval", "--pred", str(pred), "--data", str(DATA / "test.bmes")])
+    assert code == 0, err
+    h = hashlib.sha256()
+    for path in (pre / "pretrain.log", pre / "pretrain.ckpt", pre / "vocab.txt",
+                 ft / "train.log", ft / "model.ckpt", ft / "vocab.txt", pred):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    h.update(table.encode())
+    assert h.hexdigest() == PIPELINE_DIGEST

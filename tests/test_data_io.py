@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import ntrr.data as D
 import ntrr.model as M
+from ntrr.cli import _load_configs, build_parser
 from ntrr.errors import (CheckpointError, ConfigError, ContractError,
                          NtrrError, ParseError)
 from ntrr.rng import Rng
@@ -57,6 +58,17 @@ def test_vocab_file_round_trip(tmp_path):
     bad = write(tmp_path / "bad.txt", "x\ny\n")
     with pytest.raises(ParseError):
         D.load_vocab(bad)
+
+
+@pytest.mark.parametrize("content", [b"<pad>\n<unk>\na\na\n", b"<pad>\n<unk>\n\xff\n"],
+                         ids=["duplicate", "utf8"])
+def test_load_vocab_bad_file_names_it(tmp_path, content):
+    p = tmp_path / "vocab.txt"
+    p.write_bytes(content)
+    with pytest.raises(ParseError, match="vocab.txt"):
+        D.load_vocab(str(p))
+    with pytest.raises(ParseError, match=str(tmp_path)):
+        D.load_vocab(str(tmp_path))  # a directory
 
 
 # ------------------------------------------------------------------- conll
@@ -226,6 +238,53 @@ def test_apply_overrides():
         D.apply_overrides(mc, tc, ["nope=1"])
 
 
+def test_overrides_share_the_config_file_parser():
+    mc, tc = D.configs_from_values({})
+    with pytest.raises(ConfigError, match=r"^--set: line 2: unknown key 'nope'"):
+        D.apply_overrides(mc, tc, ["epochs=7", "nope=1"])
+    with pytest.raises(ConfigError, match=r"^--set: line 1: expected 'key = value'"):
+        D.apply_overrides(mc, tc, ["model_dim"])
+    mc2, tc2 = D.apply_overrides(mc, tc, ["epochs = 7  # a comment"])
+    assert tc2.epochs == 7
+
+
+def test_overrides_are_validated_after_all_of_them():
+    # 64 is not divisible by 3, but the final model_dim is 48
+    mc, tc = D.configs_from_values({})
+    mc2, _ = D.apply_overrides(mc, tc, ["num_heads=3", "model_dim=48"])
+    assert (mc2.num_heads, mc2.model_dim) == (3, 48)
+    with pytest.raises(ConfigError, match="not divisible"):
+        D.apply_overrides(mc, tc, ["num_heads=3"])
+
+
+
+def test_config_file_and_overrides_are_validated_together(tmp_path):
+    path = write(tmp_path / "h.cfg", "num_heads = 3\nepochs = 2\n")
+    mc, tc = D.load_run_config(path, ["model_dim=48"])
+    assert (mc.num_heads, mc.model_dim, tc.epochs) == (3, 48, 2)
+    with pytest.raises(ConfigError, match="not divisible"):
+        D.load_run_config(path)
+
+
+def test_seed_flag_is_the_seed_override():
+    base = ["pretrain", "--train", "t.bmes", "--out", "o", "--set", "epochs=3"]
+    by_flag = _load_configs(build_parser().parse_args(base + ["--seed", "7"]))
+    by_set = _load_configs(build_parser().parse_args(base + ["--set", "seed=7"]))
+    assert by_flag == by_set
+    assert by_flag[1].seed == 7 and by_flag[1].epochs == 3
+
+
+def test_entity_types_are_checked_by_the_config(tmp_path):
+    with pytest.raises(ConfigError, match="duplicate entity types"):
+        D.configs_from_values(D.parse_config_text("entity_types = LOC,PER,PER"))
+    p = str(tmp_path / "m.ckpt")
+    D.save_checkpoint(p, small_params(), small_mc())
+    blob = open(p, "rb").read().replace(b"entity_types = PER\n", b"entity_types = P-R\n")
+    open(p, "wb").write(blob)
+    with pytest.raises(CheckpointError, match="bad entity type name"):
+        D.load_checkpoint(p)
+
+
 def test_config_reference_mentions_every_key():
     text = D.config_reference()
     for key in list(D._MODEL_KEYS) + list(D._TRAIN_KEYS):
@@ -372,6 +431,27 @@ def test_checkpoint_corrupt_config_block(tmp_path):
     open(bad, "wb").write(bytes(blob))
     with pytest.raises(CheckpointError, match="config"):
         D.load_checkpoint(bad)
+
+
+def test_model_round_trip(tmp_path):
+    mc = M.ModelConfig(vocab_size=6, model_dim=8, ffn_dim=8, xlnet_layers=1,
+                       transformer_layers=1, num_heads=2, clip_k=2, entity_types=("PER",))
+    params = M.init_params(mc, Rng(3, 3))
+    vocab = D.Vocab(["<pad>", "<unk>", "a", "b", "c", "d"])
+    p = str(tmp_path / "run" / "model.ckpt")
+    os.makedirs(os.path.dirname(p))
+    D.save_model(p, params, mc, vocab)
+    ckpt, got = D.load_model(p)
+    assert ckpt.model_config == mc and got.itos == vocab.itos
+    assert list(ckpt.params) == list(params)
+    for name, t in params.items():
+        assert np.array_equal(ckpt.params[name], t.data)
+    other = write(tmp_path / "other.txt", "<pad>\n<unk>\na\n")
+    with pytest.raises(ConfigError, match="expects vocab of 6"):
+        D.load_model(p, other)
+    os.remove(D.sibling_vocab_path(p))
+    with pytest.raises(ConfigError, match="no vocabulary"):
+        D.load_model(p)
 
 
 def test_sibling_vocab_path(tmp_path):

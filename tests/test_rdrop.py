@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ntrr.gradcheck as G
 import ntrr.model as M
 import ntrr.tensor as T
 import ntrr.training as TR
@@ -162,6 +163,28 @@ def test_train_step_paths_produce_identical_losses():
     got = TR.train_step(batch, params, opt, mc, tc, step, lr=1e-3, k_eff=None)
     for a, b in zip(got, want):
         assert abs(a - b) <= 1e-12
+
+
+def test_training_and_gradcheck_share_the_branch_forward(monkeypatch):
+    # gradcheck differentiates the forward that train_step runs
+    calls = []
+    inner = TR.branch_log_probs
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(TR, "branch_log_probs", counted)
+    mc, params, batch, seed, step = dual_path_setup()
+    tc = TR.TrainConfig(seed=seed, warmup_steps=10, total_steps=100)
+    TR.train_step(batch, params, TR.OptimizerState.for_params(params), mc, tc, step, 1e-3)
+    assert calls == [batch.token_ids.shape]
+    small = replace(G.tiny_config("relative"), model_dim=4, ffn_dim=4, vocab_size=6,
+                    xlnet_layers=1, transformer_layers=0)
+    monkeypatch.setattr(G, "tiny_config", lambda pe_mode: small)
+    calls.clear()
+    G.gradcheck_model("relative")
+    assert len(calls) == 2 * M.param_count(small) + 1
 
 
 def test_rdrop_disabled_is_single_branch_ce():
