@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 
@@ -116,9 +117,10 @@ def cmd_eval(args) -> int:
                          f"{len(gold.sentences)}")
     pred_entities, gold_entities = [], []
     base = 0
-    for (ptoks, ptags), (gtoks, gtags) in zip(pred.sentences, gold.sentences):
-        if len(ptoks) != len(gtoks):
-            raise ParseError(f"{args.pred}: sentence length mismatch against gold")
+    for number, ((ptoks, ptags), (gtoks, gtags)) in enumerate(
+            zip(pred.sentences, gold.sentences), start=1):
+        if ptoks != gtoks:
+            raise ParseError(f"{args.pred}: sentence {number}: tokens differ from gold")
         pred_entities.extend(Entity(e.start + base, e.end + base, e.etype)
                              for e in scan_entities(ptags)[0])
         gold_entities.extend(Entity(e.start + base, e.end + base, e.etype)
@@ -132,13 +134,8 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     mc, params, vocab = _load_model(args)
     label_set = mc.label_set
-    try:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except OSError as exc:
-        raise ParseError(f"{args.infile}: cannot read: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{args.infile}: not valid UTF-8 at byte {exc.start}") from None
+    # universal newlines only: str.splitlines would also split at U+2028 and the like
+    lines = io.StringIO(D.read_text(args.infile), newline=None)
     sentences = []
     with T.no_grad():
         for line in lines:
@@ -160,8 +157,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.scale != "tiny":
-        raise ConfigError(f"unknown scale '{args.scale}'")
     modes = ("absolute", "relative") if args.mode == "both" else (args.mode,)
     worst = 0.0
     for mode in modes:
@@ -285,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model")
-    p.add_argument("--scale", default="tiny")
     p.add_argument("--mode", choices=("absolute", "relative", "both"), default="both")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)

@@ -41,16 +41,10 @@ class PermutationPlan:
     content_mask: np.ndarray
 
 
-def build_masks(order) -> tuple[np.ndarray, np.ndarray]:
-    """Visibility masks for one factorization order.
-
-    query_mask[i][j] is True iff rank[j] < rank[i] (strict: a token
-    never sees itself); content_mask allows equality."""
-    plan = make_plan(order)
-    return plan.query_mask, plan.content_mask
-
-
 def make_plan(order) -> PermutationPlan:
+    """The plan of one factorization order. Its query_mask[i][j] is True
+    iff rank[j] < rank[i] (strict: a token never sees itself); its
+    content_mask allows equality."""
     order = np.asarray(order, dtype=np.int64)
     n = order.shape[0]
     if n < 1:

@@ -38,10 +38,6 @@ class RelPosTable:
         if self.wk.shape[0] % 2 != 1:
             raise ShapeError(f"table must have an odd row count, got {self.wk.shape[0]}")
 
-    @property
-    def k(self) -> int:
-        return (self.wk.shape[0] - 1) // 2
-
 
 @dataclass
 class AttentionParams:
@@ -115,11 +111,6 @@ def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams, con
     return tuple(x + dropout_site(feed_forward(T.layer_norm(x, block.ln2_g, block.ln2_b), block),
                                   config.dropout, streams)
                  for x in xs)
-
-
-def clip_rel(x: int, k: int) -> int:
-    """Clamp a displacement to [-k, k]."""
-    return max(-k, min(k, x))
 
 
 def displacement_index(positions_q, positions_k, k: int, k_eff: int | None = None) -> np.ndarray:

@@ -85,10 +85,6 @@ class Rng:
             order[i], order[j] = order[j], order[i]
         return order
 
-    def shuffle(self, items: list) -> list:
-        order = self.permutation(len(items)) if items else []
-        return [items[i] for i in order]
-
 
 class DropoutStreams:
     """Dropout mask source for one forward pass of one branch.

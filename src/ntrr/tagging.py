@@ -175,10 +175,6 @@ def scan_entities(tags: list[str]) -> tuple[list[Entity], int]:
     return entities, repairs
 
 
-def extract_entities(tags: list[str]) -> list[Entity]:
-    return scan_entities(tags)[0]
-
-
 def _parse_bmes(tags) -> list[tuple[str, str | None]]:
     parsed = []
     for i, tag in enumerate(tags):

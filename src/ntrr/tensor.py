@@ -113,24 +113,12 @@ class Tensor:
         self._node.grad = g
 
     @property
-    def _parents(self):
-        return self._node._parents
-
-    @property
-    def _backward(self):
-        return self._node._backward
-
-    @property
     def shape(self):
         return self.data.shape
 
     @property
     def ndim(self):
         return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
 
     @property
     def dtype(self):
@@ -141,44 +129,18 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; all defined in terms of the module-level ops
+    # arithmetic sugar for the module-level add and mul
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not provided; divide by a scalar")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x, dtype=np.float64) -> Tensor:
@@ -246,15 +208,6 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        return (-g,)
-
-    return _make(-a.data, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     """Batched matrix product with numpy broadcasting over leading axes."""
     a = _as_tensor(a)
@@ -303,14 +256,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return _make(out, (a,), backward)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def texp(a: Tensor) -> Tensor:
@@ -415,19 +360,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> T
         return gx, _sum_to_shape(g * y, gd.shape), _sum_to_shape(g, sb)
 
     return _make(out, (x, gain, bias), backward)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Row-stochastic softmax, stabilized by max subtraction."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (a,), backward)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per shipping criterion.
 
 Each test prints a single PASS/FAIL line (visible with pytest -s) and
-asserts the same condition. Self-contained: oracles are local copies,
-independent of the other test modules. Runtime is dominated by the
+asserts the same condition. Self-contained apart from tests/oracles.py,
+which holds the reference ops no command reaches; the other oracles are
+local copies, independent of the other test modules. Runtime is dominated by the
 finite-difference check (criterion 1), roughly a minute in total.
 """
 
@@ -19,13 +20,14 @@ import ntrr.tensor as T
 import ntrr.training as TR
 from ntrr.errors import NtrrError
 from ntrr.gradcheck import TOLERANCE, gradcheck_model
-from ntrr.plm import build_masks, make_plan, sample_permutation, two_stream_layer
-from ntrr.relpos import (AttentionParams, RelPosTable, clip_rel,
+from ntrr.plm import make_plan, sample_permutation, two_stream_layer
+from ntrr.relpos import (AttentionParams, RelPosTable,
                          rel_attention_scores, rel_attention_values,
                          relative_index, sinusoidal_pe)
 from ntrr.rng import DropoutStreams, DualDropoutStreams, Rng
-from ntrr.tagging import Entity, bio_to_bmes, entity_prf, extract_entities, split_tag
+from ntrr.tagging import Entity, bio_to_bmes, entity_prf, scan_entities, split_tag
 from ntrr.tensor import Tensor
+from oracles import clip_rel, softmax, tmean
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -82,7 +84,7 @@ def test_criterion_2_relative_pe():
     pos_q, pos_k = [2, 3, 4], [0, 1, 2, 3, 4]
     with_t = rel_attention_scores(q, k, zero, relative_index(pos_q, pos_k, 2)).data
     vanilla = rel_attention_scores(q, k, None).data
-    attn = T.softmax(Tensor(vanilla)).data
+    attn = softmax(Tensor(vanilla)).data
     v = rng.normal((1, 1, 5, 4))
     mix = rel_attention_values(Tensor(attn), Tensor(v), zero,
                                relative_index(pos_q, pos_k, 2)).data
@@ -96,9 +98,9 @@ def test_criterion_2_relative_pe():
     same = True
     for shift in (0, 7, 1000):
         index = relative_index([p + shift for p in pos_q],
-                               [p + shift for p in pos_k], table.k)
+                               [p + shift for p in pos_k], 3)
         s = rel_attention_scores(q, k, table, index).data
-        w = T.softmax(Tensor(s)).data
+        w = softmax(Tensor(s)).data
         o = rel_attention_values(Tensor(w), Tensor(v), table, index).data
         if base is None:
             base = (s, o)
@@ -114,7 +116,7 @@ def test_criterion_2_relative_pe():
 
     def scores_with(rows):
         t = RelPosTable(Tensor(rows), Tensor(np.zeros_like(rows)))
-        return rel_attention_scores(q2, k2, t, relative_index(far_q, far_k, t.k)).data
+        return rel_attention_scores(q2, k2, t, relative_index(far_q, far_k, 2)).data
 
     inner = wk.copy()
     inner[1:4] += 100.0
@@ -130,7 +132,7 @@ def test_criterion_2_relative_pe():
     wkh = np.array([[0.1, 0.2], [0.0, 0.0], [-0.3, 0.4]])
     th = RelPosTable(Tensor(wkh.copy()), Tensor(np.zeros_like(wkh)))
     got = rel_attention_scores(Tensor(qh[None]), Tensor(kh[None]), th,
-                               relative_index([0, 1], [0, 1], th.k)).data[0]
+                               relative_index([0, 1], [0, 1], 1)).data[0]
     hand_ok = True
     for i in range(2):
         for l in range(2):
@@ -174,7 +176,8 @@ def test_criterion_3_plm_masks():
     masks_ok = True
     for n in range(1, 7):
         for order in itertools.permutations(range(n)):
-            q, c = build_masks(list(order))
+            p = make_plan(list(order))
+            q, c = p.query_mask, p.content_mask
             oq, oc = _mask_oracle(order)
             masks_ok = masks_ok and np.array_equal(q, oq) and np.array_equal(c, oc)
             enumerated += 1
@@ -253,7 +256,7 @@ def test_criterion_4_segment_recurrence():
     probes = [Tensor(m.copy(), requires_grad=True) for m in mem.layers]
     probed = M.SegmentMemory([p.data for p in probes], mem.offset)
     lp, _ = M.forward_ner(ids[:, 8:], probed, mc, params)
-    T.backward(T.tmean(lp))
+    T.backward(tmean(lp))
     grad_ok = all(p.grad is None or np.max(np.abs(p.grad)) == 0.0 for p in probes)
 
     verdict(4, "segment recurrence", split_ok and perturb_ok and grad_ok,
@@ -416,7 +419,7 @@ def test_criterion_8_tagging_oracle():
         r = rng.derive("scan", i)
         tags = [ALL_TAGS[r.derive(j).randbelow(len(ALL_TAGS))]
                 for j in range(1 + r.randbelow(10))]
-        if set(extract_entities(tags)) != set(_brute_force_entities(tags)):
+        if set(scan_entities(tags)[0]) != set(_brute_force_entities(tags)):
             extract_ok = False
             break
 
@@ -424,7 +427,7 @@ def test_criterion_8_tagging_oracle():
     for i in range(10 ** 4):
         bio = _random_bio(rng.derive("bio", i))
         bmes, repairs = bio_to_bmes(bio)
-        if repairs != 0 or set(extract_entities(bmes)) != set(_bio_entities(bio)):
+        if repairs != 0 or set(scan_entities(bmes)[0]) != set(_bio_entities(bio)):
             bio_ok = False
             break
 

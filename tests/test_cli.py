@@ -148,6 +148,18 @@ def test_eval_gold_as_predictions_is_perfect(tmp_path):
     assert out.splitlines()[1] == "100.00\t100.00\t100.00"
 
 
+def test_eval_pred_with_other_tokens_is_exit_2(tmp_path):
+    # the same sentence lengths as the gold file, but not its text
+    gold = D.read_conll(str(DATA / "test.bmes")).sentences
+    other = [(tokens if i != 2 else ["x"] * len(tokens), tags)
+             for i, (tokens, tags) in enumerate(gold)]
+    pred = tmp_path / "pred.bmes"
+    D.write_conll(str(pred), other)
+    code, out, err = run(["eval", "--pred", str(pred), "--data", str(DATA / "test.bmes")])
+    assert code == 2, err
+    assert str(pred) in err and "sentence 3" in err
+
+
 def test_eval_wants_exactly_one_source(trained):
     out_dir, _ = trained
     both = ["eval", "--ckpt", str(out_dir / "model.ckpt"),
@@ -273,6 +285,29 @@ def test_predict_empty_input_is_exit_2(trained, tmp_path):
                           "--in", str(empty), "--out", str(tmp_path / "p.bmes")])
     assert code == 2
     assert "no sentences" in err
+
+
+def test_predict_bad_utf8_names_the_byte(trained, tmp_path):
+    out_dir, _ = trained
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"abc\n" * 5000 + b"\xff")
+    code, out, err = run(["predict", "--ckpt", str(out_dir / "model.ckpt"),
+                          "--in", str(bad), "--out", str(tmp_path / "p.bmes")])
+    assert code == 2, err
+    assert str(bad) in err and "not valid UTF-8 at byte 20000" in err
+
+
+def test_predict_splits_sentences_at_universal_newlines_only(trained, tmp_path):
+    # \n, \r\n and \r end a sentence; U+2028 is whitespace inside one
+    out_dir, _ = trained
+    text = tmp_path / "text.txt"
+    text.write_bytes("KL\u2028ab\r\nPQ\rZ\n".encode("utf-8"))
+    pred = tmp_path / "p.bmes"
+    code, out, err = run(["predict", "--ckpt", str(out_dir / "model.ckpt"),
+                          "--in", str(text), "--out", str(pred)])
+    assert code == 0, err
+    assert [tokens for tokens, _ in D.read_conll(str(pred)).sentences] == [
+        ["K", "L", "a", "b"], ["P", "Q"], ["Z"]]
 
 
 def test_eval_indexes_gold_tags_in_the_model_label_set(tmp_path):

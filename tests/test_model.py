@@ -13,6 +13,7 @@ from ntrr.errors import ConfigError, ContractError
 from ntrr.plm import extend_mask_for_memory, plm_loss, sample_permutation
 from ntrr.rng import DualDropoutStreams, Rng
 from ntrr.tagging import LabelSet, legal_transitions, validate_bmes
+from oracles import softmax, tmean
 
 TYPES = ("LOC", "ORG", "PER")
 
@@ -124,7 +125,7 @@ def test_memory_receives_zero_gradient():
     probes = [T.Tensor(m.copy(), requires_grad=True) for m in mem.layers]
     probed = M.SegmentMemory([p.data for p in probes], mem.offset)
     lp, _ = M.forward_ner(ids, probed, mc, params)
-    loss = T.tmean(lp)
+    loss = tmean(lp)
     T.backward(loss)
     for p in probes:
         assert p.grad is None or np.max(np.abs(p.grad)) == 0.0
@@ -219,7 +220,7 @@ def ref_two_stream_layer(h_prev, g_prev, query_mask, content_mask, block, mc,
     normed_g = T.layer_norm(g_prev, block.ln1_g, block.ln1_b)
     normed_kv = normed_h
     if memory is not None:
-        kv = T.concat([memory.detach(), h_prev], axis=1)
+        kv = T.concat([T.Tensor(memory.data), h_prev], axis=1)
         normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
     h_att = relpos.multi_head_attention(normed_h, normed_kv, mc, block.attn, content_mask,
                                         table, ref_index(mc, pos_q, pos_k), streams)
@@ -456,7 +457,7 @@ def test_constrained_decode_always_wellformed():
     rng = Rng(15, 0)
     for i in range(200):
         n = 1 + rng.derive(i).randbelow(8)
-        lp = np.log(T.softmax(T.Tensor(rng.derive(1000 + i).normal((n, len(ls))) * 3)).data)
+        lp = np.log(softmax(T.Tensor(rng.derive(1000 + i).normal((n, len(ls))) * 3)).data)
         seq = M.decode(lp, ls, "constrained")
         assert seq.valid
         assert validate_bmes(ls.decode(seq.tags)) == []
@@ -483,7 +484,7 @@ def test_constrained_decode_matches_exhaustive_search():
     rng = Rng(16, 0)
     for i in range(40):
         n = 1 + rng.derive(i).randbelow(6)
-        lp = np.log(T.softmax(T.Tensor(rng.derive(2000 + i).normal((n, len(ls))) * 2)).data)
+        lp = np.log(softmax(T.Tensor(rng.derive(2000 + i).normal((n, len(ls))) * 2)).data)
         seq = M.decode(lp, ls, "constrained")
         want, want_score = exhaustive_best_legal(lp, ls)
         got_score = sum(lp[j, t] for j, t in enumerate(seq.tags))
@@ -502,7 +503,7 @@ def test_constrained_decode_builds_its_tables_once(monkeypatch):
     monkeypatch.setattr(M, "legal_transitions", counting)
     M._decode_tables.cache_clear()
     ls = LabelSet(TYPES)
-    lp = np.log(T.softmax(T.Tensor(Rng(17, 0).normal((4, len(ls))))).data)
+    lp = np.log(softmax(T.Tensor(Rng(17, 0).normal((4, len(ls))))).data)
     first = M.decode(lp, ls, "constrained")
     second = M.decode(lp, LabelSet(TYPES), "constrained")
     assert built == [ls] and first.tags == second.tags

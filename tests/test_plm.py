@@ -10,11 +10,16 @@ import pytest
 import ntrr.model as M
 import ntrr.tensor as T
 from ntrr.errors import ContractError
-from ntrr.plm import (build_masks, extend_mask_for_memory, make_plan,
-                      plm_loss, sample_permutation, target_count,
-                      two_stream_layer)
+from ntrr.plm import (extend_mask_for_memory, make_plan, plm_loss,
+                      sample_permutation, target_count, two_stream_layer)
 from ntrr.relpos import block_forward, relative_index
 from ntrr.rng import Rng
+
+
+def masks(order):
+    """make_plan(order)'s query and content masks."""
+    plan = make_plan(order)
+    return plan.query_mask, plan.content_mask
 
 
 def mask_oracle(order):
@@ -52,13 +57,13 @@ def test_targets_are_order_tail():
 
 
 def test_identity_order_gives_causal_masks():
-    q, c = build_masks(range(5))
+    q, c = masks(range(5))
     assert np.array_equal(q, np.tril(np.ones((5, 5), dtype=bool), -1))
     assert np.array_equal(c, np.tril(np.ones((5, 5), dtype=bool)))
 
 
 def test_single_token_masks():
-    q, c = build_masks([0])
+    q, c = masks([0])
     assert q.tolist() == [[False]]
     assert c.tolist() == [[True]]
 
@@ -87,7 +92,7 @@ def test_content_mask_is_query_mask_plus_identity():
 
 def test_masks_match_enumeration_all_orders_n4():
     for order in itertools.permutations(range(4)):
-        q, c = build_masks(order)
+        q, c = masks(order)
         wq, wc = mask_oracle(order)
         assert np.array_equal(q, wq) and np.array_equal(c, wc), order
 
@@ -95,20 +100,20 @@ def test_masks_match_enumeration_all_orders_n4():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
 def test_masks_match_enumeration_up_to_n6(n):
     for order in itertools.permutations(range(n)):
-        q, c = build_masks(order)
+        q, c = masks(order)
         wq, wc = mask_oracle(order)
         assert np.array_equal(q, wq) and np.array_equal(c, wc), order
 
 
-def test_build_masks_rejects_non_permutation():
+def test_make_plan_rejects_non_permutation():
     with pytest.raises(ContractError):
-        build_masks([0, 0, 2])
+        make_plan([0, 0, 2])
     with pytest.raises(ContractError):
-        build_masks([])
+        make_plan([])
 
 
 def test_extend_mask_for_memory():
-    q, _ = build_masks([1, 0])
+    q, _ = masks([1, 0])
     ext = extend_mask_for_memory(q, 3)
     assert ext.shape == (2, 5)
     assert np.all(ext[:, :3])
@@ -164,7 +169,7 @@ def test_identity_order_h_stream_equals_causal_attention():
     (hidden,) = block_forward((emb,), (causal,), None, block, mc, table, index)
     assert np.all(np.isfinite(hidden.data))
     # reconstruct: run the two-stream layer by hand with causal masks
-    q, c = build_masks(range(n))
+    q, c = masks(range(n))
     g0 = T.Tensor(np.broadcast_to(params["w_init"].data, emb.data.shape).copy())
     h1, g1 = two_stream_layer(emb, g0, q, c, block, mc, table, index)
     assert np.max(np.abs(h1.data - hidden.data)) <= 1e-12

@@ -78,12 +78,6 @@ def test_permutation_property(seed, n):
     assert sorted(p.tolist()) == list(range(n))
 
 
-def test_shuffle_preserves_multiset():
-    items = [3, 1, 4, 1, 5, 9, 2, 6]
-    out = Rng(2, 2).shuffle(list(items))
-    assert sorted(out) == sorted(items)
-
-
 def test_uniform_bounds():
     u = Rng(0, 0).uniform((1000,))
     assert np.all(u >= 0.0) and np.all(u < 1.0)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ntrr.rng import Rng
 from ntrr.tagging import (Entity, LabelSet, bio_to_bmes, entity_prf,
-                          extract_entities, legal_transitions, scan_entities,
+                          legal_transitions, scan_entities,
                           split_tag, validate_bmes)
 
 TYPES = ["LOC", "ORG", "PER"]
@@ -106,7 +106,7 @@ def test_bio_conversion_preserves_entities_bulk():
         assert repairs == 0
         assert len(bmes) == len(bio)
         want = set(bio_entities(bio))
-        got = set(extract_entities(bmes))
+        got = set(scan_entities(bmes)[0])
         assert got == want, (bio, bmes)
 
 
@@ -114,12 +114,12 @@ def test_bio_conversion_preserves_entities_bulk():
 
 
 def test_extract_basic():
-    got = extract_entities(["B-PER", "E-PER", "O", "S-LOC"])
+    got = scan_entities(["B-PER", "E-PER", "O", "S-LOC"])[0]
     assert set(got) == {Entity(0, 1, "PER"), Entity(3, 3, "LOC")}
 
 
 def test_extract_all_outside():
-    assert extract_entities(["O", "O", "O"]) == []
+    assert scan_entities(["O", "O", "O"])[0] == []
 
 
 def test_extract_drop_unclosed_resumes_at_break():
@@ -129,7 +129,7 @@ def test_extract_drop_unclosed_resumes_at_break():
 
 
 def test_extract_sorted_and_disjoint():
-    ents = extract_entities(["S-LOC", "B-PER", "M-PER", "E-PER", "S-ORG"])
+    ents = scan_entities(["S-LOC", "B-PER", "M-PER", "E-PER", "S-ORG"])[0]
     starts = [e.start for e in ents]
     assert starts == sorted(starts)
     for a, b in zip(ents, ents[1:]):
