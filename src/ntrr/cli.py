@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import os
 import sys
 
@@ -134,11 +133,9 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     mc, params, vocab = _load_model(args)
     label_set = mc.label_set
-    # universal newlines only: str.splitlines would also split at U+2028 and the like
-    lines = io.StringIO(D.read_text(args.infile), newline=None)
     sentences = []
     with T.no_grad():
-        for line in lines:
+        for line in D.split_lines(D.read_text(args.infile)):
             if mc.token_mode == "char":
                 tokens = [ch for ch in line if not ch.isspace()]
             else:
@@ -173,7 +170,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    lines = D.read_text(args.log).splitlines()
+    lines = D.split_lines(D.read_text(args.log))
     steps = []  # (step, lr, ce, kl, total)
     epochs = []  # (epoch, p, r, f1, first_step_index)
     for lineno, line in enumerate(lines, start=1):
@@ -197,9 +194,7 @@ def cmd_report(args) -> int:
     for epoch, p, r, f1, upto in epochs:
         chunk = steps[prev:upto] or steps[prev:prev + 1]
         prev = upto
-        ce = sum(s[2] for s in chunk) / len(chunk)
-        kl = sum(s[3] for s in chunk) / len(chunk)
-        total = sum(s[4] for s in chunk) / len(chunk)
+        ce, kl, total = (sum(s[col] for s in chunk) / len(chunk) for col in (2, 3, 4))
         print(f"{epoch}\t{len(chunk)}\t{ce:.4f}\t{kl:.4f}\t{total:.4f}"
               f"\t{p:.4f}\t{r:.4f}\t{f1:.4f}")
     totals = [s[4] for s in steps]
@@ -234,12 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "relative-position attention, R-Drop fine-tuning")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="run config file (key = value lines)")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="override one config key; repeatable")
-            p.add_argument("--seed", type=int, help="override the master seed")
+    def common(p):
+        p.add_argument("--config", help="run config file (key = value lines)")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override one config key; repeatable")
+        p.add_argument("--seed", type=int, help="override the master seed")
 
     p = sub.add_parser("convert", help="convert a tagged corpus between schemes")
     p.add_argument("infile")

@@ -57,6 +57,12 @@ def read_text(path: str, error=ParseError) -> str:
         raise error(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of text, split at universal newlines (\\n, \\r\\n, \\r)
+    only: str.splitlines also splits at U+2028 and the like."""
+    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
+
+
 def read_conll(path: str, scheme: str = "bmes") -> Corpus:
     """Parse a token/tag file. BIO input is converted to BMES (repairs
     counted); a tag outside the scheme is a hard parse error naming the
@@ -77,7 +83,7 @@ def read_conll(path: str, scheme: str = "bmes") -> Corpus:
             tokens.clear()
             tags.clear()
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if not stripped:
             flush()
@@ -160,7 +166,7 @@ def save_vocab(path: str, vocab: Vocab) -> None:
 
 
 def load_vocab(path: str) -> Vocab:
-    itos = [line for line in read_text(path).splitlines() if line]
+    itos = [line for line in split_lines(read_text(path)) if line]
     if len(itos) < 2 or itos[0] != "<pad>" or itos[1] != "<unk>":
         raise ParseError(f"{path}: not a vocabulary file")
     try:
@@ -265,16 +271,12 @@ assert set(_MODEL_KEYS) & set(_TRAIN_KEYS) == set()
 def _parse_value(key: str, raw: str):
     spec = _SCHEMA[key][0]
     raw = raw.strip()
-    if spec is int:
+    if spec in (int, float):
         try:
-            return int(raw)
+            return spec(raw)
         except ValueError:
-            raise ConfigError(f"key '{key}' expects an integer, got '{raw}'") from None
-    if spec is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key '{key}' expects a number, got '{raw}'") from None
+            kind = "an integer" if spec is int else "a number"
+            raise ConfigError(f"key '{key}' expects {kind}, got '{raw}'") from None
     if spec is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -294,7 +296,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Flat 'key = value' lines; '#' starts a comment; unknown keys are
     rejected by name."""
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

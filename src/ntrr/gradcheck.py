@@ -2,7 +2,14 @@
 
 Builds a tiny but complete model (both stacks, R-Drop loss, dropout
 active under fixed mask streams) and compares every parameter group's
-reverse-mode gradient against central differences."""
+reverse-mode gradient against central differences.
+
+Staged: the analytic forward records each stage's input (model.Stages),
+and a parameter's evaluations resume at the first stage reading it:
+`embed` the full forward, a block's parameters that block, a stack's
+`rel_wk`/`rel_wv` its first block, the rest the head (`w_init` and
+`plm_head_*` too: no NER forward reads them). Each of the 2 * N + 1
+evaluations still runs training.branch_log_probs and rdrop_loss."""
 
 from __future__ import annotations
 
@@ -47,22 +54,31 @@ class _ReplayedMasks:
     def __init__(self, seed: int):
         self._streams = DualDropoutStreams(seed, 7)
         self._masks: list[np.ndarray] = []
-        self._site = 0
+        self.site = 0  # the next site to draw or replay
 
-    def restart(self) -> None:
-        self._site = 0
+    def restart(self, site: int = 0) -> None:
+        self.site = site
 
     def mask(self, shape, drop_prob: float) -> np.ndarray:
-        if self._site == len(self._masks):
+        if self.site == len(self._masks):
             keep = self._streams.mask(shape, drop_prob)
             keep.setflags(write=False)
             self._masks.append(keep)
-        keep = self._masks[self._site]
+        keep = self._masks[self.site]
         if keep.shape != tuple(shape):
-            raise ContractError(f"dropout site {self._site} replayed with shape "
+            raise ContractError(f"dropout site {self.site} replayed with shape "
                                 f"{tuple(shape)}, drawn with {keep.shape}")
-        self._site += 1
+        self.site += 1
         return keep
+
+
+def _stage(name: str, config: ModelConfig) -> int | None:
+    """The first stage that reads parameter name; None for the embedding."""
+    parts = name.split(".")
+    if parts[0] not in ("xl", "tr"):
+        return None if name == "embed" else config.num_layers
+    first = 0 if parts[0] == "xl" else config.xlnet_layers
+    return first + (int(parts[1]) if len(parts) == 3 else 0)
 
 
 def gradcheck_model(pe_mode: str, seed: int = 0) -> dict[str, float]:
@@ -77,16 +93,19 @@ def gradcheck_model(pe_mode: str, seed: int = 0) -> dict[str, float]:
                       for i in range(t)]], dtype=np.int64)
     mask = np.ones((1, t), dtype=bool)
     streams = _ReplayedMasks(seed)
+    stages = M.Stages()
 
     def loss_fn():
-        # replayed from site 0 so every evaluation sees identical masks
-        streams.restart()
-        lp1, lp2 = TR.branch_log_probs(ids, config, params, streams)
+        # masks replayed from the first stage's site, as a full forward draws them
+        streams.restart(0 if stages.start is None else stages.sites[stages.start])
+        lp1, lp2 = TR.branch_log_probs(ids, config, params, streams, stages=stages)
         return rdrop_loss(lp1, lp2, tags, 1.0, mask).total
 
     T.zero_grads(params.values())
     T.backward(loss_fn())
     analytic = {name: p.grad.copy() for name, p in params.items()}
-    numeric = T.finite_diff_grad(loss_fn, list(params.values()))
-    return {name: max_rel_err(analytic[name], num)
-            for name, num in zip(params, numeric)}
+    numeric = {}
+    for stages.start in dict.fromkeys(_stage(name, config) for name in params):
+        names = [name for name in params if _stage(name, config) == stages.start]
+        numeric.update(zip(names, T.finite_diff_grad(loss_fn, [params[n] for n in names])))
+    return {name: max_rel_err(analytic[name], numeric[name]) for name in params}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,6 +102,25 @@ class SegmentMemory:
     @classmethod
     def empty(cls, n_layers: int) -> "SegmentMemory":
         return cls([np.zeros((0, 0, 0))] * n_layers, 0)
+
+
+@dataclass
+class Stages:
+    """Stage entries of forward_ner: stage i < num_layers is block i,
+    stage num_layers the head. The first forward handed it records each
+    stage's input and its streams' next dropout `site`. One with a start
+    resumes there from the recorded input, its streams at sites[start],
+    and returns memory for only the blocks it runs."""
+
+    start: int | None = None
+    inputs: list[tuple[Tensor, ...]] = field(default_factory=list)
+    sites: list[int] = field(default_factory=list)
+
+    def enter(self, i: int, xs: tuple[Tensor, ...], streams) -> tuple[Tensor, ...]:
+        if len(self.inputs) == i:
+            self.inputs.append(tuple(Tensor(x.data) for x in xs))
+            self.sites.append(streams.site)
+        return self.inputs[i] if i == self.start else xs
 
 
 def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
@@ -192,11 +211,12 @@ def _check_memory(memory, config: ModelConfig, batch: int):
     return memory
 
 
-def _prelude(token_ids, memory, config: ModelConfig, params, streams, k_eff):
+def _prelude(token_ids, memory, config: ModelConfig, params, streams, k_eff, stages=None):
     """What every forward does before its blocks. Returns the ids as a
     checked (B, T) array (one 1-d sentence is promoted), the checked
     memory, the segment's global positions, the embedded and dropped-out
-    input, and the forward's relative indexes."""
+    input (None when stages resume past it), and the forward's relative
+    indexes."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim == 1:
         ids = ids[None, :]
@@ -206,11 +226,12 @@ def _prelude(token_ids, memory, config: ModelConfig, params, streams, k_eff):
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
         raise IndexError(f"token id out of range [0, {config.vocab_size})")
     positions = memory.offset + np.arange(ids.shape[1], dtype=np.int64)
-    h = T.embedding(params["embed"], ids)
-    if config.pe_mode == "absolute":
-        pe = relpos.sinusoidal_pe(positions, config.model_dim, h.dtype)
-        h = h + Tensor(pe[None, :, :])
-    h = relpos.dropout_site(h, config.dropout, streams)
+    h = None
+    if stages is None or stages.start is None:
+        h = T.embedding(params["embed"], ids)
+        if config.pe_mode == "absolute":
+            h = h + Tensor(relpos.sinusoidal_pe(positions, config.model_dim, h.dtype)[None, :, :])
+        h = relpos.dropout_site(h, config.dropout, streams)
     return ids, memory, positions, h, _rel_indexes(config, memory.offset, ids.shape[1], k_eff)
 
 
@@ -246,14 +267,16 @@ def _rel_indexes(config: ModelConfig, offset: int, t: int, k_eff):
 
 
 def _run_stack(xs: tuple[Tensor, ...], masks, n_blocks: int, config: ModelConfig, params,
-               memory: SegmentMemory, streams,
-               rel_indexes) -> tuple[tuple[Tensor, ...], list[np.ndarray]]:
+               memory: SegmentMemory, streams, rel_indexes,
+               stages: Stages | None = None) -> tuple[tuple[Tensor, ...], list[np.ndarray]]:
     """The first n_blocks encoder blocks, lower stack then upper stack,
     left to right over [memory ; xs[0]]: stream s of xs attends under
     masks[s], a (T, T) mask widened by each block's memory. Returns the
-    streams and the new memory of those blocks."""
+    streams and the new memory of those blocks. stages, if given, enter
+    each block and then the output (stage n_blocks); see Stages."""
     new_mems = []
-    for i in range(n_blocks):
+    for i in range((stages.start or 0) if stages else 0, n_blocks):
+        xs = stages.enter(i, xs, streams) if stages else xs
         stack, j = ("xl", i) if i < config.xlnet_layers else ("tr", i - config.xlnet_layers)
         mem, m_len, cache = _layer_memory(memory, i, xs[0], config)
         new_mems.append(cache)
@@ -261,21 +284,24 @@ def _run_stack(xs: tuple[Tensor, ...], masks, n_blocks: int, config: ModelConfig
             xs, [plm.extend_mask_for_memory(m, m_len) for m in masks], mem,
             block_params(params, f"{stack}.{j}."), config,
             rel_table(params, stack, config), rel_indexes(m_len), streams)
-    return xs, new_mems
+    return (stages.enter(n_blocks, xs, streams) if stages else xs), new_mems
 
 
 def forward_ner(token_ids, memory, config: ModelConfig, params, streams=None, *,
-                k_eff: int | None = None) -> tuple[Tensor, SegmentMemory]:
+                k_eff: int | None = None,
+                stages: Stages | None = None) -> tuple[Tensor, SegmentMemory]:
     """Full tagging forward: lower stack, upper stack, classifier. It
-    trains (draws dropout masks) exactly when given dropout streams.
+    trains (draws dropout masks) exactly when given dropout streams, and
+    records or resumes at block entries when given Stages.
 
     Returns per-token log-probabilities (B, T, num_tags) and the
     updated memory across all blocks."""
     ids, memory, _, h, rel_indexes = _prelude(token_ids, memory, config, params,
-                                              streams, k_eff)
+                                              streams, k_eff, stages)
     t = ids.shape[1]
     (h,), new_mems = _run_stack((h,), (np.tril(np.ones((t, t), dtype=bool)),),
-                                config.num_layers, config, params, memory, streams, rel_indexes)
+                                config.num_layers, config, params, memory, streams,
+                                rel_indexes, stages)
     h = T.layer_norm(h, params["final_ln_g"], params["final_ln_b"])
     return classify(h, params), SegmentMemory(new_mems, memory.offset + t)
 

@@ -120,8 +120,7 @@ def displacement_index(positions_q, positions_k, k: int, k_eff: int | None = Non
     keeping the table shape fixed (the radius schedule uses this)."""
     pq = np.asarray(positions_q, dtype=np.int64)
     pk = np.asarray(positions_k, dtype=np.int64)
-    if k_eff is None:
-        k_eff = k
+    k_eff = k if k_eff is None else k_eff
     if not 1 <= k_eff <= k:
         raise ContractError(f"k_eff {k_eff} outside [1, {k}]")
     disp = pk[None, :] - pq[:, None]
@@ -163,7 +162,7 @@ def rel_attention_scores(q: Tensor, k: Tensor, rel_table: RelPosTable | None,
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"head dims disagree: {q.shape} vs {k.shape}")
     scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = T.matmul(q, T.permute(k, _swap_last(k.ndim)))
+    scores = T.matmul(q, T.permute(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)))
     if rel_table is None:
         return scores * scale
     per_disp = T.matmul(q, T.permute(rel_table.wk, (1, 0)))  # (..., Tq, 2k+1)
@@ -182,12 +181,6 @@ def rel_attention_values(attn: Tensor, v: Tensor, rel_table: RelPosTable | None,
         pooled = T.index_bucket_last(attn, rel_index)  # (..., Tq, 2k+1)
         out = out + T.matmul(pooled, rel_table.wv)
     return out
-
-
-def _swap_last(ndim: int):
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
 
 
 def split_heads(x: Tensor, num_heads: int) -> Tensor:

@@ -668,9 +668,9 @@ def finite_diff_grad(f, params, h: float = 1e-5):
     grads = []
     with no_grad():
         for p in params:
-            flat = p.data.reshape(-1)
-            g = np.empty(flat.shape, dtype=np.float64)
-            for i in range(flat.size):
+            flat = p.data.flat
+            g = np.empty(p.data.size, dtype=np.float64)
+            for i in range(g.size):
                 orig = flat[i]
                 flat[i] = orig + h
                 fp = float(f().data)

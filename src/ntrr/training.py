@@ -149,21 +149,20 @@ def k_effective(model_config: M.ModelConfig, train_config: TrainConfig,
     ks, ke = train_config.clip_k_start, train_config.clip_k_end
     if ks <= 0 or ke <= 0:
         return None
-    if total_epochs <= 1:
-        frac = 1.0
-    else:
-        frac = (epoch - 1) / (total_epochs - 1)
+    frac = 1.0 if total_epochs <= 1 else (epoch - 1) / (total_epochs - 1)
     k = round(ks + (ke - ks) * frac)
     return max(1, min(model_config.clip_k, k))
 
 
 def branch_log_probs(ids, model_config: M.ModelConfig, params, streams,
-                     k_eff: int | None = None) -> tuple[Tensor, Tensor]:
+                     k_eff: int | None = None,
+                     stages: M.Stages | None = None) -> tuple[Tensor, Tensor]:
     """The two R-Drop branches: one forward over the batch stacked on
-    itself, split back into its halves (the streams key masks by half)."""
+    itself, split back into its halves (the streams key masks by half).
+    stages, if given, stage that forward (see model.Stages)."""
     b = ids.shape[0]
     lp, _ = M.forward_ner(np.concatenate([ids, ids], axis=0), None, model_config, params,
-                          streams, k_eff=k_eff)
+                          streams, k_eff=k_eff, stages=stages)
     return T.slice_axis(lp, 0, 0, b), T.slice_axis(lp, 0, b, 2 * b)
 
 

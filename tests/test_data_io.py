@@ -108,6 +108,15 @@ def test_read_conll_bad_tag_names_line(tmp_path):
         D.read_conll(p3, scheme="bio")
 
 
+def test_text_readers_split_at_universal_newlines_only(tmp_path):
+    assert D.split_lines("a\u2028b\r\nc\rd\n\ne") == ["a\u2028b", "c", "d", "", "e"]
+    # U+2028 is whitespace inside line 1, so "c X-Y" is line 2
+    p = write(tmp_path / "t.bmes", "a O\u2028b O\nc X-Y\n")
+    with pytest.raises(ParseError, match="line 2"):
+        D.read_conll(p)
+    assert D.parse_config_text("seed = 3\rdropout = 0.25\r\n") == {"seed": 3, "dropout": 0.25}
+
+
 def test_read_conll_empty_and_missing(tmp_path):
     p = write(tmp_path / "empty.bmes", "\n\n")
     with pytest.raises(ParseError, match="no sentences"):

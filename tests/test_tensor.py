@@ -440,6 +440,18 @@ def test_finite_diff_self_check():
     assert np.max(np.abs(g - 2 * x.data)) <= 1e-6
 
 
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_finite_diff_perturbs_any_memory_layout(layout):
+    # a reshape of these arrays is a copy, which f would never see
+    base = np.arange(1.0, 13.0).reshape(3, 4)
+    data = np.asfortranarray(base[:2, :3]) if layout == "fortran" else base[:, ::2]
+    a = T.Tensor(data, requires_grad=True)
+    before = a.data.copy()
+    (g,) = T.finite_diff_grad(lambda: T.tsum(a * a), [a])
+    assert np.max(np.abs(g - 2 * before)) <= 1e-6
+    assert np.array_equal(a.data, before)
+
+
 def test_eval_mode_dropout_identity_bitwise():
     x = T.Tensor(Rng(3, 3).normal((4, 5)))
     out = T.dropout(x, 0.0, Rng(0, 0).uniform(x.shape) >= 0.0)
