@@ -15,11 +15,10 @@ import numpy as np
 
 from . import data as D
 from . import model as M
-from . import tensor as T
 from . import training as TR
 from .errors import CheckpointError, ConfigError, NtrrError, ParseError
 from .gradcheck import TOLERANCE, gradcheck_model
-from .tagging import Entity, entity_prf, scan_entities
+from .tagging import Entity, PrfScores, entity_prf, scan_entities
 
 
 def _load_configs(args) -> tuple[M.ModelConfig, TR.TrainConfig]:
@@ -41,21 +40,25 @@ def _tee_log(path: str):
         yield emit
 
 
-def _print_prf(precision: float, recall: float, f1: float,
-               per_type: dict | None = None) -> None:
+def _read_corpus(path: str, scheme: str) -> D.Corpus:
+    """read_conll, with each of the corpus's warnings printed to stderr."""
+    corpus = D.read_conll(path, scheme=scheme)
+    for warning in corpus.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return corpus
+
+
+def _print_prf(scores: PrfScores) -> None:
     print("Precise (%)\tRecall (%)\tF1 Score (%)")
-    print(f"{precision * 100:.2f}\t{recall * 100:.2f}\t{f1 * 100:.2f}")
-    if per_type:
-        for etype, (p, r, f) in sorted(per_type.items()):
-            print(f"{etype}\t{p * 100:.2f}\t{r * 100:.2f}\t{f * 100:.2f}")
+    print(f"{scores.precision * 100:.2f}\t{scores.recall * 100:.2f}\t{scores.f1 * 100:.2f}")
+    for etype, (p, r, f) in sorted(scores.per_type.items()):
+        print(f"{etype}\t{p * 100:.2f}\t{r * 100:.2f}\t{f * 100:.2f}")
 
 
 def cmd_convert(args) -> int:
-    corpus = D.read_conll(args.infile, scheme=args.src_scheme)
+    corpus = _read_corpus(args.infile, args.src_scheme)
     if args.dst_scheme != "bmes":
         raise ConfigError(f"only bmes output is supported, got '{args.dst_scheme}'")
-    for warning in corpus.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     D.write_conll(args.outfile, corpus.sentences)
     print(f"wrote {len(corpus.sentences)} sentences to {args.outfile}; "
           f"{corpus.repair_count} repairs")
@@ -64,8 +67,8 @@ def cmd_convert(args) -> int:
 
 def cmd_train(args) -> int:
     mc, tc = _load_configs(args)
-    train_corpus = D.read_conll(args.train, scheme=args.scheme)
-    dev_corpus = D.read_conll(args.dev, scheme=args.scheme)
+    train_corpus = _read_corpus(args.train, args.scheme)
+    dev_corpus = _read_corpus(args.dev, args.scheme)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     init, vocab = D.load_model(args.init) if args.init else (None, None)
@@ -80,7 +83,7 @@ def cmd_train(args) -> int:
 
 def cmd_pretrain(args) -> int:
     mc, tc = _load_configs(args)
-    corpus = D.read_conll(args.train, scheme=args.scheme)
+    corpus = _read_corpus(args.train, args.scheme)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "pretrain.ckpt")
     with _tee_log(os.path.join(args.out, "pretrain.log")) as emit:
@@ -100,17 +103,17 @@ def cmd_eval(args) -> int:
         raise ConfigError("pass exactly one of --ckpt (model eval) or --pred (file eval)")
     if args.ckpt:
         mc, params, vocab = _load_model(args)
-        corpus = D.read_conll(args.data, scheme=args.scheme)
+        corpus = _read_corpus(args.data, args.scheme)
         extra = set(corpus.label_set.entity_types) - set(mc.entity_types)
         if extra:
             raise ConfigError(f"dataset entity types {sorted(extra)} are outside the "
                               f"checkpoint label set {list(mc.entity_types)}")
-        res = TR.evaluate(corpus, vocab, params, mc)
-        _print_prf(res.precision, res.recall, res.f1, res.per_type)
-        print(f"repairs\t{res.repair_count}")
+        scores, repairs = TR.evaluate(corpus, vocab, params, mc)
+        _print_prf(scores)
+        print(f"repairs\t{repairs}")
         return 0
-    pred = D.read_conll(args.pred, scheme=args.scheme)
-    gold = D.read_conll(args.data, scheme=args.scheme)
+    pred = _read_corpus(args.pred, args.scheme)
+    gold = _read_corpus(args.data, args.scheme)
     if len(pred.sentences) != len(gold.sentences):
         raise ParseError(f"{args.pred}: {len(pred.sentences)} sentences but gold has "
                          f"{len(gold.sentences)}")
@@ -125,27 +128,21 @@ def cmd_eval(args) -> int:
         gold_entities.extend(Entity(e.start + base, e.end + base, e.etype)
                              for e in scan_entities(gtags)[0])
         base += len(gtoks)
-    scores = entity_prf(pred_entities, gold_entities)
-    _print_prf(scores.precision, scores.recall, scores.f1, scores.per_type)
+    _print_prf(entity_prf(pred_entities, gold_entities))
     return 0
 
 
 def cmd_predict(args) -> int:
     mc, params, vocab = _load_model(args)
-    label_set = mc.label_set
     sentences = []
-    with T.no_grad():
-        for line in D.split_lines(D.read_text(args.infile)):
-            if mc.token_mode == "char":
-                tokens = [ch for ch in line if not ch.isspace()]
-            else:
-                tokens = line.split()
-            if not tokens:
-                continue
-            ids = vocab.encode(tokens)[None, :]
-            lp, _ = M.forward_ner(ids, None, mc, params)
-            seq = M.decode(lp.data[0], label_set, mc.decode_mode)
-            sentences.append((tokens, label_set.decode(seq.tags)))
+    for line in D.split_lines(D.read_text(args.infile)):
+        if mc.token_mode == "char":
+            tokens = [ch for ch in line if not ch.isspace()]
+        else:
+            tokens = line.split()
+        if tokens:
+            tags = M.tag(vocab.encode(tokens)[None, :], [len(tokens)], mc, params)[0]
+            sentences.append((tokens, tags))
     if not sentences:
         raise ParseError(f"{args.infile}: no sentences found")
     D.write_conll(args.outfile, sentences)

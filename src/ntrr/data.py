@@ -243,7 +243,7 @@ _MODEL_KEYS = _schema(ModelConfig(), {
     "dropout": "drop rate at every dropout site",
     "decode_mode": "per-token argmax, or best path through BMES legality",
     "token_mode": "how plain prediction input is split into tokens",
-    "vocab_size": "token inventory size; 0 = derive from training data",
+    "vocab_size": "token inventory size; set from the vocabulary, so run configs leave it 0",
     "entity_types": "comma list of entity types; empty = derive from data",
 })
 
@@ -318,9 +318,13 @@ def configs_from_values(values: dict) -> tuple[ModelConfig, TrainConfig]:
 
 def load_run_config(path: str | None, overrides=()) -> tuple[ModelConfig, TrainConfig]:
     """The config file at path (None: the defaults) under 'key=value'
-    overrides, one config line each; validated once, after all of them."""
+    overrides, one config line each; validated once, after all of them.
+    vocab_size must stay 0: training derives it from the vocabulary."""
     values = parse_config_text(read_text(path, ConfigError), source=path) if path else {}
     values.update(parse_config_text("\n".join(overrides), source="--set"))
+    if values.get("vocab_size", 0):
+        raise ConfigError(f"key 'vocab_size' is derived from the vocabulary; "
+                          f"leave it 0, got {values['vocab_size']}")
     return configs_from_values(values)
 
 

@@ -22,7 +22,7 @@ from . import plm, relpos
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
 from .rng import Rng
-from .tagging import LabelSet, TagSequence, legal_transitions, validate_bmes
+from .tagging import LabelSet, legal_transitions
 from .tensor import Tensor
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -334,25 +334,34 @@ def pretrain_forward(token_ids, plan: plm.PermutationPlan, memory, config: Model
     return loss, SegmentMemory(new_mems, memory.offset + t)
 
 
-def decode(log_probs: np.ndarray, label_set: LabelSet, mode: str = "constrained") -> TagSequence:
-    """Tag indices for one sentence from (T, num_tags) log-probs.
+def tag(token_ids, lengths, config: ModelConfig, params) -> list[list[str]]:
+    """Eval-mode tagging: one no-grad forward over (B, T) token ids, then
+    each row's first lengths[row] positions decoded per decode_mode."""
+    with T.no_grad():
+        lp, _ = forward_ner(token_ids, None, config, params)
+    label_set = config.label_set
+    return [decode(lp.data[row, :n], label_set, config.decode_mode)
+            for row, n in enumerate(lengths)]
 
-    greedy: per-token argmax, may be ill-formed (valid flag reports it).
+
+def decode(log_probs: np.ndarray, label_set: LabelSet, mode: str = "constrained") -> list[str]:
+    """Tags for one sentence from (T, num_tags) log-probs.
+
+    greedy: per-token argmax, may be ill-formed BMES.
     constrained: best path through the BMES transition discipline with
     uniform transition scores, so the output is always well-formed."""
     lp = np.asarray(log_probs, dtype=np.float64)
     if lp.ndim != 2 or lp.shape[1] != len(label_set):
         raise ShapeError(f"log_probs shape {lp.shape} does not fit {len(label_set)} tags")
     if lp.shape[0] == 0:
-        return TagSequence([], True)
+        return []
     if mode == "greedy":
         ids = lp.argmax(axis=1).tolist()
     elif mode == "constrained":
         ids = _viterbi(lp, label_set)
     else:
         raise ConfigError(f"unknown decode mode '{mode}'")
-    tags = label_set.decode(ids)
-    return TagSequence(ids, not validate_bmes(tags))
+    return label_set.decode(ids)
 
 
 @functools.cache

@@ -78,20 +78,11 @@ class LabelSet:
         except ValueError:
             raise ContractError(f"tag {tag!r} not in label set {self.entity_types}") from None
 
-    def tag(self, idx: int) -> str:
-        return self.tags[idx]
-
     def encode(self, tags) -> np.ndarray:
         return np.array([self.index(t) for t in tags], dtype=np.int64)
 
     def decode(self, ids) -> list[str]:
         return [self.tags[int(i)] for i in ids]
-
-
-@dataclass
-class TagSequence:
-    tags: list[int]
-    valid: bool
 
 
 def bio_to_bmes(tags: list[str]) -> tuple[list[str], int]:

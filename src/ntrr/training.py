@@ -19,7 +19,7 @@ from . import plm as plm_mod
 from . import tensor as T
 from .errors import ConfigError, ContractError, NumericsError
 from .rng import DropoutStreams, DualDropoutStreams, Rng
-from .tagging import Entity, entity_prf, scan_entities
+from .tagging import Entity, PrfScores, entity_prf, scan_entities
 from .tensor import Tensor
 
 
@@ -201,45 +201,28 @@ def train_step(batch, params: dict[str, Tensor], opt: OptimizerState,
     return ce, kl, total
 
 
-@dataclass
-class EvalResult:
-    precision: float
-    recall: float
-    f1: float
-    per_type: dict[str, tuple[float, float, float]]
-    repair_count: int
-
-
 def evaluate(corpus, vocab, params, model_config: M.ModelConfig,
-             batch_size: int = 32, k_eff: int | None = None) -> EvalResult:
-    """Entity-level scores of the model on a corpus, eval mode (no
-    dropout). Predicted tag sequences are decoded per decode_mode;
-    repairs counted while extracting predicted entities are reported."""
+             batch_size: int = 32) -> tuple[PrfScores, int]:
+    """Entity-level scores of the model on a corpus, tagged by model.tag
+    in padded batches in corpus order, and the repairs counted while
+    extracting the predicted entities."""
     from .data import make_batches  # local import; data also imports tagging
 
-    label_set = model_config.label_set
     pred_entities: list[Entity] = []
     gold_entities: list[Entity] = []
-    repairs = 0
-    base = 0
-    with T.no_grad():
-        for batch in make_batches(corpus, vocab, batch_size, None, label_set):
-            lp, _ = M.forward_ner(batch.token_ids, None, model_config, params, k_eff=k_eff)
-            for row in range(batch.token_ids.shape[0]):
-                n = batch.lengths[row]
-                seq = M.decode(lp.data[row, :n], label_set, model_config.decode_mode)
-                pred_tags = label_set.decode(seq.tags)
-                ents, rep = scan_entities(pred_tags)
-                repairs += rep
-                pred_entities.extend(Entity(e.start + base, e.end + base, e.etype)
-                                     for e in ents)
-                gold_tags = [label_set.tag(i) for i in batch.tag_ids[row, :n]]
-                gold_entities.extend(Entity(e.start + base, e.end + base, e.etype)
-                                     for e in scan_entities(gold_tags)[0])
-                base += n
-    scores = entity_prf(pred_entities, gold_entities)
-    return EvalResult(scores.precision, scores.recall, scores.f1,
-                      scores.per_type, repairs)
+    repairs = base = 0
+    gold = (tags for _, tags in corpus.sentences)
+    for batch in make_batches(corpus, vocab, batch_size, None, model_config.label_set):
+        for pred_tags, gold_tags in zip(M.tag(batch.token_ids, batch.lengths,
+                                              model_config, params), gold):
+            ents, rep = scan_entities(pred_tags)
+            repairs += rep
+            pred_entities.extend(Entity(e.start + base, e.end + base, e.etype)
+                                 for e in ents)
+            gold_entities.extend(Entity(e.start + base, e.end + base, e.etype)
+                                 for e in scan_entities(gold_tags)[0])
+            base += len(gold_tags)
+    return entity_prf(pred_entities, gold_entities), repairs
 
 
 @dataclass
@@ -316,7 +299,7 @@ def train(train_corpus, dev_corpus, model_config: M.ModelConfig,
                                        step, lr, k_eff)
             sums += (ce, kl, total)
             emit(f"{step}\t{lr:.8g}\t{ce:.6f}\t{kl:.6f}\t{total:.6f}")
-        res = evaluate(dev_corpus, vocab, params, model_config, k_eff=k_eff)
+        res, _ = evaluate(dev_corpus, vocab, params, model_config)
         emit(f"epoch\t{epoch}\t{res.precision:.4f}\t{res.recall:.4f}\t{res.f1:.4f}")
         history.append(EpochStats(epoch, len(batches), *(sums / max(1, len(batches))),
                                   res.precision, res.recall, res.f1))
@@ -330,15 +313,22 @@ def train(train_corpus, dev_corpus, model_config: M.ModelConfig,
 
 
 def _warm_start(params: dict[str, Tensor], source: dict[str, np.ndarray]) -> None:
-    """Copy pretrained encoder weights in by name where shapes agree."""
+    """Copy pretrained encoder weights in by name. Both registries must
+    hold the same warm-start names, shape for shape."""
     prefixes = ("embed", "w_init", "xl.", "plm_head", "final_ln")
-    for name, arr in source.items():
-        if name in params and name.startswith(prefixes):
-            if params[name].data.shape != arr.shape:
-                raise ConfigError(
-                    f"warm start shape mismatch for '{name}': "
-                    f"{arr.shape} vs {params[name].data.shape}")
-            params[name].data = arr.astype(params[name].data.dtype)
+    names = [name for name in source if name.startswith(prefixes)]
+    odd = [name for name in (*names, *params) if name.startswith(prefixes)
+           and (name in source) != (name in params)]
+    if odd:
+        side = "pretrained" if odd[0] in source else "fine-tuning"
+        raise ConfigError(f"warm start layout mismatch: '{odd[0]}' is only in the "
+                          f"{side} registry")
+    for name in names:
+        if params[name].data.shape != source[name].shape:
+            raise ConfigError(
+                f"warm start shape mismatch for '{name}': "
+                f"{source[name].shape} vs {params[name].data.shape}")
+        params[name].data = source[name].astype(params[name].data.dtype)
 
 
 def pretrain(corpus, model_config: M.ModelConfig, train_config: TrainConfig,

@@ -141,6 +141,51 @@ def test_eval_model_prints_table(trained):
     assert lines[-1].startswith("repairs\t")
 
 
+def test_logged_best_dev_scores_match_eval_under_radius_schedule(tmp_path):
+    # the schedule narrows training to radius 1 of clip_k 4; dev scoring,
+    # and so the checkpoint choice, must use the model's own radius
+    code, _, err = run(["train", "--train", str(DATA / "train.bmes"),
+                        "--dev", str(DATA / "dev.bmes"), "--out", str(tmp_path),
+                        "--config", CFG, "--set", "epochs=6", "--set", "stop_at_f1=0",
+                        "--set", "clip_k_start=1", "--set", "clip_k_end=1"])
+    assert code == 0, err
+    epochs = [line.split("\t")[2:] for line in
+              (tmp_path / "train.log").read_text().splitlines() if line.startswith("epoch\t")]
+    best = max(epochs, key=lambda prf: float(prf[2]))
+    assert float(best[2]) > 0
+    code, out, err = run(["eval", "--ckpt", str(tmp_path / "model.ckpt"),
+                          "--data", str(DATA / "dev.bmes")])
+    assert code == 0, err
+    printed = out.splitlines()[1].split("\t")
+    # the log keeps 4 decimals of a fraction, eval 2 of a percentage
+    assert all(abs(float(l) * 100 - float(p)) <= 0.01 for l, p in zip(best, printed))
+
+
+def _dev_with_three_fields_on_line_2(tmp_path):
+    lines = (DATA / "dev.bmes").read_text().splitlines(keepends=True)
+    lines[1] = lines[1].rstrip("\n") + " extra\n"
+    path = tmp_path / "dev3.bmes"
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval-ckpt", "eval-pred", "train", "pretrain"])
+def test_corpus_warnings_reach_stderr(trained, tmp_path, command):
+    junk = str(_dev_with_three_fields_on_line_2(tmp_path))
+    out_dir = str(tmp_path / "o")
+    argv = {
+        "eval-ckpt": ["eval", "--ckpt", str(trained[0] / "model.ckpt"), "--data", junk],
+        "eval-pred": ["eval", "--pred", junk, "--data", junk],
+        "train": ["train", "--train", junk, "--dev", junk, "--out", out_dir,
+                  "--config", CFG, "--set", "epochs=1"],
+        "pretrain": ["pretrain", "--train", junk, "--out", out_dir,
+                     "--config", CFG, "--set", "total_steps=1"],
+    }[command]
+    code, out, err = run(argv)
+    assert code == 0, err
+    assert f"warning: {junk}: line 2: expected 'token tag', got 3 fields; skipped" in err
+
+
 def test_eval_gold_as_predictions_is_perfect(tmp_path):
     code, out, err = run(["eval", "--pred", str(DATA / "test.bmes"),
                           "--data", str(DATA / "test.bmes")])
@@ -210,6 +255,16 @@ def test_duplicate_entity_type_override_is_exit_2(tmp_path):
     assert "duplicate entity types" in err
 
 
+def test_vocab_size_override_is_exit_2(tmp_path):
+    # training always derives vocab_size from the vocabulary
+    code, out, err = run(["train", "--train", str(DATA / "train.bmes"),
+                          "--dev", str(DATA / "dev.bmes"), "--out", str(tmp_path / "o"),
+                          "--config", CFG, "--set", "epochs=1", "--set", "vocab_size=5000"])
+    assert code == 2, err
+    assert "'vocab_size'" in err and "5000" in err
+    assert out == ""
+
+
 def test_overrides_apply_in_any_order(tmp_path):
     for order in (["num_heads=3", "model_dim=48"], ["model_dim=48", "num_heads=3"]):
         sets = [arg for item in order for arg in ("--set", item)]
@@ -271,8 +326,8 @@ def test_predict_then_eval_matches_in_process_scores(trained, tmp_path):
 
     ckpt = D.load_checkpoint(str(out_dir / "model.ckpt"))
     vocab = D.load_vocab(str(out_dir / "vocab.txt"))
-    res = TR.evaluate(corpus, vocab, D.params_from_checkpoint(ckpt),
-                      ckpt.model_config)
+    res, _ = TR.evaluate(corpus, vocab, D.params_from_checkpoint(ckpt),
+                         ckpt.model_config)
     want = [res.precision * 100, res.recall * 100, res.f1 * 100]
     assert all(abs(g - w) <= 0.005 for g, w in zip(got, want))
 
@@ -380,6 +435,24 @@ def test_warm_start_rejects_non_finite_checkpoint(tmp_path):
     assert code == 2, err
     assert "'embed' has non-finite values" in err and str(path) in err
     assert out == ""
+
+
+def test_warm_start_rejects_another_lower_stack_depth(tmp_path):
+    pre_dir = tmp_path / "pre"
+    code, _, err = run(["pretrain", "--train", str(DATA / "train.bmes"),
+                        "--out", str(pre_dir), "--config", CFG,
+                        "--set", "xlnet_layers=2", "--set", "total_steps=1"])
+    assert code == 0, err
+    for layers, name, side in ((1, "xl.1.ln1_g", "pretrained"),
+                               (3, "xl.2.ln1_g", "fine-tuning")):
+        code, out, err = run(["train", "--train", str(DATA / "train.bmes"),
+                              "--dev", str(DATA / "dev.bmes"),
+                              "--out", str(tmp_path / f"ft{layers}"), "--config", CFG,
+                              "--set", f"xlnet_layers={layers}", "--set", "epochs=1",
+                              "--init", str(pre_dir / "pretrain.ckpt")])
+        assert code == 2, err
+        assert f"'{name}' is only in the {side} registry" in err
+        assert out == ""
 
 
 # ------------------------------------------------------------------ report

@@ -275,6 +275,15 @@ def test_config_file_and_overrides_are_validated_together(tmp_path):
         D.load_run_config(path)
 
 
+def test_run_config_rejects_a_vocab_size(tmp_path):
+    with pytest.raises(ConfigError, match="'vocab_size'.*got 5000"):
+        D.load_run_config(None, ["vocab_size=5000"])
+    path = write(tmp_path / "v.cfg", "vocab_size = 26\n")
+    with pytest.raises(ConfigError, match="'vocab_size'.*got 26"):
+        D.load_run_config(path)
+    assert D.load_run_config(path, ["vocab_size=0"])[0].vocab_size == 0
+
+
 def test_seed_flag_is_the_seed_override():
     base = ["pretrain", "--train", "t.bmes", "--out", "o", "--set", "epochs=3"]
     by_flag = _load_configs(build_parser().parse_args(base + ["--seed", "7"]))

@@ -439,8 +439,8 @@ def test_greedy_decode_one_hot():
     lp = np.full((3, len(ls)), -20.0)
     for i, t in enumerate(ids):
         lp[i, t] = 0.0
-    seq = M.decode(lp, ls, "greedy")
-    assert seq.tags == ids and seq.valid
+    tags = M.decode(lp, ls, "greedy")
+    assert tags == ls.decode(ids) and validate_bmes(tags) == []
 
 
 def test_greedy_decode_flags_invalid():
@@ -448,8 +448,8 @@ def test_greedy_decode_flags_invalid():
     lp = np.full((2, len(ls)), -20.0)
     lp[0, ls.index("M-PER")] = 0.0
     lp[1, ls.index("O")] = 0.0
-    seq = M.decode(lp, ls, "greedy")
-    assert not seq.valid
+    tags = M.decode(lp, ls, "greedy")
+    assert validate_bmes(tags) != []
 
 
 def test_constrained_decode_always_wellformed():
@@ -458,9 +458,8 @@ def test_constrained_decode_always_wellformed():
     for i in range(200):
         n = 1 + rng.derive(i).randbelow(8)
         lp = np.log(softmax(T.Tensor(rng.derive(1000 + i).normal((n, len(ls))) * 3)).data)
-        seq = M.decode(lp, ls, "constrained")
-        assert seq.valid
-        assert validate_bmes(ls.decode(seq.tags)) == []
+        tags = M.decode(lp, ls, "constrained")
+        assert validate_bmes(tags) == []
 
 
 def exhaustive_best_legal(lp, ls):
@@ -485,10 +484,10 @@ def test_constrained_decode_matches_exhaustive_search():
     for i in range(40):
         n = 1 + rng.derive(i).randbelow(6)
         lp = np.log(softmax(T.Tensor(rng.derive(2000 + i).normal((n, len(ls))) * 2)).data)
-        seq = M.decode(lp, ls, "constrained")
+        tags = M.decode(lp, ls, "constrained")
         want, want_score = exhaustive_best_legal(lp, ls)
-        got_score = sum(lp[j, t] for j, t in enumerate(seq.tags))
-        assert abs(got_score - want_score) <= 1e-9, (i, seq.tags, want)
+        got_score = sum(lp[j, ls.index(t)] for j, t in enumerate(tags))
+        assert abs(got_score - want_score) <= 1e-9, (i, tags, want)
 
 
 def test_constrained_decode_builds_its_tables_once(monkeypatch):
@@ -506,15 +505,14 @@ def test_constrained_decode_builds_its_tables_once(monkeypatch):
     lp = np.log(softmax(T.Tensor(Rng(17, 0).normal((4, len(ls))))).data)
     first = M.decode(lp, ls, "constrained")
     second = M.decode(lp, LabelSet(TYPES), "constrained")
-    assert built == [ls] and first.tags == second.tags
+    assert built == [ls] and first == second
     for table in M._decode_tables(ls):
         with pytest.raises(ValueError):
             table[0] = table[0]
 
 
 def test_decode_empty_sequence():
-    seq = M.decode(np.zeros((0, 13)), LabelSet(TYPES))
-    assert seq.tags == [] and seq.valid
+    assert M.decode(np.zeros((0, 13)), LabelSet(TYPES)) == []
 
 
 # ------------------------------------------------------------- grad checks

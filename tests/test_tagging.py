@@ -21,7 +21,7 @@ def test_label_set_layout():
     assert len(ls) == 1 + 4 * 2
     assert ls.index("O") == 0
     for t in ls.tags:
-        assert ls.tag(ls.index(t)) == t
+        assert ls.tags[ls.index(t)] == t
 
 
 def test_label_set_from_tags_sorted():
