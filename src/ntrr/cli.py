@@ -57,8 +57,6 @@ def _print_prf(scores: PrfScores) -> None:
 
 def cmd_convert(args) -> int:
     corpus = _read_corpus(args.infile, args.src_scheme)
-    if args.dst_scheme != "bmes":
-        raise ConfigError(f"only bmes output is supported, got '{args.dst_scheme}'")
     D.write_conll(args.outfile, corpus.sentences)
     print(f"wrote {len(corpus.sentences)} sentences to {args.outfile}; "
           f"{corpus.repair_count} repairs")
@@ -134,18 +132,14 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     mc, params, vocab = _load_model(args)
-    sentences = []
-    for line in D.split_lines(D.read_text(args.infile)):
-        if mc.token_mode == "char":
-            tokens = [ch for ch in line if not ch.isspace()]
-        else:
-            tokens = line.split()
-        if tokens:
-            tags = M.tag(vocab.encode(tokens)[None, :], [len(tokens)], mc, params)[0]
-            sentences.append((tokens, tags))
+    sentences = [line.split() for line in D.split_lines(D.read_text(args.infile))]
+    if mc.token_mode == "char":  # the line's non-whitespace characters
+        sentences = [list("".join(words)) for words in sentences]
+    sentences = [tokens for tokens in sentences if tokens]
     if not sentences:
         raise ParseError(f"{args.infile}: no sentences found")
-    D.write_conll(args.outfile, sentences)
+    tags = M.tag([vocab.encode(tokens) for tokens in sentences], mc, params)
+    D.write_conll(args.outfile, zip(sentences, tags))
     print(f"wrote {len(sentences)} sentences to {args.outfile}")
     return 0
 
@@ -236,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("infile")
     p.add_argument("outfile")
     p.add_argument("--from", dest="src_scheme", choices=("bio", "bmes"), required=True)
-    p.add_argument("--to", dest="dst_scheme", choices=("bmes",), default="bmes")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("pretrain", help="permutation-LM pretraining")

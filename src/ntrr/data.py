@@ -184,7 +184,6 @@ class Batch:
     token_ids: np.ndarray  # (B, T) int64, padded with PAD_ID
     tag_ids: np.ndarray  # (B, T) int64, padding rows are PAD positions
     token_mask: np.ndarray  # (B, T) bool, True on real tokens
-    lengths: list[int]
 
 
 def make_batches(corpus: Corpus, vocab: Vocab, batch_size: int, rng: Rng | None,
@@ -204,14 +203,12 @@ def make_batches(corpus: Corpus, vocab: Vocab, batch_size: int, rng: Rng | None,
         token_ids = np.full((b, width), PAD_ID, dtype=np.int64)
         tag_ids = np.zeros((b, width), dtype=np.int64)
         mask = np.zeros((b, width), dtype=bool)
-        lengths = []
         for row, (tokens, tags) in enumerate(chunk):
             t = len(tokens)
             token_ids[row, :t] = vocab.encode(tokens)
             tag_ids[row, :t] = label_set.encode(tags)
             mask[row, :t] = True
-            lengths.append(t)
-        batches.append(Batch(token_ids, tag_ids, mask, lengths))
+        batches.append(Batch(token_ids, tag_ids, mask))
     return batches
 
 

@@ -28,6 +28,7 @@ from .tensor import Tensor
 DTYPES = {"float64": np.float64, "float32": np.float32}
 DECODE_MODES = ("greedy", "constrained")
 TOKEN_MODES = ("char", "whitespace")
+TAG_BATCH = 32  # sentences per tagging forward
 
 
 @dataclass
@@ -47,6 +48,11 @@ class ModelConfig:
     entity_types: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for key, low in (("vocab_size", 0), ("model_dim", 1), ("ffn_dim", 1), ("num_heads", 1),
+                         ("clip_k", 1), ("xlnet_layers", 1), ("transformer_layers", 0),
+                         ("memory_len", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
@@ -54,12 +60,6 @@ class ModelConfig:
             raise ConfigError(f"unknown pe_mode '{self.pe_mode}'")
         if self.pe_mode == "absolute" and self.model_dim % 2 != 0:
             raise ConfigError("absolute mode needs an even model_dim")
-        if self.clip_k < 1:
-            raise ConfigError(f"clip_k must be >= 1, got {self.clip_k}")
-        if self.xlnet_layers < 1:
-            raise ConfigError("need at least one lower-stack layer")
-        if self.transformer_layers < 0 or self.memory_len < 0:
-            raise ConfigError("layer counts and memory_len must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.decode_mode not in DECODE_MODES:
@@ -334,14 +334,24 @@ def pretrain_forward(token_ids, plan: plm.PermutationPlan, memory, config: Model
     return loss, SegmentMemory(new_mems, memory.offset + t)
 
 
-def tag(token_ids, lengths, config: ModelConfig, params) -> list[list[str]]:
-    """Eval-mode tagging: one no-grad forward over (B, T) token ids, then
-    each row's first lengths[row] positions decoded per decode_mode."""
-    with T.no_grad():
-        lp, _ = forward_ner(token_ids, None, config, params)
-    label_set = config.label_set
-    return [decode(lp.data[row, :n], label_set, config.decode_mode)
-            for row, n in enumerate(lengths)]
+def tag(sentences, config: ModelConfig, params) -> list[list[str]]:
+    """Eval-mode tagging of 1-d token-id arrays, in input order: one
+    no-grad forward per TAG_BATCH sentences, then each sentence's tags
+    decoded per decode_mode on its own length."""
+    label_set, tags = config.label_set, []
+    for start in range(0, len(sentences), TAG_BATCH):
+        chunk = sentences[start:start + TAG_BATCH]
+        # Pad with id 0 to the longest sentence. Padding comes after every
+        # real token and attention is causal, so it never reaches a real
+        # position.
+        ids = np.zeros((len(chunk), max(map(len, chunk))), dtype=np.int64)
+        for row, s in enumerate(chunk):
+            ids[row, :len(s)] = s
+        with T.no_grad():
+            lp, _ = forward_ner(ids, None, config, params)
+        tags.extend(decode(lp.data[row, :len(s)], label_set, config.decode_mode)
+                    for row, s in enumerate(chunk))
+    return tags
 
 
 def decode(log_probs: np.ndarray, label_set: LabelSet, mode: str = "constrained") -> list[str]:

@@ -43,8 +43,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr_init <= 0:
             raise ConfigError(f"lr_init must be positive, got {self.lr_init}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
+        for key, low in (("warmup_steps", 0), ("total_steps", 0), ("epochs", 1),
+                         ("batch_size", 1), ("seed", 0), ("min_freq", 1),
+                         ("clip_k_start", 0), ("clip_k_end", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.seed >= 1 << 64:
+            raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.dtype not in M.DTYPES:
@@ -201,27 +206,21 @@ def train_step(batch, params: dict[str, Tensor], opt: OptimizerState,
     return ce, kl, total
 
 
-def evaluate(corpus, vocab, params, model_config: M.ModelConfig,
-             batch_size: int = 32) -> tuple[PrfScores, int]:
-    """Entity-level scores of the model on a corpus, tagged by model.tag
-    in padded batches in corpus order, and the repairs counted while
-    extracting the predicted entities."""
-    from .data import make_batches  # local import; data also imports tagging
-
+def evaluate(corpus, vocab, params, model_config: M.ModelConfig) -> tuple[PrfScores, int]:
+    """Entity-level scores of model.tag's tags for a corpus, and the
+    repairs counted while extracting the predicted entities."""
     pred_entities: list[Entity] = []
     gold_entities: list[Entity] = []
     repairs = base = 0
-    gold = (tags for _, tags in corpus.sentences)
-    for batch in make_batches(corpus, vocab, batch_size, None, model_config.label_set):
-        for pred_tags, gold_tags in zip(M.tag(batch.token_ids, batch.lengths,
-                                              model_config, params), gold):
-            ents, rep = scan_entities(pred_tags)
-            repairs += rep
-            pred_entities.extend(Entity(e.start + base, e.end + base, e.etype)
-                                 for e in ents)
-            gold_entities.extend(Entity(e.start + base, e.end + base, e.etype)
-                                 for e in scan_entities(gold_tags)[0])
-            base += len(gold_tags)
+    predicted = M.tag([vocab.encode(tokens) for tokens, _ in corpus.sentences],
+                      model_config, params)
+    for pred_tags, (_, gold_tags) in zip(predicted, corpus.sentences):
+        ents, rep = scan_entities(pred_tags)
+        repairs += rep
+        pred_entities.extend(Entity(e.start + base, e.end + base, e.etype) for e in ents)
+        gold_entities.extend(Entity(e.start + base, e.end + base, e.etype)
+                             for e in scan_entities(gold_tags)[0])
+        base += len(gold_tags)
     return entity_prf(pred_entities, gold_entities), repairs
 
 

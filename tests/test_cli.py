@@ -265,6 +265,26 @@ def test_vocab_size_override_is_exit_2(tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("command, args, key", [
+    ("train", ["--set", "num_heads=0"], "num_heads"),
+    ("train", ["--set", "model_dim=-4"], "model_dim"),
+    ("train", ["--set", "ffn_dim=0"], "ffn_dim"),
+    ("pretrain", ["--set", "total_steps=-5"], "total_steps"),
+    ("train", ["--set", "warmup_steps=-3"], "warmup_steps"),
+    ("train", ["--seed", "-1"], "seed"),
+], ids=["num_heads", "model_dim", "ffn_dim", "total_steps", "warmup_steps", "seed"])
+def test_bad_size_count_or_seed_is_exit_2_naming_the_key(tmp_path, command, args, key):
+    corpora = ["--train", str(DATA / "train.bmes")]
+    if command == "train":
+        corpora += ["--dev", str(DATA / "dev.bmes")]
+    out_dir = tmp_path / "o"
+    code, out, err = run([command, *corpora, "--out", str(out_dir), "--config", CFG,
+                          "--set", "epochs=1", *args])
+    assert code == 2, err
+    assert f"error: {key} must be >= " in err
+    assert out == "" and not out_dir.exists()
+
+
 def test_overrides_apply_in_any_order(tmp_path):
     for order in (["num_heads=3", "model_dim=48"], ["model_dim=48", "num_heads=3"]):
         sets = [arg for item in order for arg in ("--set", item)]

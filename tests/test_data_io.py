@@ -169,7 +169,7 @@ def test_batches_cover_corpus_and_pad():
     for b in batches:
         assert b.token_ids.shape == b.tag_ids.shape == b.token_mask.shape
         for row in range(b.token_ids.shape[0]):
-            n = b.lengths[row]
+            n = int(b.token_mask[row].sum())
             assert b.token_mask[row, :n].all()
             assert not b.token_mask[row, n:].any()
             assert (b.token_ids[row, n:] == D.PAD_ID).all()
@@ -183,8 +183,8 @@ def test_batches_shuffle_is_permutation():
     vocab = D.build_vocab(corpus)
     plain = D.make_batches(corpus, vocab, 3, None, corpus.label_set)
     shuffled = D.make_batches(corpus, vocab, 3, Rng.for_stream(1, "s"), corpus.label_set)
-    flat = lambda bs: sorted(tuple(b.token_ids[r, :b.lengths[r]])
-                             for b in bs for r in range(len(b.lengths)))
+    flat = lambda bs: sorted(tuple(ids[mask]) for b in bs
+                             for ids, mask in zip(b.token_ids, b.token_mask))
     assert flat(plain) == flat(shuffled)
     with pytest.raises(ContractError):
         D.make_batches(corpus, vocab, 0, None, corpus.label_set)

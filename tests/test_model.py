@@ -511,6 +511,27 @@ def test_constrained_decode_builds_its_tables_once(monkeypatch):
             table[0] = table[0]
 
 
+def test_tag_batches_match_tagging_each_sentence_alone(monkeypatch):
+    mc = small_config()
+    params = M.init_params(mc, Rng.for_stream(7, "init"), "float64")
+    r = Rng(5, 0)
+    sentences = [random_ids(100 + i, 1 + r.randbelow(12))[0] for i in range(70)]
+    alone = [M.tag([s], mc, params)[0] for s in sentences]
+    shapes, forward = [], M.forward_ner
+
+    def counted(ids, *args, **kwargs):
+        shapes.append(ids.shape)
+        return forward(ids, *args, **kwargs)
+
+    monkeypatch.setattr(M, "forward_ner", counted)
+    tagged = M.tag(sentences, mc, params)
+    chunks = [sentences[:32], sentences[32:64], sentences[64:]]
+    assert shapes == [(len(c), max(map(len, c))) for c in chunks]
+    assert [len(tags) for tags in tagged] == [len(s) for s in sentences]
+    assert tagged == alone
+    assert M.tag([], mc, params) == []
+
+
 def test_decode_empty_sequence():
     assert M.decode(np.zeros((0, 13)), LabelSet(TYPES)) == []
 
