@@ -145,6 +145,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    TR.check_seed(args.seed)
     modes = ("absolute", "relative") if args.mode == "both" else (args.mode,)
     worst = 0.0
     for mode in modes:

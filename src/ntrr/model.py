@@ -29,6 +29,7 @@ DTYPES = {"float64": np.float64, "float32": np.float32}
 DECODE_MODES = ("greedy", "constrained")
 TOKEN_MODES = ("char", "whitespace")
 TAG_BATCH = 32  # sentences per tagging forward
+TAG_CELLS = TAG_BATCH * 128 ** 2  # rows x longest^2 per tagging forward
 
 
 @dataclass
@@ -334,13 +335,28 @@ def pretrain_forward(token_ids, plan: plm.PermutationPlan, memory, config: Model
     return loss, SegmentMemory(new_mems, memory.offset + t)
 
 
+def _tag_batches(sentences):
+    """Runs of consecutive sentences, each at most TAG_BATCH of them and
+    at most TAG_CELLS attention cells (rows x longest^2), which bounds a
+    forward's (B, H, T, T) arrays; one sentence always makes a run."""
+    chunk, longest = [], 0
+    for s in sentences:
+        wider = max(longest, len(s))
+        if chunk and (len(chunk) == TAG_BATCH or (len(chunk) + 1) * wider ** 2 > TAG_CELLS):
+            yield chunk
+            chunk, wider = [], len(s)
+        chunk.append(s)
+        longest = wider
+    if chunk:
+        yield chunk
+
+
 def tag(sentences, config: ModelConfig, params) -> list[list[str]]:
     """Eval-mode tagging of 1-d token-id arrays, in input order: one
-    no-grad forward per TAG_BATCH sentences, then each sentence's tags
+    no-grad forward per _tag_batches run, then each sentence's tags
     decoded per decode_mode on its own length."""
     label_set, tags = config.label_set, []
-    for start in range(0, len(sentences), TAG_BATCH):
-        chunk = sentences[start:start + TAG_BATCH]
+    for chunk in _tag_batches(sentences):
         # Pad with id 0 to the longest sentence. Padding comes after every
         # real token and attention is causal, so it never reaches a real
         # position.

@@ -213,6 +213,6 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, config, params: AttentionPar
     v = split_heads(T.linear(x_kv, params.wv, params.bv), config.num_heads)
     scores = rel_attention_scores(q, k, rel_table, rel_index)
     keep = _site_keep(scores.shape, config.dropout, streams)
-    weights = T.masked_softmax(scores, True if mask is None else mask, keep, config.dropout)
-    mixed = rel_attention_values(weights, v, rel_table, rel_index)
+    mixed = T.attend(scores, True if mask is None else mask, v, keep, config.dropout,
+                     rel_index, None if rel_table is None else rel_table.wv)
     return T.linear(merge_heads(mixed), params.wo, params.bo)

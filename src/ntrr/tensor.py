@@ -374,19 +374,26 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
+def _softmax(s: np.ndarray, mask) -> np.ndarray:
+    """Softmax of s over the last axis restricted to mask==True positions,
+    in one new buffer. Masked positions get exactly zero weight; rows with
+    no admissible position come out as all zeros rather than NaN."""
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), s.shape)
+    p = np.where(m, s, -np.inf)  # the softmax buffer; updated in place below
+    rowmax = p.max(axis=-1, keepdims=True)
+    rowmax[~np.isfinite(rowmax)] = 0.0
+    np.exp(np.subtract(p, rowmax, out=p), out=p)
+    denom = p.sum(axis=-1, keepdims=True)
+    return np.divide(p, np.where(denom > 0.0, denom, 1.0), out=p)
+
+
 def masked_softmax(scores: Tensor, mask, keep=None, drop_prob: float = 0.0) -> Tensor:
     """Softmax over the last axis restricted to mask==True positions.
 
     Masked positions get exactly zero weight; rows with no admissible
     position come out as all zeros rather than NaN. A keep-mask folds in
     dropout(..., drop_prob, keep) bitwise, saving the mask, not a factor."""
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), scores.data.shape)
-    p = np.where(m, scores.data, -np.inf)  # the softmax buffer; updated in place below
-    rowmax = p.max(axis=-1, keepdims=True)
-    rowmax[~np.isfinite(rowmax)] = 0.0
-    np.exp(np.subtract(p, rowmax, out=p), out=p)
-    denom = p.sum(axis=-1, keepdims=True)
-    np.divide(p, np.where(denom > 0.0, denom, 1.0), out=p)
+    p = _softmax(scores.data, mask)
     scale = None if keep is None else _keep_scale(drop_prob, scores.dtype)
     out = p if keep is None else _apply_keep(p, keep, scale)
 
@@ -605,6 +612,58 @@ def index_bucket_last(x: Tensor, index: BucketIndex) -> Tensor:
         return (_gather_last(g, index),)
 
     return _make(_bucket_sum(x.data, index), (x,), backward)
+
+
+def attend(scores: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 0.0,
+           index: BucketIndex | None = None, wv: Tensor | None = None) -> Tensor:
+    """Attention weights applied to values, in one op.
+
+    scores (..., Tq, Tk), v (..., Tk, d) with the same leading axes. The
+    weights are masked_softmax(scores, mask, keep, drop_prob); the result
+    is weights @ v, plus index_bucket_last(weights, index) @ wv when given
+    a (2k+1, d) value table wv and its index, bitwise those unfused ops.
+    Backward saves the softmax, the keep-mask, v, wv and the pooled
+    weights, never the dropped weights: it rebuilds them into one buffer
+    and reuses that buffer for the weight and score gradients."""
+    sd, vd = scores.data, v.data
+    if sd.shape[:-2] != vd.shape[:-2] or sd.shape[-1] != vd.shape[-2]:
+        raise ShapeError(f"attend: scores {sd.shape} do not fit values {vd.shape}")
+    if index is not None and (sd.shape[-2:] != index.shape
+                              or wv.data.shape != (index.nbuckets, vd.shape[-1])):
+        raise ShapeError(f"attend: index {index.shape} over {index.nbuckets} buckets "
+                         f"does not fit scores {sd.shape} and table {wv.data.shape}")
+    p = _softmax(sd, mask)
+    scale = None if keep is None else _keep_scale(drop_prob, scores.dtype)
+    w = p if keep is None else _apply_keep(p, keep, scale)  # read by no backward
+    out = w @ vd
+    pooled = wvd = None
+    if index is not None:
+        wvd = wv.data
+        pooled = _bucket_sum(w, index)  # (..., Tq, 2k+1)
+        np.add(out, pooled @ wvd, out=out)
+
+    def backward(g):
+        # gw is the one (..., Tq, Tk) buffer: the dropped weights for gv,
+        # then the gradient to them, then the score gradient
+        if keep is None:
+            gv = np.swapaxes(p, -1, -2) @ g
+            gw = g @ np.swapaxes(vd, -1, -2)
+        else:
+            gw = _apply_keep(p, keep, scale)
+            gv = np.swapaxes(gw, -1, -2) @ g
+            np.matmul(g, np.swapaxes(vd, -1, -2), out=gw)
+        if index is not None:
+            gwv = _sum_to_shape(np.swapaxes(pooled, -1, -2) @ g, wvd.shape)
+            np.add(gw, _gather_last(g @ np.swapaxes(wvd, -1, -2), index), out=gw)
+        if keep is not None:
+            np.multiply(np.multiply(gw, keep, out=gw), scale, out=gw)
+        dot = (gw * p).sum(axis=-1, keepdims=True)
+        np.multiply(p, np.subtract(gw, dot, out=gw), out=gw)
+        return (gw, gv) if index is None else (gv, gw, gwv)
+
+    # the parents in the unfused graph's search order, so the gradients
+    # that meet upstream (q, k and v share one layer norm) add in its order
+    return _make(out, (scores, v) if index is None else (v, scores, wv), backward)
 
 
 # ------------------------------------------------------------------ backward

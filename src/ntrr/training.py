@@ -44,16 +44,23 @@ class TrainConfig:
         if self.lr_init <= 0:
             raise ConfigError(f"lr_init must be positive, got {self.lr_init}")
         for key, low in (("warmup_steps", 0), ("total_steps", 0), ("epochs", 1),
-                         ("batch_size", 1), ("seed", 0), ("min_freq", 1),
+                         ("batch_size", 1), ("min_freq", 1),
                          ("clip_k_start", 0), ("clip_k_end", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        if self.seed >= 1 << 64:
-            raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
+        check_seed(self.seed)
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.dtype not in M.DTYPES:
             raise ConfigError(f"unknown dtype '{self.dtype}'")
+
+
+def check_seed(seed: int) -> None:
+    """Reject a master seed outside [0, 2^64), as a config error."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if seed >= 1 << 64:
+        raise ConfigError(f"seed must fit in 64 bits, got {seed}")
 
 
 @dataclass

@@ -115,6 +115,16 @@ def test_gradcheck_rejects_unknown_scale():
     assert "scale" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)], ids=["negative", "over-64-bits"])
+def test_gradcheck_bad_seed_is_exit_2_as_in_train(tmp_path, seed):
+    code, out, err = run(["gradcheck", "--seed", seed])
+    assert code == 2, err
+    assert err.startswith("error: seed must ") and out == ""
+    train = run(["train", "--train", str(DATA / "train.bmes"), "--dev", str(DATA / "dev.bmes"),
+                 "--out", str(tmp_path / "o"), "--config", CFG, "--seed", seed])
+    assert train == (2, "", err)
+
+
 # ------------------------------------------------------- train, eval, predict
 
 

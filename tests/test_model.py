@@ -530,6 +530,21 @@ def test_tag_batches_match_tagging_each_sentence_alone(monkeypatch):
     assert [len(tags) for tags in tagged] == [len(s) for s in sentences]
     assert tagged == alone
     assert M.tag([], mc, params) == []
+    # the cell cap splits a run: rows x longest^2 may not pass TAG_CELLS,
+    # and a sentence over it alone still gets its own forward
+    monkeypatch.setattr(M, "TAG_CELLS", 100)
+    lengths = [3, 3, 3, 10, 2, 11, 1]
+    capped = [random_ids(200 + i, n)[0] for i, n in enumerate(lengths)]
+    shapes.clear()
+    tagged = M.tag(capped, mc, params)
+    assert shapes == [(3, 3), (1, 10), (1, 2), (1, 11), (1, 1)]
+    assert tagged == [M.tag([s], mc, params)[0] for s in capped]
+    # a run that fills the cap exactly (4 x 5^2 = 100) stays one forward
+    capped = [random_ids(300 + i, n)[0] for i, n in enumerate([5, 5, 5, 5, 6])]
+    shapes.clear()
+    tagged = M.tag(capped, mc, params)
+    assert shapes == [(4, 5), (1, 6)]
+    assert tagged == [M.tag([s], mc, params)[0] for s in capped]
 
 
 def test_decode_empty_sequence():

@@ -1,9 +1,11 @@
 """R-Drop loss identities, the duplicated-batch equivalence, the lr
 schedule, Adam, and gradient clipping."""
 
+import importlib.util
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,24 +339,35 @@ def test_loss_decreases_on_toy_problem():
     assert last < first
 
 
+def _rdrop_step(t):
+    """A function that runs one R-Drop training forward to its loss, at
+    the default config, B = 2, T = t; parameters and inputs are made
+    (and the grads zeroed) before it is returned."""
+    config = replace(M.ModelConfig(), vocab_size=60, entity_types=("LOC", "ORG", "PER"))
+    params = M.init_params(config, Rng(0, 0), "float64")
+    rng = Rng(1, 1)
+    ids = (rng.uniform((2, t)) * 60).astype(np.int64)
+    tags = (rng.uniform((2, t)) * config.num_tags).astype(np.int64)
+    T.zero_grads(params.values())
+
+    def forward():
+        lp1, lp2 = TR.branch_log_probs(ids, config, params, DualDropoutStreams(3, 1))
+        return TR.rdrop_loss(lp1, lp2, tags, 1.0).total
+
+    return forward
+
+
 def _rdrop_step_traced_bytes():
     """(held, peak): bytes traced by tracemalloc (this process's
     allocations only) when the R-Drop forward returns, and at the peak of
     the backward sweep after it, at the default config, B = 2, T = 64."""
-    config = replace(M.ModelConfig(), vocab_size=60, entity_types=("LOC", "ORG", "PER"))
-    params = M.init_params(config, Rng(0, 0), "float64")
-    rng = Rng(1, 1)
-    ids = (rng.uniform((2, 64)) * 60).astype(np.int64)
-    tags = (rng.uniform((2, 64)) * config.num_tags).astype(np.int64)
-    T.zero_grads(params.values())
+    forward = _rdrop_step(64)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        lp, _ = M.forward_ner(np.concatenate([ids, ids]), None, config, params,
-                              DualDropoutStreams(3, 1))
-        loss = TR.rdrop_loss(T.slice_axis(lp, 0, 0, 2), T.slice_axis(lp, 0, 2, 4), tags, 1.0).total
+        loss = forward()
         held = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         T.backward(loss)
@@ -368,17 +381,37 @@ def _rdrop_step_traced_bytes():
 def test_rdrop_step_peak_memory_stays_near_the_forward():
     """The backward sweep peaks at most 1.35x what the forward holds when
     it returns. With graph nodes that hold no forward values, releasing
-    intermediate grads and saving boolean keep-masks, it reads 1.27 here
+    intermediate grads and saving boolean keep-masks, it read 1.27 here
     (the forward holds less, so the ratio rose from 1.13 when every op
-    output stayed alive); a sweep that keeps every grad, with float
+    output stayed alive), and 1.24 once attention saved the softmax, not
+    the dropped weights; a sweep that keeps every grad, with float
     dropout factors and every op output alive, read 1.68."""
     held, peak = _rdrop_step_traced_bytes()
     assert peak / held <= 1.35, (peak, held)
 
 
 def test_rdrop_forward_holds_only_what_backward_reads():
-    """The R-Drop forward holds at most 16 MB once it returns: 13.0 MB
-    when the graph keeps only the arrays backward closures save, 26.5 MB
-    when every op output stayed alive until the step ended."""
+    """The R-Drop forward holds at most 16 MB once it returns: 10.9 MB
+    when attention saves the softmax and not the dropped weights, 13.0 MB
+    when it saved both, 26.5 MB when every op output stayed alive until
+    the step ended."""
     held, _ = _rdrop_step_traced_bytes()
     assert held <= 16e6, held
+
+
+def test_rdrop_forward_saves_no_attention_weights_but_the_softmax():
+    """After an R-Drop forward, the only float (..., Tq, Tk) arrays that
+    backward closures save are attend's softmax p, one per layer: the
+    dropped weights are rebuilt in backward, not kept. T = 48 is none of
+    the model's widths, so no other array ends in (T, T)."""
+    spec = importlib.util.spec_from_file_location(
+        "graph_bytes", Path(__file__).resolve().parents[1] / "scripts" / "graph_bytes.py")
+    graph = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(graph)
+    loss = _rdrop_step(48)()
+    found = [(node._backward.__qualname__, name)
+             for node in graph.graph_nodes(loss) if node._backward is not None
+             for name, held in graph.saved_arrays(node._backward)
+             if held.dtype.kind == "f" and held.shape[-2:] == (48, 48)]
+    layers = M.ModelConfig().num_layers
+    assert found == [("attend.<locals>.backward", "p")] * layers, found

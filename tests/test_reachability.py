@@ -46,6 +46,9 @@ ALLOWLIST = {
     "tensor.mask_scores": "named by a BENCHMARK.json per-layer metric",
     "tensor.index_select_last": "named by a BENCHMARK.json per-layer metric",
     "plm.two_stream_layer": "named by a BENCHMARK.json per-layer metric",
+    "tensor.masked_softmax": "named by a BENCHMARK.json per-layer metric",
+    "tensor.index_bucket_last": "named by a BENCHMARK.json per-layer metric",
+    "relpos.rel_attention_values": "named by a BENCHMARK.json per-layer metric",
     "tensor.set_debug_checks": "the debug switch; no command sets it yet",
     "tensor.debug_checks_enabled": "the debug switch; no command sets it yet",
     "tensor.concat": "segment recurrence; only a library caller passes memory",

@@ -29,3 +29,11 @@ def test_forward_digest_prints_one_digest():
     # to any forward's arithmetic updates this digest and says why
     assert run_script("forward_digest.py") == (
         "5c7de28b406dcae57e45c053fba07f5ff328e735d5a716c1d52fdf635a503aaa  48 cases\n")
+
+
+def test_graph_bytes_prints_saved_bytes_per_op():
+    lines = run_script("graph_bytes.py", "--tokens", "6").splitlines()
+    assert lines[1] == "op\tarrays\tMB"
+    rows = {row[0]: row[1:] for row in (line.split("\t") for line in lines[2:])}
+    assert "attend" in rows and "masked_softmax" not in rows
+    assert int(rows["total"][0]) == sum(int(n) for op, (n, _) in rows.items() if op != "total")

@@ -487,6 +487,12 @@ def _op_cases(rng):
     s_last = rand(rng, (2, 3, 4))
     x_wide = rand(rng, (2, 3, 5))
     keep_w = rng.uniform((2, 3)) >= 0.4
+    s_att = rand(rng, (2, 3, 4))
+    v_att = rand(rng, (2, 4, 2))
+    wv_att = rand(rng, (5, 2))
+    g_att = T.Tensor(rng.normal((2, 3, 2)))
+    mask34 = rng.uniform((3, 4)) >= 0.3
+    keep_att = rng.uniform((2, 3, 4)) >= 0.3
 
     cases = [
         ("add", lambda: T.tsum((a + b) * b), [a, b]),
@@ -520,6 +526,10 @@ def _op_cases(rng):
         ("add_select_scale",
          lambda: T.tsum(T.add_select_scale(s_last, x_wide, index34, 0.7) * s_last),
          [s_last, x_wide]),
+        ("attend", lambda: T.tsum(T.attend(s_att, mask34, v_att) * g_att), [s_att, v_att]),
+        ("attend_table_keep",
+         lambda: T.tsum(T.attend(s_att, mask34, v_att, keep_att, 0.3, index34, wv_att) * g_att),
+         [s_att, v_att, wv_att]),
         # a constant copy is deliberately absent: finite differences see
         # through it, so it is checked analytically below
     ]
@@ -747,6 +757,66 @@ def test_masked_softmax_keep_matches_dropout_after_softmax(tq, tk, drop_prob, dt
     for a, b in zip(got, want):
         assert a.dtype == np.dtype(dtype) and _bits_equal(a, b)
     assert np.all(got[0][~keep] == 0.0)
+
+
+@given(st.integers(1, 12), st.integers(0, 8), st.integers(1, 3), st.booleans(),
+       st.sampled_from([None, 0.15, 0.5]), st.sampled_from(["float64", "float32"]),
+       st.integers(0, 2 ** 32 - 1))
+@example(1, 0, 1, True, 0.15, "float64", 0)
+@example(5, 4, 2, True, 0.5, "float32", 3)
+@example(6, 3, 2, False, None, "float64", 5)
+@settings(max_examples=60, deadline=None)
+def test_attend_matches_the_unfused_ops(tq, mem, k, table, drop_prob, dtype, seed):
+    """attend is bitwise masked_softmax, weights @ v and, with a table,
+    index_bucket_last(weights) @ wv added on: the output and the
+    gradients to scores, v and wv, with and without a keep-mask. Keys
+    follow mem memory positions (Tk > Tq when mem > 0); the first query
+    row and some others are fully masked."""
+    rng = Rng(seed, 14)
+    tk, d = mem + tq, 3
+    idx = displacement_index(np.arange(tq), np.arange(-mem, tq), k)
+    index = T.BucketIndex(idx, 2 * k + 1)
+    s0 = (rng.normal(LEAD + (tq, tk)) * 5.0).astype(dtype)
+    v0 = rng.normal(LEAD + (tk, d)).astype(dtype)
+    wv0 = rng.normal((2 * k + 1, d)).astype(dtype)
+    mask = (rng.uniform((tq, tk)) < 0.8) & (idx <= k)
+    mask[rng.uniform(tq) < 0.2] = False
+    mask[0] = False
+    keep = None if drop_prob is None else rng.uniform(LEAD + (tq, tk)) >= drop_prob
+    g = T.Tensor(rng.normal(LEAD + (tq, d)).astype(dtype))
+
+    def unfused(s, v, wv):
+        w = T.masked_softmax(s, mask, keep, drop_prob or 0.0)
+        out = T.matmul(w, v)
+        return out if wv is None else out + T.matmul(T.index_bucket_last(w, index), wv)
+
+    def fused(s, v, wv):
+        return T.attend(s, mask, v, keep, drop_prob or 0.0,
+                        None if wv is None else index, wv)
+
+    def run(op):
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (s0, v0, wv0)]
+        if not table:
+            leaves[2] = None
+        out = op(*leaves)
+        T.backward(T.tsum(out * g))
+        return [out.data] + [leaf.grad for leaf in leaves if leaf is not None]
+
+    got, want = run(fused), run(unfused)
+    assert len(got) == len(want) == (4 if table else 3)
+    for a, b in zip(got, want):
+        assert a.dtype == np.dtype(dtype) and _bits_equal(a, b)
+    assert np.all(got[0][..., 0, :] == 0.0) and np.all(got[1][..., 0, :] == 0.0)
+
+
+def test_attend_rejects_mismatched_operands():
+    s = T.Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+    v = T.Tensor(np.zeros((2, 4, 2)), requires_grad=True)
+    index = T.BucketIndex(np.zeros((3, 4), dtype=np.int64), 5)
+    with pytest.raises(ShapeError):
+        T.attend(s, True, T.Tensor(np.zeros((2, 3, 2))))
+    with pytest.raises(ShapeError):
+        T.attend(s, True, v, index=index, wv=T.Tensor(np.zeros((3, 2))))
 
 
 @given(st.integers(1, 200), st.sampled_from([0.1, 0.15, 0.5]),
