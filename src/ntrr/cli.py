@@ -96,12 +96,21 @@ def _load_model(args) -> tuple[M.ModelConfig, dict, D.Vocab]:
     return ckpt.model_config, D.params_from_checkpoint(ckpt), vocab
 
 
+def _check_tag_length(where: str, tokens) -> None:
+    """Exit 2 on a sentence longer than model.tag takes; where locates it."""
+    if len(tokens) > M.MAX_TAG_TOKENS:
+        raise ParseError(f"{where}: {len(tokens)} tokens, over the cap of "
+                         f"{M.MAX_TAG_TOKENS} per tagged sentence")
+
+
 def cmd_eval(args) -> int:
     if bool(args.ckpt) == bool(args.pred):
         raise ConfigError("pass exactly one of --ckpt (model eval) or --pred (file eval)")
     if args.ckpt:
         mc, params, vocab = _load_model(args)
         corpus = _read_corpus(args.data, args.scheme)
+        for number, (tokens, _) in enumerate(corpus.sentences, start=1):
+            _check_tag_length(f"{args.data}: sentence {number}", tokens)
         extra = set(corpus.label_set.entity_types) - set(mc.entity_types)
         if extra:
             raise ConfigError(f"dataset entity types {sorted(extra)} are outside the "
@@ -135,6 +144,8 @@ def cmd_predict(args) -> int:
     sentences = [line.split() for line in D.split_lines(D.read_text(args.infile))]
     if mc.token_mode == "char":  # the line's non-whitespace characters
         sentences = [list("".join(words)) for words in sentences]
+    for number, tokens in enumerate(sentences, start=1):
+        _check_tag_length(f"{args.infile}: line {number}", tokens)
     sentences = [tokens for tokens in sentences if tokens]
     if not sentences:
         raise ParseError(f"{args.infile}: no sentences found")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,8 +28,10 @@ from .tensor import Tensor
 DTYPES = {"float64": np.float64, "float32": np.float32}
 DECODE_MODES = ("greedy", "constrained")
 TOKEN_MODES = ("char", "whitespace")
-TAG_BATCH = 32  # sentences per tagging forward
-TAG_CELLS = TAG_BATCH * 128 ** 2  # rows x longest^2 per tagging forward
+TAG_BATCH = 32  # sentences per tagging batch
+TAG_CELLS = TAG_BATCH * 128 ** 2  # rows x longest^2 per tagging batch
+TAG_SEG = 128  # tokens per tagging forward; earlier tokens are its memory
+MAX_TAG_TOKENS = 4096  # longest sentence eval and predict tag; memory grows with it
 
 
 @dataclass
@@ -337,8 +339,9 @@ def pretrain_forward(token_ids, plan: plm.PermutationPlan, memory, config: Model
 
 def _tag_batches(sentences):
     """Runs of consecutive sentences, each at most TAG_BATCH of them and
-    at most TAG_CELLS attention cells (rows x longest^2), which bounds a
-    forward's (B, H, T, T) arrays; one sentence always makes a run."""
+    at most TAG_CELLS attention cells (rows x longest^2), a conservative
+    bound on the (B, H, TAG_SEG, T) arrays of the run's segment forwards;
+    one sentence always makes a run."""
     chunk, longest = [], 0
     for s in sentences:
         wider = max(longest, len(s))
@@ -352,9 +355,10 @@ def _tag_batches(sentences):
 
 
 def tag(sentences, config: ModelConfig, params) -> list[list[str]]:
-    """Eval-mode tagging of 1-d token-id arrays, in input order: one
-    no-grad forward per _tag_batches run, then each sentence's tags
-    decoded per decode_mode on its own length."""
+    """Eval-mode tagging of 1-d token-id arrays, in input order: each
+    _tag_batches run goes through no-grad forwards of TAG_SEG columns,
+    each with every earlier column as its memory, then each sentence's
+    tags are decoded per decode_mode on its own length."""
     label_set, tags = config.label_set, []
     for chunk in _tag_batches(sentences):
         # Pad with id 0 to the longest sentence. Padding comes after every
@@ -363,9 +367,17 @@ def tag(sentences, config: ModelConfig, params) -> list[list[str]]:
         ids = np.zeros((len(chunk), max(map(len, chunk))), dtype=np.int64)
         for row, s in enumerate(chunk):
             ids[row, :len(s)] = s
+        # Causal attention at global positions: a segment whose memory is
+        # every earlier column sees the keys one full forward would, so
+        # memory_len is the row length, whatever the checkpoint says.
+        unbounded = replace(config, memory_len=ids.shape[1])
+        memory, lps = None, []
         with T.no_grad():
-            lp, _ = forward_ner(ids, None, config, params)
-        tags.extend(decode(lp.data[row, :len(s)], label_set, config.decode_mode)
+            for a in range(0, ids.shape[1], TAG_SEG):
+                lp, memory = forward_ner(ids[:, a:a + TAG_SEG], memory, unbounded, params)
+                lps.append(lp.data)
+        lp = np.concatenate(lps, axis=1)
+        tags.extend(decode(lp[row, :len(s)], label_set, config.decode_mode)
                     for row, s in enumerate(chunk))
     return tags
 

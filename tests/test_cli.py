@@ -382,6 +382,39 @@ def test_predict_bad_utf8_names_the_byte(trained, tmp_path):
     assert str(bad) in err and "not valid UTF-8 at byte 20000" in err
 
 
+def test_predict_line_over_the_tagging_cap_is_exit_2(trained, tmp_path, monkeypatch):
+    out_dir, _ = trained
+    cap = M.MAX_TAG_TOKENS
+    text, pred = tmp_path / "long.txt", tmp_path / "p.bmes"
+    text.write_text("ab\n\n" + "x" * (cap + 1) + "\n", encoding="utf-8")
+    code, out, err = run(["predict", "--ckpt", str(out_dir / "model.ckpt"),
+                          "--in", str(text), "--out", str(pred)])
+    assert code == 2, err
+    assert f"{text}: line 3: {cap + 1} tokens, over the cap of {cap}" in err
+    assert "Traceback" not in err and "internal error" not in err and not pred.exists()
+    # at a cap of 12, a 13-token line exits 2 and a 12-token line tags
+    monkeypatch.setattr(M, "MAX_TAG_TOKENS", 12)
+    text.write_text("x" * 12 + "\n" + "y" * 13 + "\n", encoding="utf-8")
+    code, out, err = run(["predict", "--ckpt", str(out_dir / "model.ckpt"),
+                          "--in", str(text), "--out", str(pred)])
+    assert code == 2 and f"{text}: line 2: 13 tokens, over the cap of 12" in err
+    text.write_text("x" * 12 + "\n", encoding="utf-8")
+    code, out, err = run(["predict", "--ckpt", str(out_dir / "model.ckpt"),
+                          "--in", str(text), "--out", str(pred)])
+    assert code == 0, err
+
+
+def test_eval_sentence_over_the_tagging_cap_is_exit_2(trained, tmp_path):
+    out_dir, _ = trained
+    cap = M.MAX_TAG_TOKENS
+    gold = tmp_path / "gold.bmes"
+    D.write_conll(str(gold), [(["a", "b"], ["O", "O"]), (["x"] * (cap + 1), ["O"] * (cap + 1))])
+    code, out, err = run(["eval", "--ckpt", str(out_dir / "model.ckpt"), "--data", str(gold)])
+    assert code == 2, err
+    assert f"{gold}: sentence 2: {cap + 1} tokens, over the cap of {cap}" in err
+    assert "Traceback" not in err and "internal error" not in err and out == ""
+
+
 def test_predict_splits_sentences_at_universal_newlines_only(trained, tmp_path):
     # \n, \r\n and \r end a sentence; U+2028 is whitespace inside one
     out_dir, _ = trained

@@ -547,6 +547,43 @@ def test_tag_batches_match_tagging_each_sentence_alone(monkeypatch):
     assert tagged == [M.tag([s], mc, params)[0] for s in capped]
 
 
+@pytest.mark.parametrize("pe_mode", relpos.PE_MODES)
+def test_segmented_tagging_matches_one_forward(pe_mode, monkeypatch):
+    # tag runs TAG_SEG columns per forward over a memory of every earlier
+    # column; a checkpoint's memory_len of 3 must not truncate that memory
+    monkeypatch.setattr(M, "TAG_SEG", 8)
+    mc = small_config(pe_mode=pe_mode, memory_len=3)
+    params = M.init_params(mc, Rng.for_stream(9, "init"), "float64")
+    lengths = [7, 8, 9, 21, 3]  # TAG_SEG - 1, TAG_SEG, TAG_SEG + 1, 2 TAG_SEG + 5
+    sentences = [random_ids(400 + i, n)[0] for i, n in enumerate(lengths)]
+    with T.no_grad():
+        whole = [M.forward_ner(s, None, mc, params)[0].data[0] for s in sentences]
+    widths, decoded = [], []
+    forward, decode = M.forward_ner, M.decode
+
+    def counted(ids, *args, **kwargs):
+        widths.append(ids.shape[1])
+        return forward(ids, *args, **kwargs)
+
+    def kept(lp, *args):
+        decoded.append(lp)
+        return decode(lp, *args)
+
+    monkeypatch.setattr(M, "forward_ner", counted)
+    monkeypatch.setattr(M, "decode", kept)
+    # one batch, padded to 21 so padding crosses segment boundaries, then
+    # each sentence alone
+    for batch in [range(len(sentences))] + [[i] for i in range(len(sentences))]:
+        decoded.clear()
+        tagged = M.tag([sentences[i] for i in batch], mc, params)
+        assert len(decoded) == len(tagged) == len(batch)
+        for i, lp, tags in zip(batch, decoded, tagged):
+            np.testing.assert_allclose(lp, whole[i], rtol=0, atol=1e-12)
+            assert tags == decode(whole[i], mc.label_set, mc.decode_mode)
+    # no forward runs more than TAG_SEG queries: 21 = 8 + 8 + 5, 9 = 8 + 1
+    assert widths == [8, 8, 5, 7, 8, 8, 1, 8, 8, 5, 3]
+
+
 def test_decode_empty_sequence():
     assert M.decode(np.zeros((0, 13)), LabelSet(TYPES)) == []
 

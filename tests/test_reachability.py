@@ -4,7 +4,8 @@ short allowlist with the reason it stays.
 The test runs one small command-line session in-process under
 sys.setprofile and records every code object it enters: convert (BIO),
 pretrain with memory_len 2, a warm-started train, an R-Drop-off train,
-eval of the checkpoint, predict, eval of the predictions, report, and
+eval of the checkpoint, predict, eval of the predictions, predict of one
+line longer than model.TAG_SEG (segments over memory), report, and
 gradcheck in both modes on gradcheck's tiny model shrunk as
 perfbench/workloads.py shrinks it. Every function and method of the
 package's source, nested ones included, is then either entered or
@@ -51,7 +52,7 @@ ALLOWLIST = {
     "relpos.rel_attention_values": "named by a BENCHMARK.json per-layer metric",
     "tensor.set_debug_checks": "the debug switch; no command sets it yet",
     "tensor.debug_checks_enabled": "the debug switch; no command sets it yet",
-    "tensor.concat": "segment recurrence; only a library caller passes memory",
+    "tensor.concat.<locals>.backward": "commands pass memory only to no-grad tagging",
     "tensor.tsum": "reached by scripts/forward_digest.py",
     "model.param_count": "reached by perfbench/",
     "data.apply_overrides": "reached by perfbench/",
@@ -123,6 +124,11 @@ def session(work: Path) -> None:
     pred = work / "pred.bmes"
     _run(["predict", "--ckpt", ckpt, "--in", str(text), "--out", str(pred)])
     _run(["eval", "--pred", str(pred), "--data", test])
+    line = text.read_text(encoding="utf-8").replace("\n", "")[:M.TAG_SEG + 1]
+    assert len(line) > M.TAG_SEG
+    long = work / "long.txt"
+    long.write_text(line + "\n", encoding="utf-8")
+    _run(["predict", "--ckpt", ckpt, "--in", str(long), "--out", str(work / "long.bmes")])
     _run(["report", str(ft / "train.log")])
     tiny = G.tiny_config
     G.tiny_config = lambda pe_mode: replace(tiny(pe_mode), **GRADCHECK_SHRINK)

@@ -37,3 +37,11 @@ def test_graph_bytes_prints_saved_bytes_per_op():
     rows = {row[0]: row[1:] for row in (line.split("\t") for line in lines[2:])}
     assert "attend" in rows and "masked_softmax" not in rows
     assert int(rows["total"][0]) == sum(int(n) for op, (n, _) in rows.items() if op != "total")
+
+
+def test_tag_cost_prints_time_and_peak():
+    lines = run_script("tag_cost.py", "--tokens", "20").splitlines()
+    assert lines[0] == "# model.tag, default config, 1 sentence of 20 tokens, seed 1"
+    rows = dict(line.split("\t") for line in lines[1:])
+    assert set(rows) == {"median_ms", "peak_mb"}
+    assert float(rows["median_ms"]) > 0 and float(rows["peak_mb"]) > 0
