@@ -270,10 +270,13 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if spec in (int, float):
         try:
-            return spec(raw)
+            value = spec(raw)
         except ValueError:
             kind = "an integer" if spec is int else "a number"
             raise ConfigError(f"key '{key}' expects {kind}, got '{raw}'") from None
+        if spec is float and not np.isfinite(value):
+            raise ConfigError(f"key '{key}' expects a finite number, got '{raw}'")
+        return value
     if spec is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True

@@ -18,7 +18,7 @@ class ConfigError(NtrrError):
 
 
 class NumericsError(NtrrError):
-    """Non-finite values or an invalid distribution were detected."""
+    """A training step produced a non-finite loss."""
 
 
 class ParseError(NtrrError):

@@ -43,27 +43,21 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-class _ReplayedMasks:
-    """Dropout streams that draw each site's mask once and then replay it.
-
-    The first forward draws from DualDropoutStreams(seed, 7) and keeps the
-    masks in site order; after restart() every later forward gets the same
-    read-only arrays back, so all evaluations see identical masks without
-    rebuilding the Philox streams per forward."""
+class _ReplayedMasks(DualDropoutStreams):
+    """DualDropoutStreams(seed, 7) that draws each site's mask once and
+    then replays it: rewinding `site` gives every later forward the same
+    read-only arrays without rebuilding the Philox streams."""
 
     def __init__(self, seed: int):
-        self._streams = DualDropoutStreams(seed, 7)
+        super().__init__(seed, 7)
         self._masks: list[np.ndarray] = []
-        self.site = 0  # the next site to draw or replay
-
-    def restart(self, site: int = 0) -> None:
-        self.site = site
 
     def mask(self, shape, drop_prob: float) -> np.ndarray:
         if self.site == len(self._masks):
-            keep = self._streams.mask(shape, drop_prob)
+            keep = super().mask(shape, drop_prob)
             keep.setflags(write=False)
             self._masks.append(keep)
+            return keep
         keep = self._masks[self.site]
         if keep.shape != tuple(shape):
             raise ContractError(f"dropout site {self.site} replayed with shape "
@@ -97,7 +91,7 @@ def gradcheck_model(pe_mode: str, seed: int = 0) -> dict[str, float]:
 
     def loss_fn():
         # masks replayed from the first stage's site, as a full forward draws them
-        streams.restart(0 if stages.start is None else stages.sites[stages.start])
+        streams.site = 0 if stages.start is None else stages.sites[stages.start]
         lp1, lp2 = TR.branch_log_probs(ids, config, params, streams, stages=stages)
         return rdrop_loss(lp1, lp2, tags, 1.0, mask).total
 

@@ -376,7 +376,7 @@ def tag(sentences, config: ModelConfig, params) -> list[list[str]]:
             for a in range(0, ids.shape[1], TAG_SEG):
                 lp, memory = forward_ner(ids[:, a:a + TAG_SEG], memory, unbounded, params)
                 lps.append(lp.data)
-        lp = np.concatenate(lps, axis=1)
+        lp = np.concatenate(lps, axis=1) if lps else np.zeros(ids.shape + (len(label_set),))
         tags.extend(decode(lp[row, :len(s)], label_set, config.decode_mode)
                     for row, s in enumerate(chunk))
     return tags

@@ -5,7 +5,9 @@ sampling, dropout masks) draws from a Philox counter-based generator
 keyed by (seed, stream id). Stream ids are folded from tags such as
 ("dropout", step, branch, site), so any mask can be regenerated on its
 own, which is what makes the duplicated-batch and two-forward R-Drop
-paths agree mask for mask. Philox is integer arithmetic end to end, so
+paths agree mask for mask: both draw through the one `mask` of
+_BranchStreams, over one branch (DropoutStreams) or two stacked ones
+(DualDropoutStreams). Philox is integer arithmetic end to end, so
 identical keys give bit-identical sequences across platforms.
 """
 
@@ -86,46 +88,45 @@ class Rng:
         return order
 
 
-class DropoutStreams:
-    """Dropout mask source for one forward pass of one branch.
+class _BranchStreams:
+    """Dropout masks for one forward over len(branches) stacked branches.
 
-    Each call site inside the forward gets its own stream keyed by
-    (seed, "dropout", step, branch, site); the site counter advances in
-    code order, so a rebuilt DropoutStreams regenerates the same masks.
-    """
+    Axis 0 of every mask splits into equal parts, one per branch; part b
+    comes from the stream (seed, "dropout", step, branches[b], site). The
+    public `site` counter advances once per call in code order, so a
+    rebuilt or rewound object regenerates the same masks."""
+
+    def __init__(self, seed: int, step: int, branches: tuple[int, ...]):
+        self.seed = seed
+        self.step = step
+        self.branches = branches
+        self.site = 0  # the next call site's index
+
+    def mask(self, shape, drop_prob: float) -> np.ndarray:
+        n = len(self.branches)
+        if shape[0] % n != 0:
+            raise ContractError(f"batch axis {shape[0]} does not split into {n} branches")
+        part = (shape[0] // n,) + tuple(shape[1:])
+        site = self.site
+        self.site += 1
+        parts = [Rng.for_stream(self.seed, "dropout", self.step, branch, site).uniform(part)
+                 >= drop_prob for branch in self.branches]
+        return parts[0] if n == 1 else np.concatenate(parts, axis=0)
+
+
+# Siblings, not parent and child: perfbench's tracer wraps `mask` on each
+# class by name, and an inherited wrapper would count every mask twice.
+class DropoutStreams(_BranchStreams):
+    """Masks for one forward of a single R-Drop branch."""
 
     def __init__(self, seed: int, step: int, branch: int):
-        self.seed = seed
-        self.step = step
-        self.branch = branch
-        self._site = 0
-
-    def mask(self, shape, drop_prob: float) -> np.ndarray:
-        site = self._site
-        self._site += 1
-        rng = Rng.for_stream(self.seed, "dropout", self.step, self.branch, site)
-        return rng.uniform(shape) >= drop_prob
+        super().__init__(seed, step, (branch,))
 
 
-class DualDropoutStreams:
+class DualDropoutStreams(_BranchStreams):
     """Masks for a duplicated batch: rows [0, B) use branch 1 streams,
-    rows [B, 2B) use branch 2, at the same site index. Guarantees the
-    single duplicated forward sees exactly the masks two separate
-    branch forwards would see."""
+    rows [B, 2B) branch 2, at the same site, so the one duplicated forward
+    sees exactly the masks of two separate branch forwards."""
 
     def __init__(self, seed: int, step: int):
-        self.seed = seed
-        self.step = step
-        self._site = 0
-
-    def mask(self, shape, drop_prob: float) -> np.ndarray:
-        if shape[0] % 2 != 0:
-            raise ContractError(f"duplicated batch axis must be even, got {shape[0]}")
-        half = (shape[0] // 2,) + tuple(shape[1:])
-        site = self._site
-        self._site += 1
-        parts = []
-        for branch in (1, 2):
-            rng = Rng.for_stream(self.seed, "dropout", self.step, branch, site)
-            parts.append(rng.uniform(half) >= drop_prob)
-        return np.concatenate(parts, axis=0)
+        super().__init__(seed, step, (1, 2))

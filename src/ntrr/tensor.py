@@ -21,10 +21,9 @@ import contextlib
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, ContractError, NumericsError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 _GRAD_ENABLED = True
-_DEBUG_CHECKS = False
 
 _EPS_KL = 1e-12
 _LN_EPS = 1e-5
@@ -32,16 +31,6 @@ _LN_EPS = 1e-5
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def set_debug_checks(on: bool) -> None:
-    """Toggle finite-value and distribution validation on every op output."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(on)
-
-
-def debug_checks_enabled() -> bool:
-    return _DEBUG_CHECKS
 
 
 @contextlib.contextmanager
@@ -88,10 +77,6 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
-        # NaN is never legitimate; -inf can be (pre-softmax masking), so
-        # the stricter isfinite check lives in _make, which mask_scores skips.
-        if _DEBUG_CHECKS and np.isnan(arr).any():
-            raise NumericsError("NaN values in tensor construction")
         self.data = arr
         # parents link by node here and only here, so each tensor's
         # gradient accumulates in exactly one place
@@ -151,8 +136,6 @@ def _as_tensor(x, dtype=np.float64) -> Tensor:
 
 def _make(data: np.ndarray, parents, backward) -> Tensor:
     """Wrap an op result; track the graph only when grad mode is on and needed."""
-    if _DEBUG_CHECKS and not np.all(np.isfinite(data)):
-        raise NumericsError("non-finite values produced by an op")
     if _GRAD_ENABLED and any([p._node is not _CONST for p in parents]):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
     return Tensor(data)
@@ -407,19 +390,15 @@ def masked_softmax(scores: Tensor, mask, keep=None, drop_prob: float = 0.0) -> T
 
 
 def mask_scores(x: Tensor, mask) -> Tensor:
-    """Set positions where mask is False to -inf (pre-softmax masking).
-
-    The -inf values are intentional, so this op skips the debug finite
-    check on its own output; gradients to masked positions are zero."""
+    """Set positions where mask is False to -inf (pre-softmax masking);
+    gradients to masked positions are zero."""
     m = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
     out = np.where(m, x.data, -np.inf)
 
     def backward(g):
         return (g * m,)
 
-    if _GRAD_ENABLED and x.requires_grad:
-        return Tensor(out, requires_grad=True, parents=(x,), backward=backward)
-    return Tensor(out)
+    return _make(out, (x,), backward)
 
 
 def _keep_scale(drop_prob: float, dtype) -> np.ndarray:
@@ -494,15 +473,9 @@ def kl_divergence(p: Tensor, q: Tensor, mask=None) -> Tensor:
 
     Probabilities are clamped at 1e-12 inside the logs, so KL(p || p)
     is exactly zero and the result is never negative beyond roundoff.
-    In debug mode, rows that do not sum to 1 raise a validation error.
     """
     if p.data.shape != q.data.shape:
         raise ShapeError(f"kl_divergence shapes disagree: {p.data.shape} vs {q.data.shape}")
-    if _DEBUG_CHECKS:
-        for name, d in (("p", p.data), ("q", q.data)):
-            sums = d.sum(axis=-1)
-            if not np.allclose(sums, 1.0, atol=1e-6):
-                raise NumericsError(f"kl_divergence: {name} rows are not normalized")
     pc = np.maximum(p.data, _EPS_KL)
     qc = np.maximum(q.data, _EPS_KL)
     diff = np.log(pc) - np.log(qc)

@@ -44,13 +44,13 @@ class TrainConfig:
         if self.lr_init <= 0:
             raise ConfigError(f"lr_init must be positive, got {self.lr_init}")
         for key, low in (("warmup_steps", 0), ("total_steps", 0), ("epochs", 1),
-                         ("batch_size", 1), ("min_freq", 1),
-                         ("clip_k_start", 0), ("clip_k_end", 0)):
+                         ("batch_size", 1), ("min_freq", 1), ("clip_k_start", 0),
+                         ("clip_k_end", 0), ("alpha", 0), ("grad_clip_norm", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         check_seed(self.seed)
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.stop_at_f1 <= 1:
+            raise ConfigError(f"stop_at_f1 must be in [0, 1], got {self.stop_at_f1}")
         if self.dtype not in M.DTYPES:
             raise ConfigError(f"unknown dtype '{self.dtype}'")
 

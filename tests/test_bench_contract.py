@@ -30,3 +30,19 @@ def test_traced_run_reports_every_declared_per_layer_metric():
     declared = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
     missing = [m["name"] for m in declared if m["name"] not in layer]
     assert not missing, f"the traced run cannot give {missing}"
+
+
+def test_each_stream_class_mask_is_one_traced_draw():
+    # each class gets its own wrapper; one inherited from the other would
+    # wrap its masks twice and double rng.mask.calls
+    from ntrr.rng import DropoutStreams, DualDropoutStreams
+
+    assert not issubclass(DualDropoutStreams, DropoutStreams)
+    assert not issubclass(DropoutStreams, DualDropoutStreams)
+    tracer = _tracer_module().Tracer()
+    with tracer.installed():
+        for streams in (DropoutStreams(3, 1, 1), DualDropoutStreams(3, 1)):
+            before = len(tracer.spans)
+            streams.mask((4, 3), 0.5)
+            assert [tracer.names[span[0]] for span in tracer.spans[before:]] == ["rng.mask"]
+            assert tracer.binding_calls[f"rng.{type(streams).__name__}.mask"] == 1

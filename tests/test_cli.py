@@ -295,6 +295,21 @@ def test_bad_size_count_or_seed_is_exit_2_naming_the_key(tmp_path, command, args
     assert out == "" and not out_dir.exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "lr_init=nan", "lr_init=inf", "alpha=nan", "alpha=inf", "grad_clip_norm=nan",
+    "stop_at_f1=nan", "dropout=nan", "grad_clip_norm=-1", "stop_at_f1=1.5", "stop_at_f1=-2",
+])
+def test_bad_float_config_value_is_exit_2_naming_the_key(tmp_path, setting):
+    key = setting.split("=")[0]
+    out_dir = tmp_path / "o"
+    code, out, err = run(["train", "--train", str(DATA / "train.bmes"),
+                          "--dev", str(DATA / "dev.bmes"), "--out", str(out_dir),
+                          "--config", CFG, "--set", "epochs=1", "--set", setting])
+    assert code == 2, err
+    assert key in err and "Traceback" not in err
+    assert out == "" and not out_dir.exists()
+
+
 def test_overrides_apply_in_any_order(tmp_path):
     for order in (["num_heads=3", "model_dim=48"], ["model_dim=48", "num_heads=3"]):
         sets = [arg for item in order for arg in ("--set", item)]

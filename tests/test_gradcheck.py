@@ -12,7 +12,7 @@ import ntrr.model as M
 import ntrr.relpos as relpos
 import ntrr.tensor as T
 import ntrr.training as TR
-from ntrr.rng import Rng
+from ntrr.rng import DualDropoutStreams, Rng
 
 # perfbench/workloads.py's GRADCHECK_SHRINK: seconds per gradcheck, not a minute
 SHRINK = dict(model_dim=8, ffn_dim=8, vocab_size=12, xlnet_layers=1, transformer_layers=1)
@@ -23,18 +23,25 @@ PINNED_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["relative", "absolute"])
-def test_staged_loss_equals_full_forward(mode, monkeypatch):
+# masks are keyed by site, so a plain stream rewound through `site`
+# regenerates what the replay class hands back from its cache
+STREAMS = {"replayed": lambda: G._ReplayedMasks(0), "plain": lambda: DualDropoutStreams(0, 7)}
+
+
+@pytest.mark.parametrize("mode, kind", [
+    ("relative", "replayed"), ("absolute", "replayed"), ("relative", "plain"), ("absolute", "plain"),
+], ids=["relative", "absolute", "relative-plain", "absolute-plain"])
+def test_staged_loss_equals_full_forward(mode, kind, monkeypatch):
     config = replace(G.tiny_config(mode), **SHRINK)
     params = M.init_params(config, Rng(5, 1))
     ids = np.array([[3, 0, 11, 7, 3]])
     tags = np.array([[0, 4, 12, 1, 2]])
     mask = np.ones((1, 5), dtype=bool)
-    streams = G._ReplayedMasks(0)
+    streams = STREAMS[kind]()
     stages = M.Stages()
 
     def loss(staged):
-        streams.restart(0 if staged is None or staged.start is None
+        streams.site = (0 if staged is None or staged.start is None
                         else staged.sites[staged.start])
         with T.no_grad():
             lp1, lp2 = TR.branch_log_probs(ids, config, params, streams, stages=staged)

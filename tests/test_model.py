@@ -530,6 +530,9 @@ def test_tag_batches_match_tagging_each_sentence_alone(monkeypatch):
     assert [len(tags) for tags in tagged] == [len(s) for s in sentences]
     assert tagged == alone
     assert M.tag([], mc, params) == []
+    # an all-empty batch tags without a forward
+    assert M.tag([np.zeros(0, np.int64)] * 2, mc, params) == [[], []]
+    assert len(shapes) == len(chunks)
     # the cell cap splits a run: rows x longest^2 may not pass TAG_CELLS,
     # and a sentence over it alone still gets its own forward
     monkeypatch.setattr(M, "TAG_CELLS", 100)

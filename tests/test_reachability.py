@@ -50,8 +50,6 @@ ALLOWLIST = {
     "tensor.masked_softmax": "named by a BENCHMARK.json per-layer metric",
     "tensor.index_bucket_last": "named by a BENCHMARK.json per-layer metric",
     "relpos.rel_attention_values": "named by a BENCHMARK.json per-layer metric",
-    "tensor.set_debug_checks": "the debug switch; no command sets it yet",
-    "tensor.debug_checks_enabled": "the debug switch; no command sets it yet",
     "tensor.concat.<locals>.backward": "commands pass memory only to no-grad tagging",
     "tensor.tsum": "reached by scripts/forward_digest.py",
     "model.param_count": "reached by perfbench/",
