@@ -67,6 +67,7 @@ def cmd_train(args) -> int:
     mc, tc = _load_configs(args)
     train_corpus = _read_corpus(args.train, args.scheme)
     dev_corpus = _read_corpus(args.dev, args.scheme)
+    _check_tag_lengths(args.dev, "sentence", [tokens for tokens, _ in dev_corpus.sentences])
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     init, vocab = D.load_model(args.init) if args.init else (None, None)
@@ -96,11 +97,13 @@ def _load_model(args) -> tuple[M.ModelConfig, dict, D.Vocab]:
     return ckpt.model_config, D.params_from_checkpoint(ckpt), vocab
 
 
-def _check_tag_length(where: str, tokens) -> None:
-    """Exit 2 on a sentence longer than model.tag takes; where locates it."""
-    if len(tokens) > M.MAX_TAG_TOKENS:
-        raise ParseError(f"{where}: {len(tokens)} tokens, over the cap of "
-                         f"{M.MAX_TAG_TOKENS} per tagged sentence")
+def _check_tag_lengths(path: str, unit: str, sentences) -> None:
+    """Exit 2 on a sentence longer than model.tag takes, naming path and
+    the sentence's 1-based number as a unit ("line", "sentence")."""
+    for number, tokens in enumerate(sentences, start=1):
+        if len(tokens) > M.MAX_TAG_TOKENS:
+            raise ParseError(f"{path}: {unit} {number}: {len(tokens)} tokens, over the "
+                             f"cap of {M.MAX_TAG_TOKENS} per tagged sentence")
 
 
 def cmd_eval(args) -> int:
@@ -109,8 +112,7 @@ def cmd_eval(args) -> int:
     if args.ckpt:
         mc, params, vocab = _load_model(args)
         corpus = _read_corpus(args.data, args.scheme)
-        for number, (tokens, _) in enumerate(corpus.sentences, start=1):
-            _check_tag_length(f"{args.data}: sentence {number}", tokens)
+        _check_tag_lengths(args.data, "sentence", [tokens for tokens, _ in corpus.sentences])
         extra = set(corpus.label_set.entity_types) - set(mc.entity_types)
         if extra:
             raise ConfigError(f"dataset entity types {sorted(extra)} are outside the "
@@ -144,8 +146,7 @@ def cmd_predict(args) -> int:
     sentences = [line.split() for line in D.split_lines(D.read_text(args.infile))]
     if mc.token_mode == "char":  # the line's non-whitespace characters
         sentences = [list("".join(words)) for words in sentences]
-    for number, tokens in enumerate(sentences, start=1):
-        _check_tag_length(f"{args.infile}: line {number}", tokens)
+    _check_tag_lengths(args.infile, "line", sentences)
     sentences = [tokens for tokens in sentences if tokens]
     if not sentences:
         raise ParseError(f"{args.infile}: no sentences found")
@@ -175,27 +176,35 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     lines = D.split_lines(D.read_text(args.log))
     steps = []  # (step, lr, ce, kl, total)
-    epochs = []  # (epoch, p, r, f1, first_step_index)
+    epochs = []  # (epoch, p, r, f1, end of its steps)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
+        where = f"{args.log}: line {lineno}"
         try:
             if parts[0] == "epoch" and len(parts) == 5:
-                epochs.append((int(parts[1]), float(parts[2]), float(parts[3]),
-                               float(parts[4]), len(steps)))
+                epoch, values = int(parts[1]), [float(x) for x in parts[2:]]
             elif len(parts) == 5:
-                steps.append(tuple(float(x) for x in parts))
+                epoch, values = None, [float(x) for x in parts]
             else:
                 raise ValueError
         except ValueError:
-            raise ParseError(f"{args.log}: line {lineno}: not a training log line") from None
+            raise ParseError(f"{where}: not a training log line") from None
+        if not all(np.isfinite(values)):
+            raise ParseError(f"{where}: non-finite value")
+        if epoch is None:
+            steps.append(values)
+        elif len(steps) == (epochs[-1][-1] if epochs else 0):
+            raise ParseError(f"{where}: epoch line with no step line since the last one")
+        else:
+            epochs.append((epoch, *values, len(steps)))
     if not steps:
         raise ParseError(f"{args.log}: no step lines found")
     print("epoch\tsteps\tmean_ce\tmean_kl\tmean_total\tP\tR\tF1")
     prev = 0
     for epoch, p, r, f1, upto in epochs:
-        chunk = steps[prev:upto] or steps[prev:prev + 1]
+        chunk = steps[prev:upto]
         prev = upto
         ce, kl, total = (sum(s[col] for s in chunk) / len(chunk) for col in (2, 3, 4))
         print(f"{epoch}\t{len(chunk)}\t{ce:.4f}\t{kl:.4f}\t{total:.4f}"

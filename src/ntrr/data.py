@@ -247,7 +247,8 @@ _MODEL_KEYS = _schema(ModelConfig(), {
 _TRAIN_KEYS = _schema(TrainConfig(), {
     "lr_init": "peak learning rate, reached at the end of warmup",
     "warmup_steps": "linear warmup length; 0 = a tenth of total_steps",
-    "total_steps": "decay horizon; 0 = epochs * batches per epoch",
+    "total_steps": ("caps pretraining steps and sets the default warmup (a tenth); "
+                    "train does not stop at it; 0 = epochs * batches per epoch"),
     "epochs": "passes over the training corpus",
     "alpha": "weight of the symmetric KL term (the sum of both directions)",
     "batch_size": "sentences per step (doubled internally by R-Drop)",
@@ -514,7 +515,10 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict[str, Tensor]:
 def _check_registry(path: str, ckpt: Checkpoint) -> None:
     """The stored tensors must be exactly the parameter layout of the
     stored config, shape for shape, with finite values."""
-    layout = param_layout(ckpt.model_config)
+    try:
+        layout = param_layout(ckpt.model_config)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad config block: {exc}") from None
     extra = sorted(set(ckpt.params) - set(layout))
     if extra:
         raise CheckpointError(f"{path}: unexpected tensor '{extra[0]}'")

@@ -88,7 +88,7 @@ class ModelConfig:
 
     @property
     def num_tags(self) -> int:
-        return 1 + 4 * len(self.entity_types)
+        return len(self.label_set)
 
 
 @dataclass

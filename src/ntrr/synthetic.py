@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .data import Corpus
 from .rng import Rng
-from .tagging import LabelSet
+from .tagging import LabelSet, span_tags
 
 FILLERS = ["a", "b", "c", "d", "e", "f"]
 
@@ -19,12 +19,6 @@ PHRASES = {
     "LOC": [("K",), ("L", "M"), ("G", "H", "I")],
     "ORG": [("Z",), ("X", "Y"), ("S", "T", "N")],
 }
-
-
-def phrase_tags(etype: str, length: int) -> list[str]:
-    if length == 1:
-        return [f"S-{etype}"]
-    return [f"B-{etype}"] + [f"M-{etype}"] * (length - 2) + [f"E-{etype}"]
 
 
 def generate_sentence(rng: Rng) -> tuple[list[str], list[str]]:
@@ -41,7 +35,7 @@ def generate_sentence(rng: Rng) -> tuple[list[str], list[str]]:
         etype = sorted(PHRASES)[rng.randbelow(len(PHRASES))]
         phrase = PHRASES[etype][rng.randbelow(len(PHRASES[etype]))]
         tokens.extend(phrase)
-        tags.extend(phrase_tags(etype, len(phrase)))
+        tags.extend(span_tags(etype, len(phrase)))
         fillers(1, 3)
     return tokens, tags
 

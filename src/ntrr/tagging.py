@@ -85,85 +85,35 @@ class LabelSet:
         return [self.tags[int(i)] for i in ids]
 
 
+def span_tags(etype: str, length: int) -> list[str]:
+    """The BMES tags of one entity span: S-T, or B-T M-T* E-T."""
+    if length == 1:
+        return [f"S-{etype}"]
+    return [f"B-{etype}"] + [f"M-{etype}"] * (length - 2) + [f"E-{etype}"]
+
+
 def bio_to_bmes(tags: list[str]) -> tuple[list[str], int]:
     """Convert one BIO sentence to BMES. Orphan I- tags (no open span of
     the same type) are dropped to O and counted as repairs."""
-    n = len(tags)
-    out = ["O"] * n
+    spans = []  # [start, end, type] of each entity, end inclusive
     repairs = 0
-    i = 0
-    while i < n:
-        parts = split_tag(tags[i])
+    for i, tag in enumerate(tags):
+        parts = split_tag(tag)
         if parts is None:
-            raise ParseError(f"malformed BIO tag {tags[i]!r} at token {i}")
+            raise ParseError(f"malformed BIO tag {tag!r} at token {i}")
         prefix, etype = parts
-        if prefix == "O":
-            i += 1
-            continue
         if prefix in ("M", "E", "S"):
-            raise ParseError(f"tag {tags[i]!r} at token {i} is not BIO")
-        if prefix == "I":
-            # continuation with nothing to continue
-            repairs += 1
-            i += 1
-            continue
-        # prefix == "B": consume the span
-        j = i + 1
-        while j < n:
-            nxt = split_tag(tags[j])
-            if nxt is None:
-                raise ParseError(f"malformed BIO tag {tags[j]!r} at token {j}")
-            if nxt[0] == "I" and nxt[1] == etype:
-                j += 1
-            else:
-                break
-        length = j - i
-        if length == 1:
-            out[i] = f"S-{etype}"
-        else:
-            out[i] = f"B-{etype}"
-            for m in range(i + 1, j - 1):
-                out[m] = f"M-{etype}"
-            out[j - 1] = f"E-{etype}"
-        i = j
+            raise ParseError(f"tag {tag!r} at token {i} is not BIO")
+        if prefix == "B":
+            spans.append([i, i, etype])
+        elif prefix == "I" and spans and spans[-1][1:] == [i - 1, etype]:
+            spans[-1][1] = i
+        elif prefix == "I":
+            repairs += 1  # continuation with nothing to continue
+    out = ["O"] * len(tags)
+    for start, end, etype in spans:
+        out[start:end + 1] = span_tags(etype, end - start + 1)
     return out, repairs
-
-
-def scan_entities(tags: list[str]) -> tuple[list[Entity], int]:
-    """Left-to-right scan returning well-formed spans plus a repair count.
-
-    A span attempt that breaks (B- followed by neither M- nor E- of the
-    same type, or an orphan M-/E-) is dropped and counted; scanning
-    resumes at the breaking position, so [B-PER, B-PER, E-PER] yields
-    the (1, 2, PER) entity with one repair."""
-    entities: list[Entity] = []
-    repairs = 0
-    n = len(tags)
-    i = 0
-    while i < n:
-        parts = split_tag(tags[i])
-        if parts is None or parts[0] == "I":
-            raise ContractError(f"tag {tags[i]!r} at token {i} is not BMES")
-        prefix, etype = parts
-        if prefix == "O":
-            i += 1
-        elif prefix == "S":
-            entities.append(Entity(i, i, etype))
-            i += 1
-        elif prefix in ("M", "E"):
-            repairs += 1
-            i += 1
-        else:  # B: walk M* looking for the close
-            j = i + 1
-            while j < n and tags[j] == f"M-{etype}":
-                j += 1
-            if j < n and tags[j] == f"E-{etype}":
-                entities.append(Entity(i, j, etype))
-                i = j + 1
-            else:
-                repairs += 1
-                i = j  # resume at the tag that broke the span
-    return entities, repairs
 
 
 def _parse_bmes(tags) -> list[tuple[str, str | None]]:
@@ -185,6 +135,35 @@ def _may_follow(prev, cur) -> bool:
     if prev[0] in ("B", "M"):
         return cur[0] in ("M", "E") and cur[1] == prev[1]
     return cur[0] in ("O", "B", "S")
+
+
+def scan_entities(tags: list[str]) -> tuple[list[Entity], int]:
+    """Left-to-right scan returning well-formed spans plus a repair count.
+
+    An open span continues exactly while _may_follow allows. A span that
+    breaks (B- followed by neither M- nor E- of the same type, or still
+    open at the end) is dropped and counted; scanning resumes at the
+    breaking position, so [B-PER, B-PER, E-PER] yields the (1, 2, PER)
+    entity with one repair. An orphan M-/E- counts one more repair, so
+    [B-PER, M-LOC] is two."""
+    entities: list[Entity] = []
+    repairs = 0
+    start = None  # first index of the open span
+    prev = _EDGE  # the last tag kept
+    for i, cur in enumerate([*_parse_bmes(tags), _EDGE]):
+        if start is not None and not _may_follow(prev, cur):
+            repairs += 1  # the open span breaks here
+            start, prev = None, _EDGE
+        if not _may_follow(prev, cur):
+            repairs += 1  # an orphan M- or E-
+            continue
+        if cur[0] in ("B", "S"):
+            start = i
+        if cur[0] in ("E", "S"):
+            entities.append(Entity(start, i, cur[1]))
+            start = None
+        prev = cur
+    return entities, repairs
 
 
 def validate_bmes(tags: list[str]) -> list[int]:

@@ -6,6 +6,7 @@ the bundled synthetic data and shared by the eval/predict tests."""
 import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,28 @@ def test_eval_rejects_checkpoint_off_registry(trained, tmp_path, edit, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"entity_types": ()}, "entity_types is empty"),
+    ({"vocab_size": 1}, "vocab_size must be >= 2, got 1"),
+], ids=["no-entity-types", "vocab-size-1"])
+def test_checkpoint_with_bad_config_block_is_exit_2_naming_it(trained, tmp_path,
+                                                              change, message):
+    out_dir, _ = trained
+    ckpt = D.load_checkpoint(str(out_dir / "model.ckpt"))
+    bad = tmp_path / "model.ckpt"
+    D.save_checkpoint(str(bad), ckpt.params, replace(ckpt.model_config, **change))
+    (tmp_path / "vocab.txt").write_bytes((out_dir / "vocab.txt").read_bytes())
+    text = tmp_path / "text.txt"
+    text.write_text("KL\n", encoding="utf-8")
+    for argv in (["eval", "--ckpt", str(bad), "--data", str(DATA / "test.bmes")],
+                 ["predict", "--ckpt", str(bad), "--in", str(text),
+                  "--out", str(tmp_path / "p.bmes")]):
+        code, out, err = run(argv)
+        assert code == 2, err
+        assert f"{bad}: bad config block: {message}" in err
+        assert out == ""
+
+
 def test_eval_checks_registry_without_building_one(trained, monkeypatch):
     # the check reads the parameter layout; drawing a registry is wasted work
     def refuse(*args, **kwargs):
@@ -428,6 +451,20 @@ def test_eval_sentence_over_the_tagging_cap_is_exit_2(trained, tmp_path):
     assert code == 2, err
     assert f"{gold}: sentence 2: {cap + 1} tokens, over the cap of {cap}" in err
     assert "Traceback" not in err and "internal error" not in err and out == ""
+
+
+def test_train_dev_sentence_over_the_tagging_cap_is_exit_2(tmp_path, monkeypatch):
+    # dev scoring tags every dev sentence, so train checks the cap up front
+    monkeypatch.setattr(M, "MAX_TAG_TOKENS", 12)
+    dev = tmp_path / "dev.bmes"
+    D.write_conll(str(dev), [(["a"] * 12, ["O"] * 12), (["b"] * 13, ["O"] * 13)])
+    out_dir = tmp_path / "o"
+    code, out, err = run(["train", "--train", str(DATA / "train.bmes"), "--dev", str(dev),
+                          "--out", str(out_dir), "--config", CFG, "--set", "epochs=1"])
+    assert code == 2, err
+    assert f"{dev}: sentence 2: 13 tokens, over the cap of 12" in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert out == "" and not out_dir.exists()
 
 
 def test_predict_splits_sentences_at_universal_newlines_only(trained, tmp_path):
@@ -561,6 +598,27 @@ def test_report_rejects_junk(tmp_path):
     code, out, err = run(["report", str(bad)])
     assert code == 2
     assert "line 1" in err
+
+
+def test_report_epoch_without_steps_is_exit_2(tmp_path):
+    # the second epoch line has no step line of its own to summarise
+    log = tmp_path / "train.log"
+    log.write_text("1\t0.1\t1\t0\t1\nepoch\t1\t0.5\t0.5\t0.5\nepoch\t2\t0.5\t0.5\t0.5\n")
+    code, out, err = run(["report", str(log)])
+    assert code == 2, err
+    assert f"{log}: line 3: epoch line with no step line" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("line", ["1\t0.1\tnan\tnan\tnan", "1\t0.1\t1\t0\tinf",
+                                  "epoch\t1\t0.5\tnan\t0.5"], ids=["nan", "inf", "epoch-nan"])
+def test_report_non_finite_value_is_exit_2(tmp_path, line):
+    log = tmp_path / "train.log"
+    log.write_text("1\t0.1\t1\t0\t1\n" + line + "\n")
+    code, out, err = run(["report", str(log)])
+    assert code == 2, err
+    assert f"{log}: line 2: non-finite value" in err
+    assert out == ""
 
 
 # ----------------------------------------------------------- pipeline pin

@@ -59,19 +59,19 @@ def test_bio_longer_span():
 
 def test_bio_orphan_inside_repaired():
     got, repairs = bio_to_bmes(["O", "I-PER", "I-PER", "O"])
-    assert repairs > 0
-    assert validate_bmes(got) == []
+    assert (got, repairs) == (["O"] * 4, 2)  # each orphan I- counts once
 
 
 def test_bio_type_switch_inside_repaired():
     got, repairs = bio_to_bmes(["B-PER", "I-LOC"])
-    assert repairs > 0
-    assert validate_bmes(got) == []
+    assert (got, repairs) == (["S-PER", "O"], 1)
 
 
 def bio_entities(tags):
-    """Entity spans of a well-formed BIO sequence, by direct scan."""
+    """Entity spans of a BIO sequence by direct scan, and its repairs:
+    one per orphan I- (no open span of its type), which becomes O."""
     out = []
+    repairs = 0
     start = None
     etype = None
     for i, tag in enumerate(tags + ["O"]):
@@ -81,7 +81,9 @@ def bio_entities(tags):
             start = None
         if head == "B":
             start, etype = i, t
-    return out
+        if head == "I" and start is None:
+            repairs += 1
+    return out, repairs
 
 
 def random_wellformed_bio(rng, max_len=12):
@@ -103,11 +105,25 @@ def test_bio_conversion_preserves_entities_bulk():
     for i in range(10 ** 4):
         bio = random_wellformed_bio(rng.derive(i))
         bmes, repairs = bio_to_bmes(bio)
-        assert repairs == 0
         assert len(bmes) == len(bio)
-        want = set(bio_entities(bio))
-        got = set(scan_entities(bmes)[0])
-        assert got == want, (bio, bmes)
+        want, want_repairs = bio_entities(bio)
+        assert want_repairs == 0
+        assert (set(scan_entities(bmes)[0]), repairs) == (set(want), want_repairs), (bio, bmes)
+
+
+BIO_TAGS = ["O"] + [f"{h}-{t}" for t in TYPES for h in "BI"]
+
+
+@given(st.lists(st.sampled_from(BIO_TAGS), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_bio_conversion_matches_direct_scan_property(bio):
+    # any BIO sequence, orphan I- tags included: the same spans and repairs,
+    # written as a sequence validate_bmes accepts
+    bmes, repairs = bio_to_bmes(bio)
+    want, want_repairs = bio_entities(bio)
+    assert scan_entities(bmes) == (want, 0)
+    assert repairs == want_repairs
+    assert validate_bmes(bmes) == []
 
 
 # --------------------------------------------------------------- extraction
@@ -128,6 +144,13 @@ def test_extract_drop_unclosed_resumes_at_break():
     assert repairs == 1
 
 
+def test_extract_repair_counts():
+    # a span broken by an orphan counts twice; one left open at the end once
+    assert scan_entities(["B-A", "M-B"]) == ([], 2)
+    assert scan_entities(["B-PER"]) == ([], 1)
+    assert scan_entities(["B-A", "M-A", "E-B", "S-A"]) == ([Entity(3, 3, "A")], 2)
+
+
 def test_extract_sorted_and_disjoint():
     ents = scan_entities(["S-LOC", "B-PER", "M-PER", "E-PER", "S-ORG"])[0]
     starts = [e.start for e in ents]
@@ -139,8 +162,10 @@ def test_extract_sorted_and_disjoint():
 def brute_force_entities(tags):
     """Maximal well-formed spans: an S tag, or B (M)* E of one type,
     scanned left to right, restarting at the position that broke a
-    span. Independent of the production scanner."""
+    span. Repairs count one per broken span and one per orphan M/E.
+    Independent of the production scanner."""
     out = []
+    repairs = 0
     i = 0
     n = len(tags)
     while i < n:
@@ -156,10 +181,13 @@ def brute_force_entities(tags):
                 out.append(Entity(i, j, etype))
                 i = j + 1
             else:
-                i += 1  # unclosed: drop and resume right after the B
+                repairs += 1
+                i = j  # unclosed: drop it and resume at the tag that broke it
         else:
+            if head in ("M", "E"):
+                repairs += 1  # an orphan
             i += 1
-    return out
+    return out, repairs
 
 
 ALL_TAGS = ["O"] + [f"{h}-{t}" for t in TYPES for h in "BMES"]
@@ -171,16 +199,13 @@ def test_extraction_matches_brute_force_bulk():
         r = rng.derive(i)
         n = 1 + r.randbelow(12)
         tags = [ALL_TAGS[r.randbelow(len(ALL_TAGS))] for _ in range(n)]
-        want = brute_force_entities(tags)
-        got, _ = scan_entities(tags)
-        assert got == want, tags
+        assert scan_entities(tags) == brute_force_entities(tags), tags
 
 
 @given(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_extraction_matches_brute_force_property(tags):
-    got, _ = scan_entities(tags)
-    assert got == brute_force_entities(tags)
+    assert scan_entities(tags) == brute_force_entities(tags)
 
 
 # --------------------------------------------------------------- validation
