@@ -29,13 +29,20 @@ def _load_configs(args) -> tuple[M.ModelConfig, TR.TrainConfig]:
 
 
 @contextlib.contextmanager
-def _tee_log(path: str):
-    """A log callback that prints each line and writes it to path."""
-    with open(path, "w", encoding="utf-8") as fh:
+def _tee_log(out: str, name: str):
+    """A log callback that prints each line and writes it to out/name.
+    The first line creates both, so a run that rejects its input before
+    then leaves nothing behind."""
+    path, log = os.path.join(out, name), []
+    with contextlib.ExitStack() as files:
         def emit(line: str):
+            with D.file_errors(path, "write"):
+                if not log:
+                    os.makedirs(out, exist_ok=True)
+                    log.append(files.enter_context(open(path, "w", encoding="utf-8")))
+                log[0].write(line + "\n")
+                log[0].flush()
             print(line)
-            fh.write(line + "\n")
-            fh.flush()
 
         yield emit
 
@@ -68,10 +75,9 @@ def cmd_train(args) -> int:
     train_corpus = _read_corpus(args.train, args.scheme)
     dev_corpus = _read_corpus(args.dev, args.scheme)
     _check_tag_lengths(args.dev, "sentence", [tokens for tokens, _ in dev_corpus.sentences])
-    os.makedirs(args.out, exist_ok=True)
-    ckpt_path = os.path.join(args.out, "model.ckpt")
     init, vocab = D.load_model(args.init) if args.init else (None, None)
-    with _tee_log(os.path.join(args.out, "train.log")) as emit:
+    ckpt_path = os.path.join(args.out, "model.ckpt")
+    with _tee_log(args.out, "train.log") as emit:
         report = TR.train(train_corpus, dev_corpus, mc, tc, log=emit,
                           checkpoint_path=ckpt_path, vocab=vocab,
                           init_params_from=init.params if init else None)
@@ -83,9 +89,8 @@ def cmd_train(args) -> int:
 def cmd_pretrain(args) -> int:
     mc, tc = _load_configs(args)
     corpus = _read_corpus(args.train, args.scheme)
-    os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "pretrain.ckpt")
-    with _tee_log(os.path.join(args.out, "pretrain.log")) as emit:
+    with _tee_log(args.out, "pretrain.log") as emit:
         report = TR.pretrain(corpus, mc, tc, log=emit, checkpoint_path=ckpt_path)
     print(f"pretraining finished: {report.history[0].steps} steps, "
           f"mean loss {report.history[0].mean_total:.4f}; checkpoint {ckpt_path}")

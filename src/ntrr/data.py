@@ -9,6 +9,7 @@ a single schema.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import struct
@@ -43,16 +44,25 @@ class Corpus:
     warnings: list[str] = field(default_factory=list)
 
 
-def read_text(path: str, error=ParseError) -> str:
-    """The text of a UTF-8 file; a file that cannot be read or decoded
-    raises error, naming the path."""
+@contextlib.contextmanager
+def file_errors(path: str, verb: str, error=ParseError):
+    """An OSError in the block raises error "path: cannot {verb}: ..."."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        yield
     except OSError as exc:
-        raise error(f"{path}: cannot read: {exc}") from None
+        raise error(f"{path}: cannot {verb}: {exc}") from None
+
+
+def read_bytes(path: str, error=ParseError) -> bytes:
+    """The bytes of a file; a file that cannot be read raises error, naming it."""
+    with file_errors(path, "read", error), open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_text(path: str, error=ParseError) -> str:
+    """read_bytes decoded as UTF-8; bytes that do not decode raise error."""
     try:
-        return raw.decode("utf-8")
+        return read_bytes(path, error).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
@@ -123,7 +133,7 @@ def read_conll(path: str, scheme: str = "bmes") -> Corpus:
 
 
 def write_conll(path: str, sentences) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with file_errors(path, "write"), open(path, "w", encoding="utf-8") as fh:
         for tokens, tags in sentences:
             for token, tag in zip(tokens, tags):
                 fh.write(f"{token} {tag}\n")
@@ -160,9 +170,8 @@ def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocab:
 
 
 def save_vocab(path: str, vocab: Vocab) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tok in vocab.itos:
-            fh.write(tok + "\n")
+    with file_errors(path, "write"), open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(tok + "\n" for tok in vocab.itos)
 
 
 def load_vocab(path: str) -> Vocab:
@@ -408,10 +417,10 @@ def save_checkpoint(path: str, params: dict[str, Tensor | np.ndarray],
         for dim in arr.shape:
             buf.write(struct.pack("<Q", dim))
         buf.write(np.ascontiguousarray(arr, dtype="<f8" if use_f64 else "<f4").tobytes())
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, path)
+    with file_errors(path, "write"):
+        with open(path + ".tmp", "wb") as fh:
+            fh.write(buf.getvalue())
+        os.replace(path + ".tmp", path)
 
 
 class _Reader:
@@ -442,11 +451,7 @@ class _Reader:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read: {exc}") from None
+    blob = read_bytes(path, CheckpointError)
     r = _Reader(blob, path)
     if r.pull(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic at byte 0; not a checkpoint")

@@ -22,7 +22,7 @@ class NumericsError(NtrrError):
 
 
 class ParseError(NtrrError):
-    """Malformed input file; message carries the file location."""
+    """Malformed, unreadable or unwritable file; message carries its location."""
 
 
 class CheckpointError(NtrrError):

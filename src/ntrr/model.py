@@ -238,18 +238,6 @@ def _prelude(token_ids, memory, config: ModelConfig, params, streams, k_eff, sta
     return ids, memory, positions, h, _rel_indexes(config, memory.offset, ids.shape[1], k_eff)
 
 
-def _layer_memory(memory: SegmentMemory, i: int, h: Tensor, config: ModelConfig):
-    """Block i's cached states (None when there are none), their length,
-    and its next cache: the last memory_len rows of [memory ; h], detached."""
-    mem = memory.layers[i] if i < len(memory.layers) else np.zeros((0, 0, 0))
-    m_len = mem.shape[1] if mem.size else 0
-    cache = np.zeros((0, 0, 0))
-    if config.memory_len > 0:
-        joined = np.concatenate([mem, h.data], axis=1) if m_len else h.data
-        cache = joined[:, -config.memory_len:].copy()
-    return (mem if m_len else None), m_len, cache
-
-
 def _rel_indexes(config: ModelConfig, offset: int, t: int, k_eff):
     """One forward's relative indexes: a function from a block's memory
     length to the relative_index of the t queries from offset over
@@ -272,19 +260,22 @@ def _rel_indexes(config: ModelConfig, offset: int, t: int, k_eff):
 def _run_stack(xs: tuple[Tensor, ...], masks, n_blocks: int, config: ModelConfig, params,
                memory: SegmentMemory, streams, rel_indexes,
                stages: Stages | None = None) -> tuple[tuple[Tensor, ...], list[np.ndarray]]:
-    """The first n_blocks encoder blocks, lower stack then upper stack,
-    left to right over [memory ; xs[0]]: stream s of xs attends under
-    masks[s], a (T, T) mask widened by each block's memory. Returns the
-    streams and the new memory of those blocks. stages, if given, enter
-    each block and then the output (stage n_blocks); see Stages."""
+    """The first n_blocks encoder blocks, lower stack then upper stack, each
+    joining [memory ; xs[0]] once, for its keys and its next cache (the last
+    memory_len rows, detached). Stream s of xs attends under masks[s], a (T, T)
+    mask widened by the block's memory. Returns the streams and the new memory
+    of those blocks. stages, if given, enter each block and then the output; see Stages."""
     new_mems = []
     for i in range((stages.start or 0) if stages else 0, n_blocks):
         xs = stages.enter(i, xs, streams) if stages else xs
         stack, j = ("xl", i) if i < config.xlnet_layers else ("tr", i - config.xlnet_layers)
-        mem, m_len, cache = _layer_memory(memory, i, xs[0], config)
-        new_mems.append(cache)
+        mem = memory.layers[i] if i < len(memory.layers) else np.zeros((0, 0, 0))
+        m_len = mem.shape[1] if mem.size else 0
+        kv = T.concat([Tensor(mem), xs[0]], axis=1) if m_len else None
+        new_mems.append((xs[0] if kv is None else kv).data[:, -config.memory_len:].copy()
+                        if config.memory_len > 0 else np.zeros((0, 0, 0)))
         xs = relpos.block_forward(
-            xs, [plm.extend_mask_for_memory(m, m_len) for m in masks], mem,
+            xs, [plm.extend_mask_for_memory(m, m_len) for m in masks], kv,
             block_params(params, f"{stack}.{j}."), config,
             rel_table(params, stack, config), rel_indexes(m_len), streams)
     return (stages.enter(n_blocks, xs, streams) if stages else xs), new_mems

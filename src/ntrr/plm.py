@@ -83,7 +83,8 @@ def two_stream_layer(h_prev: Tensor, g_prev: Tensor, query_mask, content_mask,
     from g, query_mask. Both read keys/values from [memory ; h]; memory,
     if given, is a (B, M, D) array of the previous segment's states,
     visible to both streams."""
-    return relpos.block_forward((h_prev, g_prev), (content_mask, query_mask), memory,
+    kv = None if memory is None else T.concat([Tensor(memory), h_prev], axis=1)
+    return relpos.block_forward((h_prev, g_prev), (content_mask, query_mask), kv,
                                 block, config, rel_table, rel_index, streams)
 
 

@@ -85,14 +85,14 @@ def dropout_site(x: Tensor, drop_prob: float, streams) -> Tensor:
     return x if keep is None else T.dropout(x, drop_prob, keep)
 
 
-def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams, config,
+def block_forward(xs: tuple[Tensor, ...], masks, kv: Tensor | None, block: BlockParams, config,
                   rel_table: RelPosTable | None = None, rel_index: T.BucketIndex | None = None,
                   streams=None) -> tuple[Tensor, ...]:
     """One pre-norm block over a tuple of query streams with shared weights.
 
-    Stream s attends under masks[s] to keys and values from
-    [memory ; xs[0]]; memory, if given, is a (B, M, D) array of earlier
-    states and gets no gradient. config is the ModelConfig. A rel_table
+    Stream s attends under masks[s] to keys and values from kv, the
+    block's (B, Tk, D) key input before normalisation, or from xs[0]
+    when kv is None. config is the ModelConfig. A rel_table
     makes attention relative, with rel_index the relative_index of the
     queries over those keys; dropout streams make it a training pass.
     The query streams advance in lockstep, one sublayer at a time: all
@@ -100,10 +100,7 @@ def block_forward(xs: tuple[Tensor, ...], masks, memory, block: BlockParams, con
     That order fixes which dropout mask each site draws; every site
     drops at config.dropout."""
     normed = [T.layer_norm(x, block.ln1_g, block.ln1_b) for x in xs]
-    normed_kv = normed[0]
-    if memory is not None:
-        kv = T.concat([Tensor(memory), xs[0]], axis=1)
-        normed_kv = T.layer_norm(kv, block.ln1_g, block.ln1_b)
+    normed_kv = normed[0] if kv is None else T.layer_norm(kv, block.ln1_g, block.ln1_b)
     atts = [multi_head_attention(q, normed_kv, config, block.attn, mask,
                                  rel_table, rel_index, streams)
             for q, mask in zip(normed, masks)]

@@ -103,11 +103,46 @@ def test_bad_config_value_is_exit_2(tmp_path):
     assert "lr_init" in err
 
 
-def test_unplanned_failure_is_exit_1(tmp_path):
-    code, out, err = run(["convert", str(DATA / "dev.bmes"), str(tmp_path),
+def test_unplanned_failure_is_exit_1(tmp_path, monkeypatch):
+    # an output path that is a directory exits 2 (see below), so the
+    # unplanned failure here is an error no writer expects
+    def write_conll(path, sentences):
+        raise ZeroDivisionError("unplanned")
+
+    monkeypatch.setattr(D, "write_conll", write_conll)
+    code, out, err = run(["convert", str(DATA / "dev.bmes"), str(tmp_path / "out.bmes"),
                           "--from", "bmes"])
     assert code == 1
-    assert "internal error" in err
+    assert "internal error: ZeroDivisionError: unplanned" in err
+
+
+@pytest.mark.parametrize("case", ["convert-missing-dir", "convert-to-directory",
+                                  "predict-missing-dir", "train-out-under-file"])
+def test_unwritable_output_path_is_exit_2(trained, tmp_path, case):
+    # as an unreadable input exits 2 with "cannot read", an output path that
+    # cannot be written exits 2 with "cannot write", naming it
+    model_dir, _ = trained
+    plain = tmp_path / "plain.txt"
+    plain.write_text("ab\n", encoding="utf-8")
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    target, argv = {
+        "convert-missing-dir": (tmp_path / "missing" / "x.bmes",
+                                ["convert", str(DATA / "dev.bmes"), "{}", "--from", "bmes"]),
+        "convert-to-directory": (tmp_path,
+                                 ["convert", str(DATA / "dev.bmes"), "{}", "--from", "bmes"]),
+        "predict-missing-dir": (tmp_path / "missing" / "p.bmes",
+                                ["predict", "--ckpt", str(model_dir / "model.ckpt"),
+                                 "--in", str(plain), "--out", "{}"]),
+        "train-out-under-file": (tmp_path / "file" / "sub",
+                                 ["train", "--train", str(DATA / "train.bmes"),
+                                  "--dev", str(DATA / "dev.bmes"), "--out", "{}",
+                                  "--config", CFG, "--set", "epochs=1"]),
+    }[case]
+    code, out, err = run([str(target) if a == "{}" else a for a in argv])
+    assert code == 2, err
+    assert str(target) in err and "cannot write" in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_gradcheck_rejects_unknown_scale():
@@ -500,6 +535,42 @@ def test_eval_indexes_gold_tags_in_the_model_label_set(tmp_path):
     assert out.splitlines()[1] == "100.00\t100.00\t100.00"
 
 
+def test_train_with_a_missing_init_leaves_no_out(tmp_path):
+    # train writes nothing until its first log line, so an input it rejects
+    # before then leaves no --out behind
+    missing, out_dir = tmp_path / "nonexist.ckpt", tmp_path / "o"
+    code, out, err = run(["train", "--train", str(DATA / "train.bmes"),
+                          "--dev", str(DATA / "dev.bmes"), "--out", str(out_dir),
+                          "--config", CFG, "--init", str(missing)])
+    assert code == 2, err
+    assert f"{missing}: cannot read" in err and "Traceback" not in err
+    assert out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("mode, tokens", [("char", ["a", "b", "c", "d"]),
+                                          ("whitespace", ["ab", "cd"])])
+def test_predict_splits_lines_per_token_mode(tmp_path, mode, tokens):
+    # one model saved once per token mode: char mode tags each
+    # non-whitespace character, whitespace mode each word
+    mc = M.ModelConfig(vocab_size=8, model_dim=8, ffn_dim=8, xlnet_layers=1,
+                       transformer_layers=1, num_heads=2, clip_k=2, entity_types=("PER",))
+    params = M.init_params(mc, Rng(3, 0))
+    ckpt = tmp_path / mode / "model.ckpt"
+    ckpt.parent.mkdir()
+    D.save_model(str(ckpt), params, replace(mc, token_mode=mode),
+                 D.Vocab(["<pad>", "<unk>", "a", "b", "c", "d", "ab", "cd"]))
+    text, pred = tmp_path / "plain.txt", tmp_path / f"{mode}.bmes"
+    text.write_text("ab cd\n", encoding="utf-8")
+    code, out, err = run(["predict", "--ckpt", str(ckpt), "--in", str(text),
+                          "--out", str(pred)])
+    assert code == 0, err
+    lines = pred.read_text(encoding="utf-8").splitlines()
+    assert lines[-1] == "" and [line.split()[0] for line in lines[:-1]] == tokens
+    labels = M.ModelConfig(entity_types=("PER",)).label_set
+    assert all(len(line.split()) == 2 and line.split()[1] in labels.tags
+               for line in lines[:-1])
+
+
 def test_train_rejects_dev_types_outside_the_label_set(tmp_path):
     dev = tmp_path / "dev.bmes"
     dev.write_text("a S-X\nb O\n")
@@ -508,7 +579,7 @@ def test_train_rejects_dev_types_outside_the_label_set(tmp_path):
                           "--set", "epochs=1"])
     assert code == 2, err
     assert "dev corpus" in err and "['X']" in err
-    assert out == ""
+    assert out == "" and not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------- pretrain

@@ -1,8 +1,12 @@
 """The checked-in scripts run end to end from a checkout."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from ntrr import synthetic
+from ntrr.data import write_conll
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -45,3 +49,16 @@ def test_tag_cost_prints_time_and_peak():
     rows = dict(line.split("\t") for line in lines[1:])
     assert set(rows) == {"median_ms", "peak_mb"}
     assert float(rows["median_ms"]) > 0 and float(rows["peak_mb"]) > 0
+
+
+def test_bundled_corpus_is_what_make_synthetic_writes(tmp_path):
+    # rebuild each split as the script's main does, into tmp_path, not data/
+    spec = importlib.util.spec_from_file_location("make_synthetic",
+                                                  REPO / "scripts" / "make_synthetic.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert [name for name, _, _ in script.SPLITS] == ["train", "dev", "test"]
+    for name, n, seed in script.SPLITS:
+        path = tmp_path / f"{name}.bmes"
+        write_conll(str(path), synthetic.generate_corpus(n, seed=seed).sentences)
+        assert path.read_bytes() == (REPO / "data" / f"{name}.bmes").read_bytes(), name
