@@ -47,7 +47,7 @@ def _tee_log(out: str, name: str):
         yield emit
 
 
-def _read_corpus(path: str, scheme: str) -> D.Corpus:
+def _read_corpus(path: str, scheme: str = "bmes") -> D.Corpus:
     """read_conll, with each of the corpus's warnings printed to stderr."""
     corpus = D.read_conll(path, scheme=scheme)
     for warning in corpus.warnings:
@@ -72,8 +72,8 @@ def cmd_convert(args) -> int:
 
 def cmd_train(args) -> int:
     mc, tc = _load_configs(args)
-    train_corpus = _read_corpus(args.train, args.scheme)
-    dev_corpus = _read_corpus(args.dev, args.scheme)
+    train_corpus = _read_corpus(args.train)
+    dev_corpus = _read_corpus(args.dev)
     _check_tag_lengths(args.dev, "sentence", [tokens for tokens, _ in dev_corpus.sentences])
     init, vocab = D.load_model(args.init) if args.init else (None, None)
     ckpt_path = os.path.join(args.out, "model.ckpt")
@@ -88,7 +88,7 @@ def cmd_train(args) -> int:
 
 def cmd_pretrain(args) -> int:
     mc, tc = _load_configs(args)
-    corpus = _read_corpus(args.train, args.scheme)
+    corpus = _read_corpus(args.train)
     ckpt_path = os.path.join(args.out, "pretrain.ckpt")
     with _tee_log(args.out, "pretrain.log") as emit:
         report = TR.pretrain(corpus, mc, tc, log=emit, checkpoint_path=ckpt_path)
@@ -116,18 +116,18 @@ def cmd_eval(args) -> int:
         raise ConfigError("pass exactly one of --ckpt (model eval) or --pred (file eval)")
     if args.ckpt:
         mc, params, vocab = _load_model(args)
-        corpus = _read_corpus(args.data, args.scheme)
+        corpus = _read_corpus(args.data)
         _check_tag_lengths(args.data, "sentence", [tokens for tokens, _ in corpus.sentences])
         extra = set(corpus.label_set.entity_types) - set(mc.entity_types)
         if extra:
-            raise ConfigError(f"dataset entity types {sorted(extra)} are outside the "
-                              f"checkpoint label set {list(mc.entity_types)}")
+            raise ConfigError(f"{args.data}: dataset entity types {sorted(extra)} are outside "
+                              f"the checkpoint label set {list(mc.entity_types)}")
         scores, repairs = TR.evaluate(corpus, vocab, params, mc)
         _print_prf(scores)
         print(f"repairs\t{repairs}")
         return 0
-    pred = _read_corpus(args.pred, args.scheme)
-    gold = _read_corpus(args.data, args.scheme)
+    pred = _read_corpus(args.pred)
+    gold = _read_corpus(args.data)
     if len(pred.sentences) != len(gold.sentences):
         raise ParseError(f"{args.pred}: {len(pred.sentences)} sentences but gold has "
                          f"{len(gold.sentences)}")
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="permutation-LM pretraining")
     p.add_argument("--train", required=True, help="tagged corpus (tags unused)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--scheme", choices=("bio", "bmes"), default="bmes")
     common(p)
     p.set_defaults(func=cmd_pretrain)
 
@@ -269,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scheme", choices=("bio", "bmes"), default="bmes")
     p.add_argument("--init", help="warm-start encoder from a pretraining checkpoint")
     common(p)
     p.set_defaults(func=cmd_train)
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", help="predictions file to score instead of a model")
     p.add_argument("--data", required=True, help="gold corpus")
     p.add_argument("--vocab", help="vocabulary file (default: next to the checkpoint)")
-    p.add_argument("--scheme", choices=("bio", "bmes"), default="bmes")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="tag plain text, one sentence per line")

@@ -164,9 +164,10 @@ def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocab:
     for tokens, _ in corpus.sentences:
         for tok in tokens:
             counts[tok] = counts.get(tok, 0) + 1
-    kept = sorted((t for t, c in counts.items() if c >= min_freq),
+    reserved = ["<pad>", "<unk>"]  # a corpus token of these names maps to its reserved id
+    kept = sorted((t for t, c in counts.items() if c >= min_freq and t not in reserved),
                   key=lambda t: (-counts[t], t))
-    return Vocab(["<pad>", "<unk>"] + kept)
+    return Vocab(reserved + kept)
 
 
 def save_vocab(path: str, vocab: Vocab) -> None:

@@ -8,6 +8,7 @@ evaluation can report them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -16,6 +17,8 @@ import numpy as np
 from .errors import ContractError, ParseError
 
 BMES_PREFIXES = ("B", "M", "E", "S")
+# an entity type name: '-' would split its tags, ',' and '#' its config-block line
+_TYPE_NAME = re.compile(r"[^\s,#-]+")
 
 
 class Entity(NamedTuple):
@@ -28,7 +31,7 @@ def split_tag(tag: str):
     """'B-PER' -> ('B', 'PER'); 'O' -> ('O', None); None if malformed."""
     if tag == "O":
         return "O", None
-    if len(tag) > 2 and tag[1] == "-" and tag[0] in ("B", "M", "E", "S", "I"):
+    if tag[:1] in ("B", "M", "E", "S", "I") and tag[1:2] == "-" and _TYPE_NAME.fullmatch(tag[2:]):
         return tag[0], tag[2:]
     return None
 
@@ -49,7 +52,7 @@ class LabelSet:
         if len(set(types)) != len(types):
             raise ContractError(f"duplicate entity types: {types}")
         for t in types:
-            if not t or "-" in t or any(c.isspace() for c in t):
+            if not _TYPE_NAME.fullmatch(t):
                 raise ContractError(f"bad entity type name: {t!r}")
         tags = ["O"]
         for t in types:

@@ -9,6 +9,7 @@ the symmetric KL divergence between their output distributions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -260,6 +261,25 @@ def resolve_schedule(train_config: TrainConfig, n_batches: int) -> TrainConfig:
     return replace(train_config, total_steps=total, warmup_steps=warmup)
 
 
+def _setup(corpus, model_config: M.ModelConfig, train_config: TrainConfig, batch_size: int,
+           vocab=None, init_params_from=None, fallback_types=()):
+    """A run's (vocab, sized model config, params, Adam state, resolved schedule)."""
+    from . import data as D
+
+    if vocab is None:
+        vocab = D.build_vocab(corpus, train_config.min_freq)
+    types = model_config.entity_types or corpus.label_set.entity_types or fallback_types
+    if not types:
+        raise ConfigError("training corpus has no entity types; set entity_types")
+    model_config = replace(model_config, vocab_size=len(vocab), entity_types=tuple(types))
+    params = M.init_params(model_config, Rng.for_stream(train_config.seed, "init"),
+                           train_config.dtype)
+    if init_params_from is not None:
+        _warm_start(params, init_params_from)
+    return (vocab, model_config, params, OptimizerState.for_params(params),
+            resolve_schedule(train_config, math.ceil(len(corpus.sentences) / batch_size)))
+
+
 def train(train_corpus, dev_corpus, model_config: M.ModelConfig,
           train_config: TrainConfig, log=None, checkpoint_path: str | None = None,
           vocab=None, init_params_from: dict[str, np.ndarray] | None = None) -> TrainReport:
@@ -272,23 +292,13 @@ def train(train_corpus, dev_corpus, model_config: M.ModelConfig,
     from . import data as D
 
     emit = log if log is not None else (lambda line: None)
-    if vocab is None:
-        vocab = D.build_vocab(train_corpus, train_config.min_freq)
-    label_types = model_config.entity_types or train_corpus.label_set.entity_types
+    vocab, model_config, params, opt, cfg = _setup(train_corpus, model_config, train_config,
+                                                   train_config.batch_size, vocab, init_params_from)
     for name, corpus in (("training", train_corpus), ("dev", dev_corpus)):
-        missing = set(corpus.label_set.entity_types) - set(label_types)
+        missing = set(corpus.label_set.entity_types) - set(model_config.entity_types)
         if missing:
             raise ConfigError(f"{name} corpus has entity types outside the label set "
-                              f"{list(label_types)}: {sorted(missing)}")
-    model_config = replace(model_config, vocab_size=len(vocab),
-                           entity_types=tuple(label_types))
-    params = M.init_params(model_config, Rng.for_stream(train_config.seed, "init"),
-                           train_config.dtype)
-    if init_params_from is not None:
-        _warm_start(params, init_params_from)
-    opt = OptimizerState.for_params(params)
-    n_batches = math.ceil(len(train_corpus.sentences) / train_config.batch_size)
-    cfg = resolve_schedule(train_config, n_batches)
+                              f"{list(model_config.entity_types)}: {sorted(missing)}")
     step = 0
     best_f1, best_epoch = -1.0, 0
     history: list[EpochStats] = []
@@ -347,38 +357,25 @@ def pretrain(corpus, model_config: M.ModelConfig, train_config: TrainConfig,
     from . import data as D
 
     emit = log if log is not None else (lambda line: None)
-    vocab = D.build_vocab(corpus, train_config.min_freq)
-    label_types = model_config.entity_types or corpus.label_set.entity_types or ("X",)
-    model_config = replace(model_config, vocab_size=len(vocab),
-                           entity_types=tuple(label_types))
-    params = M.init_params(model_config, Rng.for_stream(train_config.seed, "init"),
-                           train_config.dtype)
-    opt = OptimizerState.for_params(params)
+    vocab, model_config, params, opt, cfg = _setup(corpus, model_config, train_config, 1,
+                                                   fallback_types=("X",))
     sentences = [vocab.encode(tokens) for tokens, _ in corpus.sentences]
-    n = len(sentences)
-    cfg = resolve_schedule(train_config, n)
-    step = 0
+    orders = (Rng.for_stream(cfg.seed, "shuffle", epoch).permutation(len(sentences))
+              for epoch in range(1, cfg.epochs + 1))
     losses = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = Rng.for_stream(cfg.seed, "shuffle", epoch).permutation(n)
-        for si in order:
-            step += 1
-            if step > cfg.total_steps:
-                break
-            ids = sentences[si][None, :]
-            plan = plm_mod.sample_permutation(ids.shape[1],
-                                              Rng.for_stream(cfg.seed, "perm", step))
-            streams = DropoutStreams(cfg.seed, step, 1)
-            loss, _ = M.pretrain_forward(ids, plan, None, model_config, params, streams)
-            value = loss.item()
-            lr = lr_schedule(step, cfg)
-            _update(loss, {"loss": value}, params, opt, cfg, step, lr)
-            losses.append(value)
-            emit(f"{step}\t{lr:.8g}\t{value:.6f}\t{0.0:.6f}\t{value:.6f}")
-        if step > cfg.total_steps:
-            break
+    for step, si in enumerate(itertools.islice(itertools.chain.from_iterable(orders),
+                                               cfg.total_steps), start=1):
+        ids = sentences[si][None, :]
+        plan = plm_mod.sample_permutation(ids.shape[1], Rng.for_stream(cfg.seed, "perm", step))
+        streams = DropoutStreams(cfg.seed, step, 1)
+        loss, _ = M.pretrain_forward(ids, plan, None, model_config, params, streams)
+        value = loss.item()
+        lr = lr_schedule(step, cfg)
+        _update(loss, {"loss": value}, params, opt, cfg, step, lr)
+        losses.append(value)
+        emit(f"{step}\t{lr:.8g}\t{value:.6f}\t{0.0:.6f}\t{value:.6f}")
     if checkpoint_path is not None:
         D.save_model(checkpoint_path, params, model_config, vocab)
-    history = [EpochStats(1, len(losses), float(np.mean(losses)) if losses else 0.0,
-                          0.0, float(np.mean(losses)) if losses else 0.0, 0.0, 0.0, 0.0)]
+    mean = float(np.mean(losses))
+    history = [EpochStats(1, len(losses), mean, 0.0, mean, 0.0, 0.0, 0.0)]
     return TrainReport(history, 0.0, 0, params, vocab, model_config)

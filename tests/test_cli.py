@@ -3,8 +3,10 @@
 Everything calls main(argv) in-process; a tiny model is trained once on
 the bundled synthetic data and shared by the eval/predict tests."""
 
+import argparse
 import hashlib
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +17,7 @@ import pytest
 import ntrr.data as D
 import ntrr.model as M
 import ntrr.training as TR
-from ntrr.cli import main
+from ntrr.cli import build_parser, main
 from ntrr.rng import Rng
 
 REPO = Path(__file__).resolve().parents[1]
@@ -88,11 +90,41 @@ def test_parse_error_names_line_17(tmp_path):
     assert "line 17" in err
 
 
+@pytest.mark.parametrize("command", ["convert", "train", "eval-pred"])
+@pytest.mark.parametrize("tag", ["B-PER-X", "S-A,B", "S-A#B"])
+def test_type_name_a_checkpoint_cannot_carry_is_exit_2(tmp_path, tag, command):
+    # '-' would split the tag; ',' and '#' would not read back from a
+    # checkpoint's config block (a comma list; '#' starts a comment)
+    bad = tmp_path / "bad.bmes"
+    bad.write_text(f"a O\nb {tag}\n", encoding="utf-8")
+    argv = {"convert": ["convert", str(bad), str(tmp_path / "c.bmes"), "--from", "bmes"],
+            "train": ["train", "--train", str(bad), "--dev", str(DATA / "dev.bmes"),
+                      "--out", str(tmp_path / "o"), "--config", CFG],
+            "eval-pred": ["eval", "--pred", str(bad), "--data", str(bad)]}[command]
+    code, out, err = run(argv)
+    assert code == 2, err
+    assert f"{bad}: line 2: tag '{tag}' is not valid BMES" in err
+    assert out == "" and "Traceback" not in err
+    assert not (tmp_path / "c.bmes").exists() and not (tmp_path / "o").exists()
+
+
 def test_usage_error_is_exit_2():
     code, out, err = run(["convert", "only-one-arg"])
     assert code == 2
     code, out, err = run(["no-such-command"])
     assert code == 2
+
+
+def test_readme_names_every_option():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    unnamed = [(name, option) for name, sub in commands.items() for action in sub._actions
+               for option in action.option_strings
+               if option.startswith("--") and option != "--help"
+               and not re.search(re.escape(option) + r"(?![\w-])", readme)]
+    assert unnamed == []
 
 
 def test_bad_config_value_is_exit_2(tmp_path):
@@ -580,6 +612,43 @@ def test_train_rejects_dev_types_outside_the_label_set(tmp_path):
     assert code == 2, err
     assert "dev corpus" in err and "['X']" in err
     assert out == "" and not (tmp_path / "o").exists()
+
+
+def test_train_on_no_entity_types_is_exit_2_naming_the_corpus_and_key(tmp_path):
+    corpus = tmp_path / "plain.bmes"
+    corpus.write_text("a O\nb O\n\nc O\n", encoding="utf-8")
+    out_dir = tmp_path / "o"
+    code, out, err = run(["train", "--train", str(corpus), "--dev", str(corpus),
+                          "--out", str(out_dir), "--config", CFG, "--set", "epochs=1"])
+    assert code == 2, err
+    assert "training corpus has no entity types" in err and "entity_types" in err
+    assert out == "" and not out_dir.exists()
+
+
+def test_eval_gold_types_outside_the_checkpoint_are_exit_2_naming_gold(trained, tmp_path):
+    out_dir, _ = trained
+    gold = tmp_path / "gold.bmes"
+    gold.write_text("K S-ZZZ\nL O\n", encoding="utf-8")
+    code, out, err = run(["eval", "--ckpt", str(out_dir / "model.ckpt"), "--data", str(gold)])
+    assert code == 2, err
+    assert err.startswith(f"error: {gold}: dataset entity types ['ZZZ'] are outside")
+    assert out == ""
+
+
+def test_corpus_tokens_named_like_reserved_ones_take_their_ids(tmp_path):
+    # a PTB-style <unk> already means "unknown"; neither name is listed twice
+    corpus = tmp_path / "reserved.bmes"
+    corpus.write_text("<unk> O\n" + (DATA / "dev.bmes").read_text(encoding="utf-8")
+                      + "<pad> O\nK S-PER\n", encoding="utf-8")
+    out_dir = tmp_path / "o"
+    code, out, err = run(["train", "--train", str(corpus), "--dev", str(corpus),
+                          "--out", str(out_dir), "--config", CFG, "--set", "epochs=1"])
+    assert code == 0, err
+    itos = (out_dir / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    assert itos[:2] == ["<pad>", "<unk>"]
+    assert itos.count("<pad>") == itos.count("<unk>") == 1
+    code, out, err = run(["eval", "--ckpt", str(out_dir / "model.ckpt"), "--data", str(corpus)])
+    assert code == 0, err
 
 
 # ---------------------------------------------------------------- pretrain

@@ -48,6 +48,13 @@ def test_config_validation():
         small_config(memory_len=-1)
 
 
+@pytest.mark.parametrize("name", ["A#B", "A,B"])
+def test_config_rejects_type_names_a_checkpoint_cannot_carry(name):
+    # the checkpoint's config block would read them back as "A" and "A", "B"
+    with pytest.raises(ConfigError, match="bad entity type name"):
+        M.ModelConfig(entity_types=(name,))
+
+
 def test_param_count_matches_registry():
     for kw in (dict(), dict(transformer_layers=0), dict(clip_k=1),
                dict(model_dim=32, num_heads=4, ffn_dim=48),
