@@ -1,14 +1,16 @@
 """One SHA-256 over the training forwards and their gradients.
 
 Runs train-mode forward_ner and pretrain_forward over a grid of
-pe_mode (relative, absolute) x dtype (float64, float32) x memory_len
+pe_mode (relative, absolute) x dtype (float64, float32) x memory window
 (0, 3) x dropout streams (DualDropoutStreams, DropoutStreams) x k_eff
-(full radius, 1; relative mode only), two segments each with the memory
-of the first fed to the second. Every output, every memory layer and
-every parameter gradient goes into the digest, bytes with shape and
-dtype. A change that claims to be bitwise neutral must print the same
-digest before and after; --cases prints one digest per case as well,
-to find the case that moved.
+(full radius, 1; relative mode only), two segments each. Each forward
+returns every block's whole [memory ; input]; the case cuts it to its
+last `window` columns (none for 0) and feeds the first segment's cut to
+the second. Every output, every cut memory layer and every parameter
+gradient goes into the digest, bytes with shape and dtype. A change
+that claims to be bitwise neutral must print the same digest before and
+after; --cases prints one digest per case as well, to find the case
+that moved.
 
     python scripts/forward_digest.py [--cases]
 """
@@ -32,13 +34,12 @@ SEGMENT = 7
 BATCH = 2
 
 
-def _config(pe_mode, memory_len):
+def _config(pe_mode):
     # head dim 6: 1/sqrt(6) is not a power of two, so the score scale
     # rounds and a reordered scaling changes the digest
     return M.ModelConfig(vocab_size=20, model_dim=12, ffn_dim=8, xlnet_layers=2,
                          transformer_layers=2, num_heads=2, clip_k=2, pe_mode=pe_mode,
-                         memory_len=memory_len, dropout=0.2,
-                         entity_types=("LOC", "ORG", "PER"))
+                         dropout=0.2, entity_types=("LOC", "ORG", "PER"))
 
 
 def _streams(kind, seg):
@@ -47,9 +48,15 @@ def _streams(kind, seg):
     return DropoutStreams(15, seg, 1)
 
 
-def _case_arrays(model, pe_mode, dtype, memory_len, streams, k_eff):
-    """Outputs, memories and parameter gradients of two segments."""
-    mc = _config(pe_mode, memory_len)
+def _window(memory, n):
+    """memory cut to each layer's last n columns; n = 0 keeps none."""
+    return M.SegmentMemory([m[:, -n:] if n else np.zeros((0, 0, 0)) for m in memory.layers],
+                           memory.offset)
+
+
+def _case_arrays(model, pe_mode, dtype, window, streams, k_eff):
+    """Outputs, cut memories and parameter gradients of two segments."""
+    mc = _config(pe_mode)
     params = M.init_params(mc, Rng.for_stream(12, "init"), dtype)
     r = Rng(13, 99)
     ids = np.array([[2 + r.randbelow(mc.vocab_size - 2) for _ in range(2 * SEGMENT)]
@@ -66,6 +73,7 @@ def _case_arrays(model, pe_mode, dtype, memory_len, streams, k_eff):
             out, memory = M.pretrain_forward(x, plan, memory, mc, params,
                                              _streams(streams, seg), k_eff=k_eff)
         T.backward(T.tsum(out * out))
+        memory = _window(memory, window)
         seen += [out.data, *memory.layers, *(params[k].grad for k in sorted(params))]
     return seen
 

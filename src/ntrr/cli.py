@@ -72,13 +72,14 @@ def cmd_convert(args) -> int:
 
 def cmd_train(args) -> int:
     mc, tc = _load_configs(args)
-    train_corpus = _read_corpus(args.train)
+    corpus = _read_corpus(args.train)
+    _check_lengths(args.train, [t for t, _ in corpus.sentences], M.MAX_TRAIN_TOKENS, "training")
     dev_corpus = _read_corpus(args.dev)
-    _check_tag_lengths(args.dev, "sentence", [tokens for tokens, _ in dev_corpus.sentences])
+    _check_lengths(args.dev, [t for t, _ in dev_corpus.sentences], M.MAX_TAG_TOKENS, "tagged")
     init, vocab = D.load_model(args.init) if args.init else (None, None)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     with _tee_log(args.out, "train.log") as emit:
-        report = TR.train(train_corpus, dev_corpus, mc, tc, log=emit,
+        report = TR.train(corpus, dev_corpus, mc, tc, log=emit,
                           checkpoint_path=ckpt_path, vocab=vocab,
                           init_params_from=init.params if init else None)
     print(f"best dev F1 {report.best_f1:.4f} at epoch {report.best_epoch}; "
@@ -89,6 +90,7 @@ def cmd_train(args) -> int:
 def cmd_pretrain(args) -> int:
     mc, tc = _load_configs(args)
     corpus = _read_corpus(args.train)
+    _check_lengths(args.train, [t for t, _ in corpus.sentences], M.MAX_TRAIN_TOKENS, "training")
     ckpt_path = os.path.join(args.out, "pretrain.ckpt")
     with _tee_log(args.out, "pretrain.log") as emit:
         report = TR.pretrain(corpus, mc, tc, log=emit, checkpoint_path=ckpt_path)
@@ -102,13 +104,13 @@ def _load_model(args) -> tuple[M.ModelConfig, dict, D.Vocab]:
     return ckpt.model_config, D.params_from_checkpoint(ckpt), vocab
 
 
-def _check_tag_lengths(path: str, unit: str, sentences) -> None:
-    """Exit 2 on a sentence longer than model.tag takes, naming path and
-    the sentence's 1-based number as a unit ("line", "sentence")."""
+def _check_lengths(path: str, sentences, cap: int, noun: str, unit: str = "sentence") -> None:
+    """Exit 2 on a sentence of more than cap tokens, naming path, the
+    sentence's 1-based number as a unit ("line", "sentence") and the cap's noun."""
     for number, tokens in enumerate(sentences, start=1):
-        if len(tokens) > M.MAX_TAG_TOKENS:
+        if len(tokens) > cap:
             raise ParseError(f"{path}: {unit} {number}: {len(tokens)} tokens, over the "
-                             f"cap of {M.MAX_TAG_TOKENS} per tagged sentence")
+                             f"cap of {cap} per {noun} sentence")
 
 
 def cmd_eval(args) -> int:
@@ -117,7 +119,7 @@ def cmd_eval(args) -> int:
     if args.ckpt:
         mc, params, vocab = _load_model(args)
         corpus = _read_corpus(args.data)
-        _check_tag_lengths(args.data, "sentence", [tokens for tokens, _ in corpus.sentences])
+        _check_lengths(args.data, [t for t, _ in corpus.sentences], M.MAX_TAG_TOKENS, "tagged")
         extra = set(corpus.label_set.entity_types) - set(mc.entity_types)
         if extra:
             raise ConfigError(f"{args.data}: dataset entity types {sorted(extra)} are outside "
@@ -151,7 +153,7 @@ def cmd_predict(args) -> int:
     sentences = [line.split() for line in D.split_lines(D.read_text(args.infile))]
     if mc.token_mode == "char":  # the line's non-whitespace characters
         sentences = [list("".join(words)) for words in sentences]
-    _check_tag_lengths(args.infile, "line", sentences)
+    _check_lengths(args.infile, sentences, M.MAX_TAG_TOKENS, "tagged", "line")
     sentences = [tokens for tokens in sentences if tokens]
     if not sentences:
         raise ParseError(f"{args.infile}: no sentences found")

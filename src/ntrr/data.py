@@ -31,6 +31,7 @@ SCHEMES = ("bio", "bmes")
 
 CHECKPOINT_MAGIC = b"NTRR"
 CHECKPOINT_VERSION = 1
+RETIRED_CHECKPOINT_KEYS = ("memory_len",)  # model keys older checkpoints carry; ignored
 _FLAG_FLOAT64 = 1
 
 
@@ -246,7 +247,6 @@ _MODEL_KEYS = _schema(ModelConfig(), {
     "num_heads": "attention heads; must divide model_dim",
     "clip_k": "displacement table radius: rows for [-k, k]",
     "pe_mode": "absolute sinusoidal input encoding, or learned relative tables",
-    "memory_len": "cached positions per layer for segment recurrence",
     "dropout": "drop rate at every dropout site",
     "decode_mode": "per-token argmax, or best path through BMES legality",
     "token_mode": "how plain prediction input is split into tokens",
@@ -303,9 +303,9 @@ def _parse_value(key: str, raw: str):
     raise ContractError(f"schema bug for key '{key}'")
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Flat 'key = value' lines; '#' starts a comment; unknown keys are
-    rejected by name."""
+def parse_config_text(text: str, source: str = "<config>", retired=()) -> dict:
+    """Flat 'key = value' lines; '#' starts a comment; keys in retired are
+    skipped, other unknown keys rejected by name."""
     values: dict = {}
     for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -315,6 +315,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}: line {lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key in retired:
+            continue
         if key not in _SCHEMA:
             raise ConfigError(f"{source}: line {lineno}: unknown key '{key}'")
         values[key] = _parse_value(key, raw)
@@ -472,7 +474,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(
             f"{path}: config block is not UTF-8 at byte {config_start + exc.start}") from None
     try:
-        values = parse_config_text(config_text, source=f"{path}[config]")
+        values = parse_config_text(config_text, f"{path}[config]", RETIRED_CHECKPOINT_KEYS)
         model_config = configs_from_values(values)[0]
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad config block: {exc}") from None

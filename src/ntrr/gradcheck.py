@@ -29,8 +29,7 @@ TOLERANCE = 1e-4
 def tiny_config(pe_mode: str) -> ModelConfig:
     return ModelConfig(vocab_size=50, model_dim=16, ffn_dim=16, xlnet_layers=2,
                        transformer_layers=2, num_heads=2, clip_k=2, pe_mode=pe_mode,
-                       memory_len=0, dropout=0.1,
-                       entity_types=("LOC", "ORG", "PER"))
+                       dropout=0.1, entity_types=("LOC", "ORG", "PER"))
 
 
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:

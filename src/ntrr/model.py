@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ TAG_BATCH = 32  # sentences per tagging batch
 TAG_CELLS = TAG_BATCH * 128 ** 2  # rows x longest^2 per tagging batch
 TAG_SEG = 128  # tokens per tagging forward; earlier tokens are its memory
 MAX_TAG_TOKENS = 4096  # longest sentence eval and predict tag; memory grows with it
+MAX_TRAIN_TOKENS = 512  # longest sentence train and pretrain take; a step is quadratic in it
 
 
 @dataclass
@@ -44,7 +45,6 @@ class ModelConfig:
     num_heads: int = 4
     clip_k: int = 8
     pe_mode: str = "relative"
-    memory_len: int = 0
     dropout: float = 0.15
     decode_mode: str = "constrained"
     token_mode: str = "char"
@@ -52,8 +52,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for key, low in (("vocab_size", 0), ("model_dim", 1), ("ffn_dim", 1), ("num_heads", 1),
-                         ("clip_k", 1), ("xlnet_layers", 1), ("transformer_layers", 0),
-                         ("memory_len", 0)):
+                         ("clip_k", 1), ("xlnet_layers", 1), ("transformer_layers", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.model_dim % self.num_heads != 0:
@@ -95,9 +94,10 @@ class ModelConfig:
 class SegmentMemory:
     """Per-layer cached states of everything before the current segment.
 
-    layers[i] holds the detached inputs of block i from earlier
-    segments, shape (B, M, D); offset is the global position of the
-    first token of the next segment."""
+    layers[i] holds block i's detached inputs from earlier segments, shape
+    (B, M, D). A forward returns all of them, each block's [memory ; input],
+    as read-only views of its own arrays; a caller cuts a shorter window.
+    offset is the global position of the first token of the next segment."""
 
     layers: list[np.ndarray]
     offset: int = 0
@@ -261,8 +261,8 @@ def _run_stack(xs: tuple[Tensor, ...], masks, n_blocks: int, config: ModelConfig
                memory: SegmentMemory, streams, rel_indexes,
                stages: Stages | None = None) -> tuple[tuple[Tensor, ...], list[np.ndarray]]:
     """The first n_blocks encoder blocks, lower stack then upper stack, each
-    joining [memory ; xs[0]] once, for its keys and its next cache (the last
-    memory_len rows, detached). Stream s of xs attends under masks[s], a (T, T)
+    joining [memory ; xs[0]] once, for its keys and its next cache (all of
+    it, detached and read-only). Stream s of xs attends under masks[s], a (T, T)
     mask widened by the block's memory. Returns the streams and the new memory
     of those blocks. stages, if given, enter each block and then the output; see Stages."""
     new_mems = []
@@ -272,8 +272,8 @@ def _run_stack(xs: tuple[Tensor, ...], masks, n_blocks: int, config: ModelConfig
         mem = memory.layers[i] if i < len(memory.layers) else np.zeros((0, 0, 0))
         m_len = mem.shape[1] if mem.size else 0
         kv = T.concat([Tensor(mem), xs[0]], axis=1) if m_len else None
-        new_mems.append((xs[0] if kv is None else kv).data[:, -config.memory_len:].copy()
-                        if config.memory_len > 0 else np.zeros((0, 0, 0)))
+        new_mems.append((xs[0] if kv is None else kv).data.view())
+        new_mems[-1].flags.writeable = False
         xs = relpos.block_forward(
             xs, [plm.extend_mask_for_memory(m, m_len) for m in masks], kv,
             block_params(params, f"{stack}.{j}."), config,
@@ -358,14 +358,10 @@ def tag(sentences, config: ModelConfig, params) -> list[list[str]]:
         ids = np.zeros((len(chunk), max(map(len, chunk))), dtype=np.int64)
         for row, s in enumerate(chunk):
             ids[row, :len(s)] = s
-        # Causal attention at global positions: a segment whose memory is
-        # every earlier column sees the keys one full forward would, so
-        # memory_len is the row length, whatever the checkpoint says.
-        unbounded = replace(config, memory_len=ids.shape[1])
         memory, lps = None, []
         with T.no_grad():
             for a in range(0, ids.shape[1], TAG_SEG):
-                lp, memory = forward_ner(ids[:, a:a + TAG_SEG], memory, unbounded, params)
+                lp, memory = forward_ner(ids[:, a:a + TAG_SEG], memory, config, params)
                 lps.append(lp.data)
         lp = np.concatenate(lps, axis=1) if lps else np.zeros(ids.shape + (len(label_set),))
         tags.extend(decode(lp[row, :len(s)], label_set, config.decode_mode)

@@ -2,11 +2,12 @@
 
 No command reaches these, so they live with the tests rather than in
 src/ntrr: plain softmax (the package only runs masked_softmax and
-log_softmax), the scalar displacement clip, and a mean built from the
-package's own tsum and mul."""
+log_softmax), the scalar displacement clip, a mean built from the
+package's own tsum and mul, and a fixed-length cut of segment memory."""
 
 import numpy as np
 
+import ntrr.model as M
 import ntrr.tensor as T
 
 
@@ -31,3 +32,11 @@ def clip_rel(x: int, k: int) -> int:
 def tmean(a):
     """The mean of every element, as a graph op."""
     return T.mul(T.tsum(a), 1.0 / a.data.size)
+
+
+def window(memory, n: int):
+    """memory with each layer cut to its last n columns. A forward returns
+    every block's whole [memory ; input]; n = 0 keeps no memory at all,
+    where m[:, -0:] would keep all of it."""
+    return M.SegmentMemory([m[:, -n:] if n else np.zeros((0, 0, 0)) for m in memory.layers],
+                           memory.offset)

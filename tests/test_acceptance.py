@@ -231,7 +231,7 @@ def test_criterion_3_plm_masks():
 def test_criterion_4_segment_recurrence():
     mc = M.ModelConfig(vocab_size=30, model_dim=16, ffn_dim=16, xlnet_layers=2,
                        transformer_layers=2, num_heads=2, clip_k=4,
-                       pe_mode="relative", memory_len=8,
+                       pe_mode="relative",
                        entity_types=("LOC", "ORG", "PER"), dropout=0.0)
     params = M.init_params(mc, Rng.for_stream(2, "init"), "float64")
     r = Rng(41, 0)

@@ -7,6 +7,7 @@ import argparse
 import hashlib
 import io
 import re
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -133,6 +134,20 @@ def test_bad_config_value_is_exit_2(tmp_path):
                           "--out", str(tmp_path / "o"), "--set", "lr_init=banana"])
     assert code == 2
     assert "lr_init" in err
+
+
+def test_retired_memory_len_is_an_unknown_run_config_key(tmp_path):
+    # only checkpoints may still carry it; a run config naming it is a mistake
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 1\nmemory_len = 2\n")
+    out_dir = tmp_path / "o"
+    for extra, where in ((["--config", str(cfg)], f"{cfg}: line 2"),
+                         (["--set", "memory_len=2"], "--set: line 1")):
+        code, out, err = run(["pretrain", "--train", str(DATA / "train.bmes"),
+                              "--out", str(out_dir), *extra])
+        assert code == 2, err
+        assert f"{where}: unknown key 'memory_len'" in err
+        assert out == "" and not out_dir.exists()
 
 
 def test_unplanned_failure_is_exit_1(tmp_path, monkeypatch):
@@ -431,6 +446,23 @@ def test_checkpoint_with_bad_config_block_is_exit_2_naming_it(trained, tmp_path,
         assert out == ""
 
 
+def test_checkpoint_with_the_retired_memory_len_key_evaluates_the_same(trained, tmp_path):
+    # checkpoints written while memory_len was a model key carry it in their
+    # sorted config block, between ffn_dim and model_dim; it is ignored
+    out_dir, _ = trained
+    blob = (out_dir / "model.ckpt").read_bytes()
+    (size,) = struct.unpack("<Q", blob[9:17])  # after magic, version and flags
+    block = blob[17:17 + size].replace(b"\nmodel_dim = ", b"\nmemory_len = 3\nmodel_dim = ")
+    assert block.count(b"memory_len = 3\n") == 1
+    old = tmp_path / "model.ckpt"
+    old.write_bytes(blob[:9] + struct.pack("<Q", len(block)) + block + blob[17 + size:])
+    (tmp_path / "vocab.txt").write_bytes((out_dir / "vocab.txt").read_bytes())
+    argv = ["eval", "--data", str(DATA / "test.bmes"), "--ckpt"]
+    code, out, err = run(argv + [str(old)])
+    assert code == 0, err
+    assert (code, out, err) == run(argv + [str(out_dir / "model.ckpt")])
+
+
 def test_eval_checks_registry_without_building_one(trained, monkeypatch):
     # the check reads the parameter layout; drawing a registry is wasted work
     def refuse(*args, **kwargs):
@@ -530,6 +562,24 @@ def test_train_dev_sentence_over_the_tagging_cap_is_exit_2(tmp_path, monkeypatch
                           "--out", str(out_dir), "--config", CFG, "--set", "epochs=1"])
     assert code == 2, err
     assert f"{dev}: sentence 2: 13 tokens, over the cap of 12" in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_training_sentence_over_the_training_cap_is_exit_2(tmp_path, monkeypatch, command):
+    # a training step's memory grows with the square of its longest sentence,
+    # so train and pretrain check their corpus before creating --out
+    monkeypatch.setattr(M, "MAX_TRAIN_TOKENS", 12)
+    corpus = tmp_path / "train.bmes"
+    D.write_conll(str(corpus), [(["a"] * 12, ["S-PER"] + ["O"] * 11),
+                                (["b"] * 13, ["O"] * 13)])
+    out_dir = tmp_path / "o"
+    dev = ["--dev", str(DATA / "dev.bmes")] if command == "train" else []
+    code, out, err = run([command, "--train", str(corpus), *dev, "--out", str(out_dir),
+                          "--config", CFG, "--set", "epochs=1"])
+    assert code == 2, err
+    assert f"{corpus}: sentence 2: 13 tokens, over the cap of 12 per training sentence" in err
     assert "Traceback" not in err and "internal error" not in err
     assert out == "" and not out_dir.exists()
 
@@ -766,7 +816,7 @@ def test_report_non_finite_value_is_exit_2(tmp_path, line):
 # sha256 over every file the README pipeline writes at synthetic.cfg scale
 # (pretrain, warm-started train, predict) and eval --pred's table. A change
 # that moves one bit of a log, checkpoint, vocabulary or prediction moves it.
-PIPELINE_DIGEST = "34f2d5df4b31ca949be0a784495b3552cc3ae4a4d291def0f8ec317d33359880"
+PIPELINE_DIGEST = "22aded75856dd44cc34e8b360b23c3ef1ed96afdd91bc4756d2a898291abb7d5"
 
 
 def test_pipeline_outputs_are_pinned(tmp_path):

@@ -13,7 +13,7 @@ from ntrr.errors import ConfigError, ContractError
 from ntrr.plm import extend_mask_for_memory, plm_loss, sample_permutation
 from ntrr.rng import DualDropoutStreams, Rng
 from ntrr.tagging import LabelSet, legal_transitions, validate_bmes
-from oracles import softmax, tmean
+from oracles import softmax, tmean, window
 
 TYPES = ("LOC", "ORG", "PER")
 
@@ -44,8 +44,6 @@ def test_config_validation():
         small_config(pe_mode="sideways")
     with pytest.raises(ConfigError):
         small_config(dropout=1.0)
-    with pytest.raises(ConfigError):
-        small_config(memory_len=-1)
 
 
 @pytest.mark.parametrize("name", ["A#B", "A,B"])
@@ -82,18 +80,43 @@ def test_float32_params():
 # ---------------------------------------------------------- segment memory
 
 
-def test_memory_len_zero_is_plain_stack():
-    mc = small_config(memory_len=0)
+@pytest.mark.parametrize("model", ["forward_ner", "pretrain_forward"])
+def test_forward_memory_is_each_blocks_whole_join(model, monkeypatch):
+    # layer i of a forward's memory is block i's [memory ; input], all of it,
+    # as a read-only view of the forward's own arrays
+    inputs, real = [], relpos.block_forward
+
+    def recorded(xs, *args):
+        inputs.append(xs[0].data)
+        return real(xs, *args)
+
+    monkeypatch.setattr(relpos, "block_forward", recorded)
+    mc = small_config()
     params = M.init_params(mc, Rng.for_stream(1, "init"), "float64")
-    ids = random_ids(1, 6)
-    with T.no_grad():
-        lp, mem = M.forward_ner(ids, None, mc, params)
-    assert lp.shape == (1, 6, mc.num_tags)
-    assert all(m.size == 0 for m in mem.layers)
+    ids = random_ids(1, 9, batch=2)
+    memory = None
+    for a, b in ((0, 4), (4, 9)):
+        inputs.clear()
+        if model == "forward_ner":
+            _, new = M.forward_ner(ids[:, a:b], memory, mc, params)
+        else:
+            plan = sample_permutation(b - a, Rng(2, a))
+            _, new = M.pretrain_forward(ids[:, a:b], plan, memory, mc, params)
+        n_blocks = mc.num_layers if model == "forward_ner" else mc.xlnet_layers
+        assert new.offset == b and len(new.layers) == len(inputs) == n_blocks
+        for i, (layer, x) in enumerate(zip(new.layers, inputs)):
+            assert layer.shape == (2, b, mc.model_dim)  # (B, M + T, D)
+            if memory is None:
+                assert np.shares_memory(layer, x) and np.array_equal(layer, x)
+            else:
+                assert np.array_equal(layer, np.concatenate([memory.layers[i], x], axis=1))
+            with pytest.raises(ValueError, match="read-only"):
+                layer[0, 0, 0] = 1.0
+        memory = new
 
 
 def test_segment_consistency_split_vs_unsplit():
-    mc = small_config(memory_len=8)
+    mc = small_config()
     params = M.init_params(mc, Rng.for_stream(2, "init"), "float64")
     ids = random_ids(5, 16)
     with T.no_grad():
@@ -105,7 +128,7 @@ def test_segment_consistency_split_vs_unsplit():
 
 
 def test_memory_perturbation_changes_outputs():
-    mc = small_config(memory_len=8)
+    mc = small_config()
     params = M.init_params(mc, Rng.for_stream(3, "init"), "float64")
     ids = random_ids(6, 8)
     with T.no_grad():
@@ -123,7 +146,7 @@ def test_memory_perturbation_changes_outputs():
 def test_memory_receives_zero_gradient():
     # wrap cached arrays in requires_grad probes; backward must not
     # deposit anything in them
-    mc = small_config(memory_len=6, xlnet_layers=1, transformer_layers=1)
+    mc = small_config(xlnet_layers=1, transformer_layers=1)
     params = M.init_params(mc, Rng.for_stream(4, "init"), "float64")
     ids = random_ids(8, 6)
     mem = M.SegmentMemory.empty(mc.num_layers)
@@ -139,7 +162,7 @@ def test_memory_receives_zero_gradient():
 
 
 def test_memory_mismatch_rejected():
-    mc = small_config(memory_len=4)
+    mc = small_config()
     params = M.init_params(mc, Rng.for_stream(5, "init"), "float64")
     bad = M.SegmentMemory([np.zeros((1, 2, 16))], 2)  # wrong layer count
     with pytest.raises(ContractError):
@@ -147,12 +170,13 @@ def test_memory_mismatch_rejected():
 
 
 def test_pretrain_memory_round_trip():
-    mc = small_config(memory_len=4, transformer_layers=0)
+    mc = small_config(transformer_layers=0)
     params = M.init_params(mc, Rng.for_stream(6, "init"), "float64")
     ids = random_ids(10, 6)
     plan = sample_permutation(6, Rng(1, 1))
     with T.no_grad():
         loss1, mem = M.pretrain_forward(ids, plan, None, mc, params)
+        mem = window(mem, 4)
         assert all(m.shape[1] == 4 for m in mem.layers)
         loss2, _ = M.pretrain_forward(ids, plan, mem, mc, params)
     assert np.isfinite(loss1.item()) and np.isfinite(loss2.item())
@@ -195,7 +219,7 @@ def ref_layer_memory(mem_layers, i, offset, h, mc):
     pos_k = np.concatenate([offset - m_len + np.arange(m_len, dtype=np.int64),
                             offset + np.arange(t, dtype=np.int64)])
     joined = np.concatenate([mem, h.data], axis=1) if m_len else h.data
-    return mem, m_len, pos_k, joined[:, -mc.memory_len:].copy()
+    return mem, m_len, pos_k, joined
 
 
 def ref_content_stack(h, stack, n_layers, mc, params, mem_layers, offset, streams):
@@ -280,12 +304,14 @@ def ref_pretrain_forward(ids, plan, memory, mc, params, streams):
 
 def two_segment_trace(forward, params, ids):
     """Outputs, caches and parameter gradients of two 5-token segments
-    run through forward(ids_segment, memory, segment)."""
+    run through forward(ids_segment, memory, segment), each cache cut to
+    its last 3 columns before the next segment sees it."""
     memory, seen = None, []
     for seg in range(2):
         T.zero_grads(params.values())
         out, memory = forward(ids[:, 5 * seg:5 * seg + 5], memory, seg)
         T.backward(T.tsum(out * out))
+        memory = window(memory, 3)
         seen += [out.data, *memory.layers, *(params[k].grad for k in sorted(params))]
     return seen
 
@@ -294,7 +320,7 @@ def two_segment_trace(forward, params, ids):
 @pytest.mark.parametrize("model", ["forward_ner", "pretrain_forward"])
 def test_training_forward_matches_pre_merge_oracle(model, pe_mode):
     mc = small_config(model_dim=8, ffn_dim=8, vocab_size=20, clip_k=2, pe_mode=pe_mode,
-                      dropout=0.2, memory_len=3)
+                      dropout=0.2)
     params = M.init_params(mc, Rng.for_stream(12, "init"), "float64")
     ids = random_ids(13, 10, vocab=20, batch=2)
     plans = [sample_permutation(5, Rng(14, seg)) for seg in range(2)]
@@ -328,7 +354,7 @@ def test_each_forward_builds_the_relative_index_once(model, pe_mode, monkeypatch
         return real(pos_q, pos_k, *args)
 
     monkeypatch.setattr(relpos, "displacement_index", counted)
-    mc = small_config(pe_mode=pe_mode, memory_len=3, dropout=0.1)
+    mc = small_config(pe_mode=pe_mode, dropout=0.1)
     params = M.init_params(mc, Rng.for_stream(16, "init"), "float64")
     ids = random_ids(17, 10, batch=2)
     memory = None
@@ -341,6 +367,7 @@ def test_each_forward_builds_the_relative_index_once(model, pe_mode, monkeypatch
         else:
             _, memory = M.pretrain_forward(x, sample_permutation(5, Rng(19, seg)), memory,
                                            mc, params, streams, k_eff=2)
+        memory = window(memory, 3)
         assert calls == ([5 + 3 * seg] if pe_mode == "relative" else [])
 
 
@@ -560,9 +587,9 @@ def test_tag_batches_match_tagging_each_sentence_alone(monkeypatch):
 @pytest.mark.parametrize("pe_mode", relpos.PE_MODES)
 def test_segmented_tagging_matches_one_forward(pe_mode, monkeypatch):
     # tag runs TAG_SEG columns per forward over a memory of every earlier
-    # column; a checkpoint's memory_len of 3 must not truncate that memory
+    # column, so its log-probs are one whole forward's
     monkeypatch.setattr(M, "TAG_SEG", 8)
-    mc = small_config(pe_mode=pe_mode, memory_len=3)
+    mc = small_config(pe_mode=pe_mode)
     params = M.init_params(mc, Rng.for_stream(9, "init"), "float64")
     lengths = [7, 8, 9, 21, 3]  # TAG_SEG - 1, TAG_SEG, TAG_SEG + 1, 2 TAG_SEG + 5
     sentences = [random_ids(400 + i, n)[0] for i, n in enumerate(lengths)]
@@ -627,11 +654,12 @@ def test_pretrain_forward_gradient_check():
 def test_finetune_forward_gradient_check_with_memory():
     mc = M.ModelConfig(vocab_size=15, model_dim=8, ffn_dim=8, xlnet_layers=1,
                        transformer_layers=1, num_heads=2, clip_k=2,
-                       entity_types=("PER",), memory_len=3, dropout=0.0)
+                       entity_types=("PER",), dropout=0.0)
     params = M.init_params(mc, Rng.for_stream(12, "init"), "float64")
     ids = random_ids(14, 4, vocab=15)
     with T.no_grad():
         _, mem = M.forward_ner(random_ids(15, 5, vocab=15), None, mc, params)
+    mem = window(mem, 3)
     targets = np.array([[0, 1, 2, 0]])
 
     def f():

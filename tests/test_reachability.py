@@ -3,11 +3,11 @@ short allowlist with the reason it stays.
 
 The test runs one small command-line session in-process under
 sys.setprofile and records every code object it enters: convert (BIO),
-pretrain with memory_len 2, a warm-started train, an R-Drop-off train,
-eval of the checkpoint, predict, eval of the predictions, predict of one
-line longer than model.TAG_SEG (segments over memory), report, and
-gradcheck in both modes on gradcheck's tiny model shrunk as
-perfbench/workloads.py shrinks it. Every function and method of the
+pretrain, a warm-started train, an R-Drop-off train, eval of the
+checkpoint, predict, eval of the predictions, predict of one line longer
+than model.TAG_SEG (segments over memory), report, and gradcheck in both
+modes on gradcheck's tiny model shrunk as perfbench/workloads.py shrinks
+it. Every function and method of the
 package's source, nested ones included, is then either entered or
 allowlisted; a function that is neither fails the test, named by
 file:line. Allowlisting a function covers the functions nested in it.
@@ -109,7 +109,7 @@ def session(work: Path) -> None:
     _run(["convert", str(bio), str(work / "out.bmes"), "--from", "bio"])
     pre, ft, off = work / "pre", work / "ft", work / "off"
     _run(["pretrain", "--train", train, "--out", str(pre), "--config", CFG,
-          "--set", "epochs=1", "--set", "memory_len=2"])
+          "--set", "epochs=1"])
     _run(["train", "--train", train, "--dev", dev, "--out", str(ft), "--config", CFG,
           "--set", "epochs=1", "--init", str(pre / "pretrain.ckpt")])
     _run(["train", "--train", train, "--dev", dev, "--out", str(off), "--config", CFG,
