@@ -5,7 +5,10 @@ config, 4 sentences of --tokens tokens, doubled to 8 rows by R-Drop),
 then walks its graph and prints, per op kind, the arrays its backward
 closures hold. Each buffer counts once, at the first op kind met that
 saves it (a view counts as the array it views), so the total is what
-the graph keeps alive for backward.
+the graph keeps alive for backward. Two tracemalloc readings follow:
+the bytes the forward holds when it returns, and the peak of the
+backward sweep after it, both over what was allocated before the
+forward (parameters and inputs).
 
     python scripts/graph_bytes.py [--tokens 256]
 """
@@ -13,6 +16,7 @@ the graph keeps alive for backward.
 import argparse
 import os
 import sys
+import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 
@@ -70,27 +74,45 @@ def bytes_by_op(loss) -> dict[str, tuple[int, int]]:
     return {kind: tuple(v) for kind, v in table.items()}
 
 
-def rdrop_loss(tokens: int):
+def rdrop_forward(tokens: int):
+    """A function that runs the R-Drop forward to its loss; the parameters
+    and inputs are made before it is returned."""
     config = replace(M.ModelConfig(), vocab_size=60, entity_types=("LOC", "ORG", "PER"))
     params = M.init_params(config, Rng(SEED, 0), "float64")
     rng = Rng(SEED, 1)
     ids = (rng.uniform((BATCH, tokens)) * config.vocab_size).astype(np.int64)
     tags = (rng.uniform((BATCH, tokens)) * config.num_tags).astype(np.int64)
-    lp1, lp2 = TR.branch_log_probs(ids, config, params, DualDropoutStreams(SEED, 1))
-    return TR.rdrop_loss(lp1, lp2, tags, 1.0).total
+
+    def forward():
+        lp1, lp2 = TR.branch_log_probs(ids, config, params, DualDropoutStreams(SEED, 1))
+        return TR.rdrop_loss(lp1, lp2, tags, 1.0).total
+
+    return forward
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tokens", type=int, default=256, help="tokens per sentence")
     args = ap.parse_args()
-    table = bytes_by_op(rdrop_loss(args.tokens))
+    forward = rdrop_forward(args.tokens)
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    loss = forward()
+    held = tracemalloc.get_traced_memory()[0] - base
+    table = bytes_by_op(loss)
+    tracemalloc.reset_peak()
+    T.backward(loss)
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
     print(f"# R-Drop forward, B = {2 * BATCH} after doubling, T = {args.tokens}")
     print("op\tarrays\tMB")
     for kind, (count, nbytes) in sorted(table.items(), key=lambda kv: -kv[1][1]):
         print(f"{kind}\t{count}\t{nbytes / 1e6:.2f}")
     print(f"total\t{sum(c for c, _ in table.values())}\t"
           f"{sum(b for _, b in table.values()) / 1e6:.2f}")
+    print("# tracemalloc MB: held when the forward returns, peak of the backward sweep")
+    print(f"held\t{held / 1e6:.2f}")
+    print(f"backward_peak\t{peak / 1e6:.2f}")
 
 
 if __name__ == "__main__":

@@ -303,10 +303,13 @@ def _parse_value(key: str, raw: str):
     raise ContractError(f"schema bug for key '{key}'")
 
 
-def parse_config_text(text: str, source: str = "<config>", retired=()) -> dict:
+def parse_config_text(text: str, source: str = "<config>", retired=(),
+                      overrides: bool = False) -> dict:
     """Flat 'key = value' lines; '#' starts a comment; keys in retired are
-    skipped, other unknown keys rejected by name."""
-    values: dict = {}
+    skipped, other unknown keys rejected by name. A key given twice is
+    rejected with both line numbers, unless the lines are overrides
+    (--set items), where a later line wins."""
+    values, first = {}, {}
     for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -319,6 +322,8 @@ def parse_config_text(text: str, source: str = "<config>", retired=()) -> dict:
             continue
         if key not in _SCHEMA:
             raise ConfigError(f"{source}: line {lineno}: unknown key '{key}'")
+        if first.setdefault(key, lineno) != lineno and not overrides:
+            raise ConfigError(f"{source}: line {lineno}: key '{key}' repeats line {first[key]}")
         values[key] = _parse_value(key, raw)
     return values
 
@@ -334,7 +339,7 @@ def load_run_config(path: str | None, overrides=()) -> tuple[ModelConfig, TrainC
     overrides, one config line each; validated once, after all of them.
     vocab_size must stay 0: training derives it from the vocabulary."""
     values = parse_config_text(read_text(path, ConfigError), source=path) if path else {}
-    values.update(parse_config_text("\n".join(overrides), source="--set"))
+    values.update(parse_config_text("\n".join(overrides), "--set", overrides=True))
     if values.get("vocab_size", 0):
         raise ConfigError(f"key 'vocab_size' is derived from the vocabulary; "
                           f"leave it 0, got {values['vocab_size']}")
@@ -346,7 +351,7 @@ def apply_overrides(model_config: ModelConfig, train_config: TrainConfig,
     """Apply 'key=value' strings, one config line each, on top of existing
     config objects; the result is validated once, after all of them."""
     values = {**vars(model_config), **vars(train_config)}
-    values.update(parse_config_text("\n".join(overrides), source="--set"))
+    values.update(parse_config_text("\n".join(overrides), "--set", overrides=True))
     return configs_from_values(values)
 
 

@@ -148,6 +148,11 @@ def sinusoidal_pe(positions, model_dim: int, dtype=np.float64) -> np.ndarray:
     return pe
 
 
+def _per_disp(q: Tensor, rel_table: RelPosTable) -> Tensor:
+    """(..., Tq, 2k+1): each query's score against every displacement row."""
+    return T.matmul(q, T.permute(rel_table.wk, (1, 0)))
+
+
 def rel_attention_scores(q: Tensor, k: Tensor, rel_table: RelPosTable | None,
                          rel_index: T.BucketIndex | None = None) -> Tensor:
     """Scaled attention scores with the relative key correction.
@@ -155,15 +160,14 @@ def rel_attention_scores(q: Tensor, k: Tensor, rel_table: RelPosTable | None,
     q (..., Tq, d), k (..., Tk, d) -> (..., Tq, Tk). Each score is
     q_i . (k_l + table_row(pos_l - pos_q_i)) / sqrt(d), with the table
     rows picked by rel_index (a relative_index); with no table this is
-    plain scaled dot product."""
+    plain scaled dot product. These are the unfused ops whose scores
+    tensor.attend builds itself, bitwise."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"head dims disagree: {q.shape} vs {k.shape}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
     scores = T.matmul(q, T.permute(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)))
-    if rel_table is None:
-        return scores * scale
-    per_disp = T.matmul(q, T.permute(rel_table.wk, (1, 0)))  # (..., Tq, 2k+1)
-    return T.add_select_scale(scores, per_disp, rel_index, scale)
+    if rel_table is not None:
+        scores = scores + T.index_select_last(_per_disp(q, rel_table), rel_index)
+    return scores * (1.0 / np.sqrt(q.shape[-1]))
 
 
 def rel_attention_values(attn: Tensor, v: Tensor, rel_table: RelPosTable | None,
@@ -208,8 +212,7 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, config, params: AttentionPar
     q = split_heads(T.linear(x_q, params.wq, params.bq), config.num_heads)
     k = split_heads(T.linear(x_kv, params.wk, params.bk), config.num_heads)
     v = split_heads(T.linear(x_kv, params.wv, params.bv), config.num_heads)
-    scores = rel_attention_scores(q, k, rel_table, rel_index)
-    keep = _site_keep(scores.shape, config.dropout, streams)
-    mixed = T.attend(scores, True if mask is None else mask, v, keep, config.dropout,
-                     rel_index, None if rel_table is None else rel_table.wv)
+    keep = _site_keep(q.shape[:-1] + k.shape[-2:-1], config.dropout, streams)
+    rel = () if rel_table is None else (_per_disp(q, rel_table), rel_index, rel_table.wv)
+    mixed = T.attend(q, k, True if mask is None else mask, v, keep, config.dropout, *rel)
     return T.linear(merge_heads(mixed), params.wo, params.bo)

@@ -27,6 +27,9 @@ _GRAD_ENABLED = True
 
 _EPS_KL = 1e-12
 _LN_EPS = 1e-5
+# score cells per attend chunk: 256 KiB per float64 buffer. Backward holds three
+# such buffers at once, 768 KiB, inside a core's 2 MiB L2.
+ATTEND_CELLS = 2 ** 15
 # dtype instances, so the membership test in Tensor() hits on identity
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _SQRT2 = np.sqrt(2.0)
@@ -328,18 +331,20 @@ def gelu(a: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
+    # np.add.reduce, not x.mean/x.var: the same bits without numpy's
+    # Python-level _methods wrappers
+    n = x.data.shape[-1]
+    d = x.data - np.add.reduce(x.data, -1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(d * d, -1, keepdims=True) / n + eps)
+    y = d * inv
     gd = gain.data
     out = y * gd + bias.data
     sb = bias.data.shape
 
     def backward(g):
         gz = g * gd
-        gx = inv * (gz - gz.mean(axis=-1, keepdims=True)
-                    - y * (gz * y).mean(axis=-1, keepdims=True))
+        gx = inv * (gz - np.add.reduce(gz, -1, keepdims=True) / n
+                    - y * (np.add.reduce(gz * y, -1, keepdims=True) / n))
         return gx, _sum_to_shape(g * y, gd.shape), _sum_to_shape(g, sb)
 
     return _make(out, (x, gain, bias), backward)
@@ -357,17 +362,25 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def _softmax(s: np.ndarray, mask) -> np.ndarray:
-    """Softmax of s over the last axis restricted to mask==True positions,
-    in one new buffer. Masked positions get exactly zero weight; rows with
-    no admissible position come out as all zeros rather than NaN."""
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), s.shape)
-    p = np.where(m, s, -np.inf)  # the softmax buffer; updated in place below
-    rowmax = p.max(axis=-1, keepdims=True)
-    rowmax[~np.isfinite(rowmax)] = 0.0
-    np.exp(np.subtract(p, rowmax, out=p), out=p)
-    denom = p.sum(axis=-1, keepdims=True)
-    return np.divide(p, np.where(denom > 0.0, denom, 1.0), out=p)
+def _probs(s: np.ndarray, mask, stats=None):
+    """(p, (rowmax, denom)): the softmax of s over the last axis restricted
+    to mask==True positions, in one new buffer, and the row stats that
+    rebuild it. Given stats, p is rebuilt bitwise without the two
+    reductions. Only admissible entries are exponentiated: the others
+    take the row max, so exp sees 0, and the mask then zeroes them
+    exactly. Masked positions get exactly zero weight; rows with no
+    admissible position come out as all zeros rather than NaN."""
+    if stats is None:
+        rowmax = np.max(s, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+        rowmax[~np.isfinite(rowmax)] = 0.0
+    else:
+        rowmax, denom = stats
+    p = np.where(mask, s, rowmax)  # the softmax buffer; updated in place below
+    np.multiply(np.exp(np.subtract(p, rowmax, out=p), out=p), mask, out=p)
+    if stats is None:
+        denom = p.sum(axis=-1, keepdims=True)
+        denom[~(denom > 0.0)] = 1.0
+    return np.divide(p, denom, out=p), (rowmax, denom)
 
 
 def masked_softmax(scores: Tensor, mask, keep=None, drop_prob: float = 0.0) -> Tensor:
@@ -376,7 +389,7 @@ def masked_softmax(scores: Tensor, mask, keep=None, drop_prob: float = 0.0) -> T
     Masked positions get exactly zero weight; rows with no admissible
     position come out as all zeros rather than NaN. A keep-mask folds in
     dropout(..., drop_prob, keep) bitwise, saving the mask, not a factor."""
-    p = _softmax(scores.data, mask)
+    p, _ = _probs(scores.data, np.asarray(mask, dtype=bool))
     scale = None if keep is None else _keep_scale(drop_prob, scores.dtype)
     out = p if keep is None else _apply_keep(p, keep, scale)
 
@@ -531,46 +544,18 @@ def _bucket_sum(x: np.ndarray, index: BucketIndex) -> np.ndarray:
     return out
 
 
-def _check_select(x: Tensor, index: BucketIndex) -> None:
-    """Raise unless index can gather from x (..., Tq, R)."""
-    if index.nbuckets != x.data.shape[-1]:
-        raise ShapeError(f"index has {index.nbuckets} buckets, operand has {x.data.shape[-1]}")
-    if x.data.shape[-2] != index.shape[0]:
-        raise ShapeError(f"row dim {x.data.shape[-2]} does not match index {index.shape}")
-
-
 def index_select_last(x: Tensor, index: BucketIndex) -> Tensor:
     """out[..., i, j] = x[..., i, idx[i, j]] for the index's constant 2-d idx.
 
     Spreads per-displacement values (..., T, R) out to (..., T, Tk)."""
-    _check_select(x, index)
+    if index.nbuckets != x.data.shape[-1] or x.data.shape[-2] != index.shape[0]:
+        raise ShapeError(f"index {index.shape} over {index.nbuckets} buckets cannot gather "
+                         f"from {x.data.shape}")
 
     def backward(g):
         return (_bucket_sum(g, index),)
 
     return _make(_gather_last(x.data, index), (x,), backward)
-
-
-def add_select_scale(s: Tensor, x: Tensor, index: BucketIndex, scale: float) -> Tensor:
-    """(s + index_select_last(x, index)) * scale, in the gather's buffer.
-
-    The same roundings in the same order as the three separate ops, so
-    the result is bitwise theirs; used for relative attention scores
-    with s (..., Tq, Tk) the content scores and x (..., Tq, R) the
-    per-displacement ones."""
-    _check_select(x, index)
-    if s.data.shape != x.data.shape[:-1] + index.shape[1:]:
-        raise ShapeError(f"scores {s.data.shape} do not match {x.data.shape} "
-                         f"gathered by index {index.shape}")
-    c = np.asarray(scale, dtype=s.dtype)
-    out = _gather_last(x.data, index)  # the only buffer; updated in place below
-    np.multiply(np.add(s.data, out, out=out), c, out=out)
-
-    def backward(g):
-        gc = g * c
-        return gc, _bucket_sum(gc, index)
-
-    return _make(out, (s, x), backward)
 
 
 def index_bucket_last(x: Tensor, index: BucketIndex) -> Tensor:
@@ -587,56 +572,111 @@ def index_bucket_last(x: Tensor, index: BucketIndex) -> Tensor:
     return _make(_bucket_sum(x.data, index), (x,), backward)
 
 
-def attend(scores: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 0.0,
-           index: BucketIndex | None = None, wv: Tensor | None = None) -> Tensor:
-    """Attention weights applied to values, in one op.
+def _row_chunks(lead, rows: int) -> list:
+    """Index tuples that cover the leading shape lead in blocks of whole
+    rows, at most rows of them (never fewer than one) per block, each
+    block a slice of one axis under fixed outer indices."""
+    axis, inner = len(lead), 1
+    while axis and inner * lead[axis - 1] <= rows:
+        axis -= 1
+        inner *= lead[axis]
+    if axis == 0:
+        return [()]
+    step, n = max(1, rows // inner), lead[axis - 1]
+    return [outer + (slice(i, i + step),)
+            for outer in np.ndindex(*lead[:axis - 1]) for i in range(0, n, step)]
 
-    scores (..., Tq, Tk), v (..., Tk, d) with the same leading axes. The
-    weights are masked_softmax(scores, mask, keep, drop_prob); the result
-    is weights @ v, plus index_bucket_last(weights, index) @ wv when given
-    a (2k+1, d) value table wv and its index, bitwise those unfused ops.
-    Backward saves the softmax, the keep-mask, v, wv and the pooled
-    weights, never the dropped weights: it rebuilds them into one buffer
-    and reuses that buffer for the weight and score gradients."""
-    sd, vd = scores.data, v.data
-    if sd.shape[:-2] != vd.shape[:-2] or sd.shape[-1] != vd.shape[-2]:
-        raise ShapeError(f"attend: scores {sd.shape} do not fit values {vd.shape}")
-    if index is not None and (sd.shape[-2:] != index.shape
-                              or wv.data.shape != (index.nbuckets, vd.shape[-1])):
-        raise ShapeError(f"attend: index {index.shape} over {index.nbuckets} buckets "
-                         f"does not fit scores {sd.shape} and table {wv.data.shape}")
-    p = _softmax(sd, mask)
-    scale = None if keep is None else _keep_scale(drop_prob, scores.dtype)
-    w = p if keep is None else _apply_keep(p, keep, scale)  # read by no backward
-    out = w @ vd
-    pooled = wvd = None
+
+def _attend_probs(ch, q, k, pd, index, c, mask, stats=None):
+    """_probs of chunk ch of the scores (q @ k^T + pd gathered by index) * c,
+    or (q @ k^T) * c without an index, bitwise matmul, index_select_last,
+    add and mul. Forward and backward both build the softmax here."""
+    s = q[ch] @ np.swapaxes(k[ch], -1, -2)
     if index is not None:
-        wvd = wv.data
-        pooled = _bucket_sum(w, index)  # (..., Tq, 2k+1)
-        np.add(out, pooled @ wvd, out=out)
+        np.add(s, _gather_last(pd[ch], index), out=s)
+    return _probs(np.multiply(s, c, out=s), mask[ch], stats)
+
+
+def attend(q: Tensor, k: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 0.0,
+           per_disp: Tensor | None = None, index: BucketIndex | None = None,
+           wv: Tensor | None = None) -> Tensor:
+    """Attention from queries q (..., Tq, d) over keys k (..., Tk, d) to
+    values v (..., Tk, dv), all with the same leading axes, in one op.
+
+    The scores are (q @ k^T) / sqrt(d), plus index_select_last(per_disp,
+    index) before the scale given an index and the (..., Tq, 2k+1)
+    per-displacement scores. The weights are masked_softmax(scores, mask,
+    keep, drop_prob); the result is weights @ v, plus
+    index_bucket_last(weights, index) @ wv for the (2k+1, dv) table wv.
+    All of it is bitwise those unfused ops. It runs over whole (Tq, Tk)
+    matrices, at most ATTEND_CELLS score cells at a time, and no float
+    (..., Tq, Tk) array outlives it: backward saves q, k, per_disp, keep,
+    v, wv, the pooled weights and each row's softmax max and denominator,
+    and rebuilds each chunk's scores and softmax from them."""
+    qd, kd, vd = q.data, k.data, v.data
+    lead, (tq, d), tk, dt = qd.shape[:-2], qd.shape[-2:], kd.shape[-2], qd.dtype
+    pdd = wvd = pooled = None
+    if index is not None:
+        pdd, wvd = per_disp.data, wv.data
+        pooled = np.empty(lead + (tq, index.nbuckets), dt)
+    if kd.shape != lead + (tk, d) or vd.shape[:-1] != lead + (tk,) or index is not None and (
+            index.shape != (tq, tk) or pdd.shape != pooled.shape
+            or wvd.shape != (index.nbuckets, vd.shape[-1])):
+        raise ShapeError(f"attend: queries {qd.shape}, keys {kd.shape}, values {vd.shape}"
+                         + ("" if index is None else f", index {index.shape} over "
+                            f"{index.nbuckets} buckets, per-displacement scores "
+                            f"{pdd.shape} and table {wvd.shape}") + " do not fit")
+    full, c, scale = lead + (tq, tk), np.asarray(1.0 / np.sqrt(d), dtype=dt), None
+    if keep is not None:
+        scale, keep = _keep_scale(drop_prob, dt), np.broadcast_to(keep, full)
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), full)
+    chunks = _row_chunks(lead, ATTEND_CELLS // max(1, tq * tk))
+    out = np.empty(lead + (tq, vd.shape[-1]), dt)
+    rowmax, denom = np.empty(lead + (tq, 1), dt), np.empty(lead + (tq, 1), dt)
+    for ch in chunks:
+        w, (rowmax[ch], denom[ch]) = _attend_probs(ch, qd, kd, pdd, index, c, m)
+        if keep is not None:
+            np.multiply(np.multiply(w, keep[ch], out=w), scale, out=w)
+        out[ch] = w @ vd[ch]
+        if index is not None:
+            pooled[ch] = _bucket_sum(w, index)
+            out[ch] += pooled[ch] @ wvd
+        del w  # before the next chunk builds its scores
 
     def backward(g):
-        # gw is the one (..., Tq, Tk) buffer: the dropped weights for gv,
-        # then the gradient to them, then the score gradient
-        if keep is None:
-            gv = np.swapaxes(p, -1, -2) @ g
-            gw = g @ np.swapaxes(vd, -1, -2)
-        else:
-            gw = _apply_keep(p, keep, scale)
-            gv = np.swapaxes(gw, -1, -2) @ g
-            np.matmul(g, np.swapaxes(vd, -1, -2), out=gw)
+        gq, gv, gkt = np.empty(qd.shape, dt), np.empty(vd.shape, dt), np.empty(lead + (d, tk), dt)
         if index is not None:
-            gwv = _sum_to_shape(np.swapaxes(pooled, -1, -2) @ g, wvd.shape)
-            np.add(gw, _gather_last(g @ np.swapaxes(wvd, -1, -2), index), out=gw)
-        if keep is not None:
-            np.multiply(np.multiply(gw, keep, out=gw), scale, out=gw)
-        dot = (gw * p).sum(axis=-1, keepdims=True)
-        np.multiply(p, np.subtract(gw, dot, out=gw), out=gw)
-        return (gw, gv) if index is None else (gv, gw, gwv)
+            gpd, gwv = np.empty_like(pooled), np.empty(lead + wvd.shape, dt)
+        for ch in chunks:
+            # gw is the chunk's one buffer beside the rebuilt softmax p: the
+            # dropped weights for gv, then their gradient, then the scores'
+            p, _ = _attend_probs(ch, qd, kd, pdd, index, c, m, (rowmax[ch], denom[ch]))
+            gc, vc = g[ch], vd[ch]
+            if keep is None:
+                gv[ch] = np.swapaxes(p, -1, -2) @ gc
+                gw = gc @ np.swapaxes(vc, -1, -2)
+            else:
+                gw = _apply_keep(p, keep[ch], scale)
+                gv[ch] = np.swapaxes(gw, -1, -2) @ gc
+                np.matmul(gc, np.swapaxes(vc, -1, -2), out=gw)
+            if index is not None:
+                gwv[ch] = np.swapaxes(pooled[ch], -1, -2) @ gc
+                np.add(gw, _gather_last(gc @ np.swapaxes(wvd, -1, -2), index), out=gw)
+            if keep is not None:
+                np.multiply(np.multiply(gw, keep[ch], out=gw), scale, out=gw)
+            dot = (gw * p).sum(axis=-1, keepdims=True)
+            np.multiply(np.multiply(p, np.subtract(gw, dot, out=gw), out=gw), c, out=gw)
+            if index is not None:
+                gpd[ch] = _bucket_sum(gw, index)
+            gq[ch] = gw @ kd[ch]
+            gkt[ch] = np.swapaxes(qd[ch], -1, -2) @ gw  # swapped on return, as matmul's is
+            del p, gw  # before the next chunk rebuilds its scores
+        gk = np.swapaxes(gkt, -1, -2)
+        return (gq, gk, gv) if index is None else (gv, gk, gq, gpd, _sum_to_shape(gwv, wvd.shape))
 
     # the parents in the unfused graph's search order, so the gradients
     # that meet upstream (q, k and v share one layer norm) add in its order
-    return _make(out, (scores, v) if index is None else (v, scores, wv), backward)
+    return _make(out, (q, k, v) if index is None else (v, k, q, per_disp, wv), backward)
 
 
 # ------------------------------------------------------------------ backward

@@ -150,6 +150,31 @@ def test_retired_memory_len_is_an_unknown_run_config_key(tmp_path):
         assert out == "" and not out_dir.exists()
 
 
+def test_repeated_key_in_a_config_file_is_exit_2(tmp_path):
+    # a repeated line in one file is a mistake, not an override
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 1\n# a comment\nseed = 3\nepochs = 5\n")
+    out_dir = tmp_path / "o"
+    code, out, err = run(["pretrain", "--train", str(DATA / "train.bmes"),
+                          "--out", str(out_dir), "--config", str(cfg)])
+    assert code == 2, err
+    assert f"{cfg}: line 4: key 'epochs' repeats line 1" in err
+    assert out == "" and not out_dir.exists()
+
+
+def test_repeated_set_items_override_in_order(tmp_path):
+    # --set items are overrides: the last one wins, over the file and
+    # over each other, in the run config the commands load and in
+    # apply_overrides
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 3\n")
+    mc, tc = D.configs_from_values({})
+    for items, epochs in ((["epochs=1", "epochs=2"], 2), (["epochs=2", "epochs=1"], 1),
+                          (["epochs=2", "seed=4", "epochs=2"], 2)):
+        assert D.load_run_config(str(cfg), items)[1].epochs == epochs
+        assert D.apply_overrides(mc, tc, items)[1].epochs == epochs
+
+
 def test_unplanned_failure_is_exit_1(tmp_path, monkeypatch):
     # an output path that is a directory exits 2 (see below), so the
     # unplanned failure here is an error no writer expects
@@ -461,6 +486,26 @@ def test_checkpoint_with_the_retired_memory_len_key_evaluates_the_same(trained, 
     code, out, err = run(argv + [str(old)])
     assert code == 0, err
     assert (code, out, err) == run(argv + [str(out_dir / "model.ckpt")])
+
+
+def test_checkpoint_with_a_repeated_config_key_is_exit_2(trained, tmp_path):
+    # a checkpoint's config block names each key once; a second dropout
+    # line would otherwise win silently
+    out_dir, _ = trained
+    blob = (out_dir / "model.ckpt").read_bytes()
+    (size,) = struct.unpack("<Q", blob[9:17])  # after magic, version and flags
+    block = blob[17:17 + size]
+    lines = block.decode("utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines, 1) if line.startswith("dropout = "))
+    block += b"dropout = 0.5\n"
+    bad = tmp_path / "model.ckpt"
+    bad.write_bytes(blob[:9] + struct.pack("<Q", len(block)) + block + blob[17 + size:])
+    (tmp_path / "vocab.txt").write_bytes((out_dir / "vocab.txt").read_bytes())
+    code, out, err = run(["eval", "--data", str(DATA / "test.bmes"), "--ckpt", str(bad)])
+    assert code == 2, err
+    assert (f"{bad}[config]: line {len(lines) + 1}: key 'dropout' repeats line {first}"
+            in err)
+    assert out == ""
 
 
 def test_eval_checks_registry_without_building_one(trained, monkeypatch):

@@ -247,6 +247,13 @@ def test_apply_overrides():
         D.apply_overrides(mc, tc, ["nope=1"])
 
 
+def test_config_text_rejects_a_repeated_key():
+    with pytest.raises(ConfigError, match=r"^f\.cfg: line 3: key 'seed' repeats line 1$"):
+        D.parse_config_text("seed = 1\n\nseed = 1\n", "f.cfg")
+    with pytest.raises(ConfigError, match=r"^<config>: line 2: key 'dropout' repeats line 1$"):
+        D.parse_config_text("dropout = 0.1\ndropout=0.2  # again")
+
+
 def test_overrides_share_the_config_file_parser():
     mc, tc = D.configs_from_values({})
     with pytest.raises(ConfigError, match=r"^--set: line 2: unknown key 'nope'"):

@@ -50,6 +50,7 @@ ALLOWLIST = {
     "tensor.masked_softmax": "named by a BENCHMARK.json per-layer metric",
     "tensor.index_bucket_last": "named by a BENCHMARK.json per-layer metric",
     "relpos.rel_attention_values": "named by a BENCHMARK.json per-layer metric",
+    "relpos.rel_attention_scores": "named by a BENCHMARK.json per-layer metric",
     "tensor.concat.<locals>.backward": "commands pass memory only to no-grad tagging",
     "tensor.tsum": "reached by scripts/forward_digest.py",
     "model.param_count": "reached by perfbench/",

@@ -38,9 +38,15 @@ def test_forward_digest_prints_one_digest():
 def test_graph_bytes_prints_saved_bytes_per_op():
     lines = run_script("graph_bytes.py", "--tokens", "6").splitlines()
     assert lines[1] == "op\tarrays\tMB"
-    rows = {row[0]: row[1:] for row in (line.split("\t") for line in lines[2:])}
+    end = next(i for i, line in enumerate(lines) if line.startswith("total\t"))
+    rows = {row[0]: row[1:] for row in (line.split("\t") for line in lines[2:end + 1])}
     assert "attend" in rows and "masked_softmax" not in rows
     assert int(rows["total"][0]) == sum(int(n) for op, (n, _) in rows.items() if op != "total")
+    assert lines[end + 1].startswith("# tracemalloc MB")
+    traced = dict(line.split("\t") for line in lines[end + 2:])
+    assert set(traced) == {"held", "backward_peak"}
+    # the sweep starts from what the forward holds
+    assert 0 < float(traced["held"]) <= float(traced["backward_peak"])
 
 
 def test_tag_cost_prints_time_and_peak():

@@ -1,7 +1,9 @@
 """Tensor core: op semantics and reverse-mode gradients vs central
 finite differences (h=1e-5, 64-bit, rel err <= 1e-4)."""
 
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from ntrr.errors import ConfigError, ContractError, ShapeError
 from ntrr.gradcheck import tiny_config
 from ntrr.relpos import displacement_index
 from ntrr.rng import DualDropoutStreams, Rng
-from oracles import softmax
+from oracles import add_select_scale, attend_scores, masked_probs, softmax
 
 TOL = 1e-4
 
@@ -261,6 +263,49 @@ def test_layer_norm_constant_row_is_zeros():
     assert np.max(np.abs(T.layer_norm(x, g, b).data)) <= 1e-9
 
 
+def ref_layer_norm(x, gain, bias, eps=T._LN_EPS):
+    """layer_norm through numpy's x.mean and x.var, backward included."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + eps)
+    y = (x.data - mu) * inv
+    out = y * gain.data + bias.data
+
+    def backward(g):
+        gz = g * gain.data
+        gx = inv * (gz - gz.mean(axis=-1, keepdims=True)
+                    - y * (gz * y).mean(axis=-1, keepdims=True))
+        return (gx, T._sum_to_shape(g * y, gain.data.shape),
+                T._sum_to_shape(g, bias.data.shape))
+
+    return T._make(out, (x, gain, bias), backward)
+
+
+@given(st.lists(st.integers(1, 9), min_size=0, max_size=3), st.integers(1, 300),
+       st.sampled_from(["float64", "float32"]), st.floats(-1e3, 1e3), st.integers(0, 2 ** 32 - 1))
+@example([2, 5], 8, "float64", 0.0, 0)
+@example([8, 256], 64, "float32", 3.0, 1)
+@example([3], 1, "float64", 0.0, 2)
+@settings(max_examples=60, deadline=None)
+def test_layer_norm_matches_mean_and_var(lead, width, dtype, offset, seed):
+    """layer_norm's np.add.reduce sums are bitwise x.mean and x.var,
+    forward and the three gradients, over random shapes and both dtypes,
+    including rows far from zero mean and rows of one element."""
+    rng = Rng(seed, 19)
+    shape = tuple(lead) + (width,)
+    arrays = [(rng.normal(shape) * 2.0 + offset).astype(dtype),
+              rng.normal((width,)).astype(dtype), rng.normal((width,)).astype(dtype)]
+    g = T.Tensor(rng.normal(shape).astype(dtype))
+
+    def run(op):
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        T.backward(T.tsum(out * g))
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    for a, b in zip(run(T.layer_norm), run(ref_layer_norm)):
+        assert a.dtype == np.dtype(dtype) and _bits_equal(a, b)
+
+
 def test_gelu_zero():
     assert T.gelu(T.Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
 
@@ -392,7 +437,7 @@ def test_graph_frees_forward_values_no_closure_saves():
     def forward():
         a, b_t, x, w = leaves
         s = T.matmul(a, b_t)
-        scores = T.add_select_scale(s, x, T.BucketIndex(idx, nbuckets), 0.5)
+        scores = add_select_scale(s, x, T.BucketIndex(idx, nbuckets), 0.5)
         refs = weakref.ref(s.data), weakref.ref(scores.data)
         return T.tsum(T.masked_softmax(scores, mask) * w), refs
 
@@ -483,6 +528,8 @@ def _op_cases(rng):
     g_att = T.Tensor(rng.normal((2, 3, 2)))
     mask34 = rng.uniform((3, 4)) >= 0.3
     keep_att = rng.uniform((2, 3, 4)) >= 0.3
+    q_att = rand(rng, (2, 3, 2))
+    k_att = rand(rng, (2, 4, 2))
 
     cases = [
         ("add", lambda: T.tsum((a + b) * b), [a, b]),
@@ -514,12 +561,23 @@ def _op_cases(rng):
          [x_last]),
         ("index_bucket_last", lambda: T.tsum(T.index_bucket_last(x_last, index2)), [x_last]),
         ("add_select_scale",
-         lambda: T.tsum(T.add_select_scale(s_last, x_wide, index34, 0.7) * s_last),
+         lambda: T.tsum(add_select_scale(s_last, x_wide, index34, 0.7) * s_last),
          [s_last, x_wide]),
-        ("attend", lambda: T.tsum(T.attend(s_att, mask34, v_att) * g_att), [s_att, v_att]),
+        ("attend_scores", lambda: T.tsum(attend_scores(s_att, mask34, v_att) * g_att),
+         [s_att, v_att]),
+        ("attend", lambda: T.tsum(T.attend(q_att, k_att, mask34, v_att) * g_att),
+         [q_att, k_att, v_att]),
+        ("attend_keep",
+         lambda: T.tsum(T.attend(q_att, k_att, mask34, v_att, keep_att, 0.3) * g_att),
+         [q_att, k_att, v_att]),
+        ("attend_table",
+         lambda: T.tsum(T.attend(q_att, k_att, mask34, v_att, None, 0.0, x_wide, index34,
+                                 wv_att) * g_att),
+         [q_att, k_att, x_wide, v_att, wv_att]),
         ("attend_table_keep",
-         lambda: T.tsum(T.attend(s_att, mask34, v_att, keep_att, 0.3, index34, wv_att) * g_att),
-         [s_att, v_att, wv_att]),
+         lambda: T.tsum(T.attend(q_att, k_att, mask34, v_att, keep_att, 0.3, x_wide, index34,
+                                 wv_att) * g_att),
+         [q_att, k_att, x_wide, v_att, wv_att]),
         # a constant copy is deliberately absent: finite differences see
         # through it, so it is checked analytically below
     ]
@@ -652,7 +710,7 @@ def test_add_select_scale_matches_three_ops(case, dtype):
 
     index = T.BucketIndex(idx, nbuckets)
     want = run(lambda s, x: (s + T.index_select_last(x, index)) * c)
-    got = run(lambda s, x: T.add_select_scale(s, x, index, c))
+    got = run(lambda s, x: add_select_scale(s, x, index, c))
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == np.dtype(dtype)
         assert np.array_equal(a, b)
@@ -664,12 +722,12 @@ def test_add_select_scale_rejects_mismatch():
     idx = T.BucketIndex(np.zeros((3, 4), dtype=np.int64), 5)
     for bad_s in (np.zeros((2, 3, 5)), np.zeros((3, 3, 4)), np.zeros((3, 4))):
         with pytest.raises(ShapeError):
-            T.add_select_scale(T.Tensor(bad_s), x, idx, 0.5)
+            add_select_scale(T.Tensor(bad_s), x, idx, 0.5)
     for bad_index in (T.BucketIndex(np.zeros((3, 4)), 6), T.BucketIndex(np.zeros((2, 4)), 5)):
         with pytest.raises(ShapeError):
-            T.add_select_scale(s, x, bad_index, 0.5)
+            add_select_scale(s, x, bad_index, 0.5)
     with pytest.raises(IndexError):
-        T.add_select_scale(s, x, T.BucketIndex(np.full((3, 4), 5), 5), 0.5)
+        add_select_scale(s, x, T.BucketIndex(np.full((3, 4), 5), 5), 0.5)
 
 
 def test_index_select_last_rejects_bad_index():
@@ -749,64 +807,176 @@ def test_masked_softmax_keep_matches_dropout_after_softmax(tq, tk, drop_prob, dt
     assert np.all(got[0][~keep] == 0.0)
 
 
-@given(st.integers(1, 12), st.integers(0, 8), st.integers(1, 3), st.booleans(),
-       st.sampled_from([None, 0.15, 0.5]), st.sampled_from(["float64", "float32"]),
-       st.integers(0, 2 ** 32 - 1))
-@example(1, 0, 1, True, 0.15, "float64", 0)
-@example(5, 4, 2, True, 0.5, "float32", 3)
-@example(6, 3, 2, False, None, "float64", 5)
+@given(st.sampled_from([(), (3,), (2, 3)]), st.integers(1, 12), st.integers(0, 8),
+       st.integers(1, 3), st.booleans(), st.sampled_from([None, 0.15, 0.5]),
+       st.sampled_from(["float64", "float32"]), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+@example((2, 3), 1, 0, 1, True, 0.15, "float64", 1, 0)
+@example((3,), 5, 4, 2, True, 0.5, "float32", 30, 3)
+@example((2, 3), 6, 3, 2, False, None, "float64", 50, 5)
+@example((), 7, 2, 3, True, None, "float32", 1, 6)
 @settings(max_examples=60, deadline=None)
-def test_attend_matches_the_unfused_ops(tq, mem, k, table, drop_prob, dtype, seed):
-    """attend is bitwise masked_softmax, weights @ v and, with a table,
-    index_bucket_last(weights) @ wv added on: the output and the
-    gradients to scores, v and wv, with and without a keep-mask. Keys
-    follow mem memory positions (Tk > Tq when mem > 0); the first query
-    row and some others are fully masked."""
-    rng = Rng(seed, 14)
-    tk, d = mem + tq, 3
+def test_attend_matches_the_unfused_ops(lead, tq, mem, k, table, drop_prob, dtype, cells, seed):
+    """attend(q, k, ...) is bitwise two references: the unfused ops,
+    matmul(q, k^T), plus index_select_last(per_disp) with a table, times
+    c = 1/sqrt(d), then masked_softmax, weights @ v and, with a table,
+    index_bucket_last(weights) @ wv added on; and the ops it replaced,
+    (q @ k^T) * c or add_select_scale(q @ k^T, per_disp, index, c) fed to
+    the scores-in attend oracle. It checks the output and the gradients
+    to q, k, per_disp, v and wv, with and without a keep-mask, in float64
+    and float32. Keys follow mem memory positions (Tk > Tq when mem > 0);
+    the first query row and some others are fully masked. The chunk size
+    is drawn too (ATTEND_CELLS = cells), so most cases span several
+    chunks, some of them cut short at the end of an axis."""
+    rng = Rng(seed, 15)
+    tk, d, dv, nb = mem + tq, 4, 3, 2 * k + 1
     idx = displacement_index(np.arange(tq), np.arange(-mem, tq), k)
-    index = T.BucketIndex(idx, 2 * k + 1)
-    s0 = (rng.normal(LEAD + (tq, tk)) * 5.0).astype(dtype)
-    v0 = rng.normal(LEAD + (tk, d)).astype(dtype)
-    wv0 = rng.normal((2 * k + 1, d)).astype(dtype)
+    index = T.BucketIndex(idx, nb)
+    arrays = [(rng.normal(lead + shape) * scale).astype(dtype)
+              for shape, scale in (((tq, d), 2.0), ((tk, d), 2.0), ((tq, nb), 2.0),
+                                   ((tk, dv), 1.0))]
+    wv0 = rng.normal((nb, dv)).astype(dtype)
     mask = (rng.uniform((tq, tk)) < 0.8) & (idx <= k)
     mask[rng.uniform(tq) < 0.2] = False
     mask[0] = False
-    keep = None if drop_prob is None else rng.uniform(LEAD + (tq, tk)) >= drop_prob
-    g = T.Tensor(rng.normal(LEAD + (tq, d)).astype(dtype))
+    keep = None if drop_prob is None else rng.uniform(lead + (tq, tk)) >= drop_prob
+    g = T.Tensor(rng.normal(lead + (tq, dv)).astype(dtype))
+    c, p = 1.0 / np.sqrt(d), drop_prob or 0.0
 
-    def unfused(s, v, wv):
-        w = T.masked_softmax(s, mask, keep, drop_prob or 0.0)
+    def content(q, kk):
+        return T.matmul(q, T.permute(kk, tuple(range(len(lead))) + (len(lead) + 1, len(lead))))
+
+    def unfused(q, kk, pd, v, wv):
+        s = content(q, kk) if wv is None else content(q, kk) + T.index_select_last(pd, index)
+        w = T.masked_softmax(s * c, mask, keep, p)
         out = T.matmul(w, v)
         return out if wv is None else out + T.matmul(T.index_bucket_last(w, index), wv)
 
-    def fused(s, v, wv):
-        return T.attend(s, mask, v, keep, drop_prob or 0.0,
-                        None if wv is None else index, wv)
+    def replaced(q, kk, pd, v, wv):
+        if wv is None:
+            return attend_scores(content(q, kk) * c, mask, v, keep, p)
+        return attend_scores(add_select_scale(content(q, kk), pd, index, c), mask, v, keep, p,
+                             index, wv)
+
+    def fused(q, kk, pd, v, wv):
+        return T.attend(q, kk, mask, v, keep, p, *(() if wv is None else (pd, index, wv)))
 
     def run(op):
-        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (s0, v0, wv0)]
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in arrays + [wv0]]
         if not table:
-            leaves[2] = None
+            leaves[2] = leaves[4] = None
         out = op(*leaves)
         T.backward(T.tsum(out * g))
         return [out.data] + [leaf.grad for leaf in leaves if leaf is not None]
 
-    got, want = run(fused), run(unfused)
-    assert len(got) == len(want) == (4 if table else 3)
-    for a, b in zip(got, want):
-        assert a.dtype == np.dtype(dtype) and _bits_equal(a, b)
-    assert np.all(got[0][..., 0, :] == 0.0) and np.all(got[1][..., 0, :] == 0.0)
+    with mock.patch.object(T, "ATTEND_CELLS", cells):
+        got = run(fused)
+    assert np.all(got[0][..., 0, :] == 0.0)
+    for want in (run(unfused), run(replaced)):
+        assert len(got) == len(want) == (6 if table else 4)
+        for a, b in zip(got, want):
+            assert a.dtype == np.dtype(dtype) and _bits_equal(a, b)
+
+
+def test_attend_spans_several_chunks_at_the_module_constant():
+    """At the real ATTEND_CELLS, a (2, 3, 100, 140) attention runs in four
+    chunks, two of them cut short, and stays bitwise the oracle
+    composition, relative with a keep-mask, forward and backward."""
+    rng = Rng(4, 16)
+    lead, tq, tk, d, k = (2, 3), 100, 140, 16, 8
+    assert len(T._row_chunks(lead, T.ATTEND_CELLS // (tq * tk))) == 4
+    index = T.BucketIndex(displacement_index(np.arange(tq), np.arange(-40, tq), k), 2 * k + 1)
+    arrays = [rng.normal(lead + shape) for shape in ((tq, d), (tk, d), (tq, 2 * k + 1), (tk, d))]
+    arrays.append(rng.normal((2 * k + 1, d)))
+    mask = np.tril(np.ones((tq, tk), dtype=bool), 40)
+    keep = rng.uniform(lead + (tq, tk)) >= 0.15
+    g = T.Tensor(rng.normal(lead + (tq, d)))
+
+    def run(op):
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        T.backward(T.tsum(op(*leaves) * g))
+        return [leaf.grad for leaf in leaves]
+
+    def composed(q, kk, pd, v, wv):
+        s = add_select_scale(T.matmul(q, T.permute(kk, (0, 1, 3, 2))), pd, index, 0.25)
+        return attend_scores(s, mask, v, keep, 0.15, index, wv)
+
+    got = run(lambda q, kk, pd, v, wv: T.attend(q, kk, mask, v, keep, 0.15, pd, index, wv))
+    for a, b in zip(got, run(composed)):
+        assert _bits_equal(a, b)
+
+
+def test_attend_backward_peak_is_a_few_chunks():
+    """One attend backward over 32 chunks (B = 8, H = 4, T = 256, one
+    (T, T) matrix per chunk) allocates at most 4 chunk buffers beyond the
+    gradients it returns, where the whole (B, H, T, T) softmax is 32: it
+    rebuilds one chunk's scores and softmax at a time, and a chunk's
+    backward holds three such buffers at once (3.2 measured, 4.3 while a
+    chunk's buffers stayed alive into the next one's rebuild)."""
+    rng = Rng(5, 17)
+    lead, t, d, k = (8, 4), 256, 16, 8
+    chunk_bytes = t * t * 8
+    assert len(T._row_chunks(lead, T.ATTEND_CELLS // (t * t))) == 32
+    index = T.BucketIndex(displacement_index(np.arange(t), np.arange(t), k), 2 * k + 1)
+    leaves = [T.Tensor(rng.normal(lead + shape), requires_grad=True)
+              for shape in ((t, d), (t, d), (t, 2 * k + 1), (t, d))]
+    wv = T.Tensor(rng.normal((2 * k + 1, d)), requires_grad=True)
+    q, kk, pd, v = leaves
+    keep = rng.uniform(lead + (t, t)) >= 0.15
+    out = T.attend(q, kk, np.tril(np.ones((t, t), dtype=bool)), v, keep, 0.15, pd, index, wv)
+    g = rng.normal(out.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grads = out._node._backward(g)
+        returned, peak = (n - base for n in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert returned <= sum(a.nbytes for a in grads) + 4096
+    assert peak - returned <= 4 * chunk_bytes, (peak - returned) / chunk_bytes
 
 
 def test_attend_rejects_mismatched_operands():
-    s = T.Tensor(np.zeros((2, 3, 4)), requires_grad=True)
-    v = T.Tensor(np.zeros((2, 4, 2)), requires_grad=True)
-    index = T.BucketIndex(np.zeros((3, 4), dtype=np.int64), 5)
-    with pytest.raises(ShapeError):
-        T.attend(s, True, T.Tensor(np.zeros((2, 3, 2))))
-    with pytest.raises(ShapeError):
-        T.attend(s, True, v, index=index, wv=T.Tensor(np.zeros((3, 2))))
+    q = T.Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+    k = T.Tensor(np.zeros((2, 5, 4)), requires_grad=True)
+    v = T.Tensor(np.zeros((2, 5, 2)), requires_grad=True)
+    pd = T.Tensor(np.zeros((2, 3, 7)), requires_grad=True)
+    wv = T.Tensor(np.zeros((7, 2)), requires_grad=True)
+    index = T.BucketIndex(np.zeros((3, 5), dtype=np.int64), 7)
+    T.attend(q, k, True, v, None, 0.0, pd, index, wv)  # these fit
+    for bad_k, bad_v in ((np.zeros((2, 5, 3)), v.data), (np.zeros((1, 5, 4)), v.data),
+                         (k.data, np.zeros((2, 4, 2))), (k.data, np.zeros((3, 5, 2)))):
+        with pytest.raises(ShapeError):
+            T.attend(q, T.Tensor(bad_k), True, T.Tensor(bad_v))
+    for bad_pd, bad_wv, bad_index in (
+            (np.zeros((2, 3, 6)), wv.data, index), (pd.data, np.zeros((6, 2)), index),
+            (pd.data, np.zeros((7, 3)), index),
+            (pd.data, wv.data, T.BucketIndex(np.zeros((3, 4), dtype=np.int64), 7))):
+        with pytest.raises(ShapeError):
+            T.attend(q, k, True, v, None, 0.0, T.Tensor(bad_pd), bad_index, T.Tensor(bad_wv))
+
+
+@given(st.integers(1, 40), st.integers(1, 60), st.sampled_from(["float64", "float32"]),
+       st.integers(0, 2 ** 32 - 1))
+@example(1, 1, "float64", 0)
+@example(5, 9, "float32", 1)
+@settings(max_examples=60, deadline=None)
+def test_softmax_exponentiates_admissible_entries_only(tq, tk, dtype, seed):
+    """_probs fills masked entries with the row max before exp and zeroes
+    them after, so exp never sees -inf. Its p is byte for byte the helper
+    that exponentiated -inf (so a -0.0 would show), with fully masked rows
+    and masked entries larger than every admissible one, and its row stats
+    rebuild the same bytes without the reductions."""
+    rng = Rng(seed, 18)
+    s = (rng.normal(LEAD + (tq, tk)) * 5.0).astype(dtype)
+    mask = rng.uniform((tq, tk)) < rng.uniform()
+    mask[rng.uniform(tq) < 0.2] = False
+    s[..., ~mask] += 50.0
+    p, stats = T._probs(s, mask)
+    rebuilt, _ = T._probs(s, mask, stats)
+    want = masked_probs(s, mask)
+    for got in (p, rebuilt):
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 @given(st.integers(1, 200), st.sampled_from([0.1, 0.15, 0.5]),
