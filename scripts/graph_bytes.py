@@ -4,7 +4,8 @@ Builds the R-Drop loss of a long-train-shaped step (the default model
 config, 4 sentences of --tokens tokens, doubled to 8 rows by R-Drop),
 then walks its graph and prints, per op kind, the arrays its backward
 closures hold. Each buffer counts once, at the first op kind met that
-saves it (a view counts as the array it views), so the total is what
+saves it (a view counts as the array it views), and a parameter's data,
+which lives without the graph too, does not count, so the total is what
 the graph keeps alive for backward. Two tracemalloc readings follow:
 the bytes the forward holds when it returns, and the peak of the
 backward sweep after it, both over what was allocated before the
@@ -57,16 +58,23 @@ def graph_nodes(loss):
     return list(seen.values())
 
 
-def bytes_by_op(loss) -> dict[str, tuple[int, int]]:
-    """op kind -> (distinct buffers, bytes) over every closure of the graph."""
-    owned, table = set(), defaultdict(lambda: [0, 0])
+def root(arr: np.ndarray) -> np.ndarray:
+    """The array that owns arr's buffer."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def bytes_by_op(loss, params) -> dict[str, tuple[int, int]]:
+    """op kind -> (distinct buffers, bytes) over every closure of the graph,
+    leaving out the buffers of the parameters params."""
+    owned, table = {id(root(p.data)) for p in params}, defaultdict(lambda: [0, 0])
     for node in graph_nodes(loss):
         if node._backward is None:
             continue
         kind = node._backward.__qualname__.split(".")[0]
         for _, arr in saved_arrays(node._backward):
-            while isinstance(arr.base, np.ndarray):
-                arr = arr.base
+            arr = root(arr)
             if id(arr) not in owned:
                 owned.add(id(arr))
                 table[kind][0] += 1
@@ -75,8 +83,8 @@ def bytes_by_op(loss) -> dict[str, tuple[int, int]]:
 
 
 def rdrop_forward(tokens: int):
-    """A function that runs the R-Drop forward to its loss; the parameters
-    and inputs are made before it is returned."""
+    """A function that runs the R-Drop forward to its loss, and the
+    parameters, which are made with the inputs before it is returned."""
     config = replace(M.ModelConfig(), vocab_size=60, entity_types=("LOC", "ORG", "PER"))
     params = M.init_params(config, Rng(SEED, 0), "float64")
     rng = Rng(SEED, 1)
@@ -87,19 +95,19 @@ def rdrop_forward(tokens: int):
         lp1, lp2 = TR.branch_log_probs(ids, config, params, DualDropoutStreams(SEED, 1))
         return TR.rdrop_loss(lp1, lp2, tags, 1.0).total
 
-    return forward
+    return forward, params.values()
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tokens", type=int, default=256, help="tokens per sentence")
     args = ap.parse_args()
-    forward = rdrop_forward(args.tokens)
+    forward, params = rdrop_forward(args.tokens)
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     loss = forward()
     held = tracemalloc.get_traced_memory()[0] - base
-    table = bytes_by_op(loss)
+    table = bytes_by_op(loss, params)
     tracemalloc.reset_peak()
     T.backward(loss)
     peak = tracemalloc.get_traced_memory()[1] - base

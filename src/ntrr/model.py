@@ -108,6 +108,23 @@ class SegmentMemory:
 
 
 @dataclass
+class KVCache:
+    """Per-block K and V heads of everything before the current segment,
+    for no-grad tagging forwards only (model.tag). Where SegmentMemory
+    holds each block's raw inputs, which a forward normalises and projects
+    again, a forward given a KVCache runs each block's LN1 and K/V
+    projections on its own rows and appends their heads to the block's
+    HeadCache, in place. offset is as in SegmentMemory."""
+
+    layers: list[relpos.HeadCache]
+    offset: int = 0
+
+    @classmethod
+    def empty(cls, n_layers: int, capacity: int) -> "KVCache":
+        return cls([relpos.HeadCache(capacity) for _ in range(n_layers)], 0)
+
+
+@dataclass
 class Stages:
     """Stage entries of forward_ner: stage i < num_layers is block i,
     stage num_layers the head. The first forward handed it records each
@@ -204,6 +221,8 @@ def rel_table(params: dict[str, Tensor], stack: str, config: ModelConfig):
 def _check_memory(memory, config: ModelConfig, batch: int):
     if memory is None:
         return SegmentMemory.empty(config.num_layers)
+    if isinstance(memory, KVCache):
+        return memory
     if len(memory.layers) not in (config.xlnet_layers, config.num_layers):
         raise ContractError(
             f"memory has {len(memory.layers)} layers; config expects "
@@ -258,22 +277,28 @@ def _rel_indexes(config: ModelConfig, offset: int, t: int, k_eff):
 
 
 def _run_stack(xs: tuple[Tensor, ...], masks, n_blocks: int, config: ModelConfig, params,
-               memory: SegmentMemory, streams, rel_indexes,
+               memory: SegmentMemory | KVCache, streams, rel_indexes,
                stages: Stages | None = None) -> tuple[tuple[Tensor, ...], list[np.ndarray]]:
     """The first n_blocks encoder blocks, lower stack then upper stack, each
     joining [memory ; xs[0]] once, for its keys and its next cache (all of
-    it, detached and read-only). Stream s of xs attends under masks[s], a (T, T)
+    it, detached and read-only), or, given a KVCache, joining its cached
+    heads to those of xs[0]. Stream s of xs attends under masks[s], a (T, T)
     mask widened by the block's memory. Returns the streams and the new memory
-    of those blocks. stages, if given, enter each block and then the output; see Stages."""
+    of those blocks (none for a KVCache, which the blocks extend in place).
+    stages, if given, enter each block and then the output; see Stages."""
     new_mems = []
     for i in range((stages.start or 0) if stages else 0, n_blocks):
         xs = stages.enter(i, xs, streams) if stages else xs
         stack, j = ("xl", i) if i < config.xlnet_layers else ("tr", i - config.xlnet_layers)
-        mem = memory.layers[i] if i < len(memory.layers) else np.zeros((0, 0, 0))
-        m_len = mem.shape[1] if mem.size else 0
-        kv = T.concat([Tensor(mem), xs[0]], axis=1) if m_len else None
-        new_mems.append((xs[0] if kv is None else kv).data.view())
-        new_mems[-1].flags.writeable = False
+        if isinstance(memory, KVCache):
+            kv = memory.layers[i]
+            m_len = kv.length
+        else:
+            mem = memory.layers[i] if i < len(memory.layers) else np.zeros((0, 0, 0))
+            m_len = mem.shape[1] if mem.size else 0
+            kv = T.concat([Tensor(mem), xs[0]], axis=1) if m_len else None
+            new_mems.append((xs[0] if kv is None else kv).data.view())
+            new_mems[-1].flags.writeable = False
         xs = relpos.block_forward(
             xs, [plm.extend_mask_for_memory(m, m_len) for m in masks], kv,
             block_params(params, f"{stack}.{j}."), config,
@@ -289,7 +314,8 @@ def forward_ner(token_ids, memory, config: ModelConfig, params, streams=None, *,
     records or resumes at block entries when given Stages.
 
     Returns per-token log-probabilities (B, T, num_tags) and the
-    updated memory across all blocks."""
+    updated memory across all blocks: a SegmentMemory, or the KVCache it
+    was given, extended, at the next offset."""
     ids, memory, _, h, rel_indexes = _prelude(token_ids, memory, config, params,
                                               streams, k_eff, stages)
     t = ids.shape[1]
@@ -297,6 +323,8 @@ def forward_ner(token_ids, memory, config: ModelConfig, params, streams=None, *,
                                 config.num_layers, config, params, memory, streams,
                                 rel_indexes, stages)
     h = T.layer_norm(h, params["final_ln_g"], params["final_ln_b"])
+    if isinstance(memory, KVCache):
+        return classify(h, params), KVCache(memory.layers, memory.offset + t)
     return classify(h, params), SegmentMemory(new_mems, memory.offset + t)
 
 
@@ -348,8 +376,9 @@ def _tag_batches(sentences):
 def tag(sentences, config: ModelConfig, params) -> list[list[str]]:
     """Eval-mode tagging of 1-d token-id arrays, in input order: each
     _tag_batches run goes through no-grad forwards of TAG_SEG columns,
-    each with every earlier column as its memory, then each sentence's
-    tags are decoded per decode_mode on its own length."""
+    each with every earlier column as its memory, held as a KVCache of
+    their K and V heads, then each sentence's tags are decoded per
+    decode_mode on its own length."""
     label_set, tags = config.label_set, []
     for chunk in _tag_batches(sentences):
         # Pad with id 0 to the longest sentence. Padding comes after every
@@ -358,7 +387,7 @@ def tag(sentences, config: ModelConfig, params) -> list[list[str]]:
         ids = np.zeros((len(chunk), max(map(len, chunk))), dtype=np.int64)
         for row, s in enumerate(chunk):
             ids[row, :len(s)] = s
-        memory, lps = None, []
+        memory, lps = KVCache.empty(config.num_layers, ids.shape[1]), []
         with T.no_grad():
             for a in range(0, ids.shape[1], TAG_SEG):
                 lp, memory = forward_ner(ids[:, a:a + TAG_SEG], memory, config, params)

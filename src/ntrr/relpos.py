@@ -66,6 +66,31 @@ class BlockParams:
     ffn_b2: Tensor
 
 
+class HeadCache:
+    """One block's K and V heads, (B, H, M, d), of every column that a
+    no-grad run of segments has passed through it, in buffers sized for
+    capacity columns on the first join. It stands in for the block's raw
+    memory, so a segment normalises and projects only its own rows."""
+
+    __slots__ = ("capacity", "length", "k", "v")
+
+    def __init__(self, capacity: int):
+        self.capacity, self.length, self.k, self.v = capacity, 0, None, None
+
+    def join(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """The cached heads and a segment's own k, v, as one run of columns,
+        which the cache keeps for the next segment."""
+        if k.requires_grad or v.requires_grad:
+            raise ContractError("a head cache only runs under no_grad")
+        end = self.length + k.shape[2]
+        if self.k is None:
+            shape = k.shape[:2] + (self.capacity, k.shape[3])
+            self.k, self.v = np.empty(shape, k.dtype), np.empty(shape[:3] + v.shape[3:], v.dtype)
+        self.k[:, :, self.length:end], self.v[:, :, self.length:end] = k.data, v.data
+        self.length = end
+        return Tensor(self.k[:, :, :end]), Tensor(self.v[:, :, :end])
+
+
 def feed_forward(x: Tensor, block: BlockParams) -> Tensor:
     """Position-wise two-layer gelu MLP."""
     return T.linear(T.gelu(T.linear(x, block.ffn_w1, block.ffn_b1)),
@@ -85,24 +110,30 @@ def dropout_site(x: Tensor, drop_prob: float, streams) -> Tensor:
     return x if keep is None else T.dropout(x, drop_prob, keep)
 
 
-def block_forward(xs: tuple[Tensor, ...], masks, kv: Tensor | None, block: BlockParams, config,
-                  rel_table: RelPosTable | None = None, rel_index: T.BucketIndex | None = None,
-                  streams=None) -> tuple[Tensor, ...]:
+def block_forward(xs: tuple[Tensor, ...], masks, kv: Tensor | HeadCache | None,
+                  block: BlockParams, config, rel_table: RelPosTable | None = None,
+                  rel_index: T.BucketIndex | None = None, streams=None) -> tuple[Tensor, ...]:
     """One pre-norm block over a tuple of query streams with shared weights.
 
     Stream s attends under masks[s] to keys and values from kv, the
     block's (B, Tk, D) key input before normalisation, or from xs[0]
-    when kv is None. config is the ModelConfig. A rel_table
-    makes attention relative, with rel_index the relative_index of the
-    queries over those keys; dropout streams make it a training pass.
+    when kv is None. A HeadCache kv (one query stream, no grad) holds the
+    heads of the columns before xs[0] and takes xs[0]'s. config is the
+    ModelConfig. A rel_table makes attention relative, with rel_index the
+    relative_index of the queries over those keys; dropout streams make
+    it a training pass.
     The query streams advance in lockstep, one sublayer at a time: all
     attentions, then all attention residuals, then all FFN residuals.
     That order fixes which dropout mask each site draws; every site
     drops at config.dropout."""
     normed = [T.layer_norm(x, block.ln1_g, block.ln1_b) for x in xs]
-    normed_kv = normed[0] if kv is None else T.layer_norm(kv, block.ln1_g, block.ln1_b)
+    cache = kv if isinstance(kv, HeadCache) else None
+    if cache is not None and len(xs) != 1:
+        raise ContractError(f"a head cache serves one query stream, got {len(xs)}")
+    normed_kv = (T.layer_norm(kv, block.ln1_g, block.ln1_b) if isinstance(kv, Tensor)
+                 else normed[0])
     atts = [multi_head_attention(q, normed_kv, config, block.attn, mask,
-                                 rel_table, rel_index, streams)
+                                 rel_table, rel_index, streams, cache)
             for q, mask in zip(normed, masks)]
     xs = [x + dropout_site(a, config.dropout, streams) for x, a in zip(xs, atts)]
     return tuple(x + dropout_site(feed_forward(T.layer_norm(x, block.ln2_g, block.ln2_b), block),
@@ -198,11 +229,13 @@ def merge_heads(x: Tensor) -> Tensor:
 
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, config, params: AttentionParams, mask,
                          rel_table: RelPosTable | None = None,
-                         rel_index: T.BucketIndex | None = None, streams=None) -> Tensor:
+                         rel_index: T.BucketIndex | None = None, streams=None,
+                         cache: HeadCache | None = None) -> Tensor:
     """Full attention sublayer body: project, score, mix, merge, project.
 
     config is the ModelConfig. mask broadcasts to (B, H, Tq, Tk); True
-    marks an admissible key. Queries whose whole row is masked out
+    marks an admissible key, and the keys are the cache's columns, if
+    given, then x_kv's. Queries whose whole row is masked out
     produce exactly zero vectors. Attention is relative exactly when it
     gets a table, together with the relative_index of the queries over
     the keys. Dropout streams, if given, drop the attention weights.
@@ -212,6 +245,8 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, config, params: AttentionPar
     q = split_heads(T.linear(x_q, params.wq, params.bq), config.num_heads)
     k = split_heads(T.linear(x_kv, params.wk, params.bk), config.num_heads)
     v = split_heads(T.linear(x_kv, params.wv, params.bv), config.num_heads)
+    if cache is not None:
+        k, v = cache.join(k, v)
     keep = _site_keep(q.shape[:-1] + k.shape[-2:-1], config.dropout, streams)
     rel = () if rel_table is None else (_per_disp(q, rel_table), rel_index, rel_table.wv)
     mixed = T.attend(q, k, True if mask is None else mask, v, keep, config.dropout, *rel)

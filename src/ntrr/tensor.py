@@ -362,21 +362,31 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def _probs(s: np.ndarray, mask, stats=None):
+def _probs(s: np.ndarray, mask, stats=None, far: int = 0):
     """(p, (rowmax, denom)): the softmax of s over the last axis restricted
-    to mask==True positions, in one new buffer, and the row stats that
-    rebuild it. Given stats, p is rebuilt bitwise without the two
-    reductions. Only admissible entries are exponentiated: the others
-    take the row max, so exp sees 0, and the mask then zeroes them
-    exactly. Masked positions get exactly zero weight; rows with no
-    admissible position come out as all zeros rather than NaN."""
+    to mask==True positions, and the row stats that rebuild it. Given
+    stats, p is rebuilt bitwise without the two reductions. Only
+    admissible entries are exponentiated: the others take the row max, so
+    exp sees 0, and the mask then zeroes them exactly. Masked positions
+    get exactly zero weight; rows with no admissible position come out as
+    all zeros rather than NaN. p is one new buffer, or, given far leading
+    columns that every row admits, s itself, updated in place, with the
+    mask read only from column far on."""
+    near = mask[..., far:]
     if stats is None:
-        rowmax = np.max(s, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+        rowmax = np.max(s[..., far:], axis=-1, keepdims=True, where=near, initial=-np.inf)
+        if far:
+            np.maximum(rowmax, s[..., :far].max(axis=-1, keepdims=True), out=rowmax)
         rowmax[~np.isfinite(rowmax)] = 0.0
     else:
         rowmax, denom = stats
-    p = np.where(mask, s, rowmax)  # the softmax buffer; updated in place below
-    np.multiply(np.exp(np.subtract(p, rowmax, out=p), out=p), mask, out=p)
+    if far:
+        p = s
+        np.copyto(p[..., far:], rowmax, where=~near)
+    else:
+        p = np.where(mask, s, rowmax)  # the softmax buffer; updated in place below
+    np.exp(np.subtract(p, rowmax, out=p), out=p)
+    np.multiply(p[..., far:], near, out=p[..., far:])
     if stats is None:
         denom = p.sum(axis=-1, keepdims=True)
         denom[~(denom > 0.0)] = 1.0
@@ -514,9 +524,14 @@ class BucketIndex:
 
     Holds the flat keys i * nbuckets + idx[i, j] into a (Tq, nbuckets)
     block, which every displacement op gathers or pools by, so a caller
-    that builds it once pays for the 2-d and range checks once."""
+    that builds it once pays for the 2-d and range checks once. far counts
+    the leading columns that every row maps to one bucket: in a relative
+    index, the memory columns at least the clip radius behind every
+    query. When there are any, near holds the keys of the columns from far
+    on, and pool the same behind each row's key for that one bucket, so
+    attend can take the far columns by broadcast and sum them apart."""
 
-    __slots__ = ("shape", "nbuckets", "keys")
+    __slots__ = ("shape", "nbuckets", "keys", "far", "near", "pool")
 
     def __init__(self, idx, nbuckets: int):
         idx = np.asarray(idx, dtype=np.int64)
@@ -526,21 +541,55 @@ class BucketIndex:
             raise IndexError(f"bucket index out of range [0, {nbuckets})")
         self.shape = idx.shape
         self.nbuckets = nbuckets
-        self.keys = (np.arange(idx.shape[0])[:, None] * nbuckets + idx).ravel()
+        keys = np.arange(idx.shape[0])[:, None] * nbuckets + idx
+        self.keys = keys.ravel()
+        shared = (idx == idx[:1, :1]).all(axis=0)  # columns all in row 0's first bucket
+        self.far = int(np.logical_and.accumulate(shared).sum()) if idx.size else 0
+        self.near = self.pool = None
+        if self.far:
+            self.near = keys[:, self.far:].ravel()
+            self.pool = np.concatenate([keys[:, :1], keys[:, self.far:]], axis=1).ravel()
 
 
-def _gather_last(x: np.ndarray, index: BucketIndex) -> np.ndarray:
-    """(..., Tq, R) -> (..., Tq, Tk): one take over the flattened last two axes."""
-    lead = x.shape[:-2]
-    return np.take(x.reshape(lead + (-1,)), index.keys, axis=-1).reshape(lead + index.shape)
+def _gather_last(x: np.ndarray, index: BucketIndex, far: int = 0) -> np.ndarray:
+    """(..., Tq, R) -> (..., Tq, Tk - far): one take over the flattened last
+    two axes, of the columns from far (0 or index.far) on."""
+    lead, (tq, tk) = x.shape[:-2], index.shape
+    keys = index.near if far else index.keys
+    return np.take(x.reshape(lead + (-1,)), keys, axis=-1).reshape(lead + (tq, tk - far))
 
 
-def _bucket_sum(x: np.ndarray, index: BucketIndex) -> np.ndarray:
-    """(..., Tq, Tk) -> (..., Tq, nbuckets), one bincount per leading row, summed in float64."""
+def _add_gathered(s: np.ndarray, x: np.ndarray, index: BucketIndex, far: int) -> None:
+    """s += the (..., Tq, Tk) gather of x (..., Tq, R) by index, in place;
+    the far columns (0 or index.far) add their one bucket by broadcast."""
+    if far:
+        b = index.pool[0]  # row 0's key for the far bucket is the bucket itself
+        np.add(s[..., :far], x[..., b:b + 1], out=s[..., :far])
+    np.add(s[..., far:], _gather_last(x, index, far), out=s[..., far:])
+
+
+def _bucket_sum(x: np.ndarray, index: BucketIndex, far: int = 0) -> np.ndarray:
+    """(..., Tq, Tk) -> (..., Tq, nbuckets), one bincount per leading row,
+    summed in float64. Given far (index.far) columns that share one
+    bucket, an axis-0 reduce over one transposed float64 copy adds each
+    row's far weights in order, as bincount would, and the sum enters the
+    bincount over the columns from far on as that row's first weight:
+    bincount's 0.0 + sum is then bitwise its own running sum, -0.0 too."""
     tq, width = index.shape[0], index.shape[0] * index.nbuckets
     out = np.empty(x.shape[:-2] + (tq, index.nbuckets), dtype=x.dtype)
-    for row_out, row in zip(out.reshape(-1, width), x.reshape((-1,) + index.shape)):
-        row_out[...] = np.bincount(index.keys, weights=row.ravel(), minlength=width)
+    keys = index.keys
+    if far:
+        rows = x.reshape(-1, x.shape[-1])
+        n = rows.shape[0]
+        # a spare zero column keeps numpy's inner loop off the reduced axis,
+        # where it would sum pairwise rather than in order
+        t = np.empty((far, n + 1))
+        t[:, :n], t[:, n] = rows[:, :far].T, 0.0
+        x = np.empty((n, 1 + rows.shape[1] - far))
+        x[:, 0], x[:, 1:] = np.add.reduce(t, axis=0)[:n], rows[:, far:]
+        keys = index.pool
+    for row_out, row in zip(out.reshape(-1, width), x.reshape(-1, keys.size)):
+        row_out[...] = np.bincount(keys, weights=row, minlength=width)
     return out
 
 
@@ -587,14 +636,14 @@ def _row_chunks(lead, rows: int) -> list:
             for outer in np.ndindex(*lead[:axis - 1]) for i in range(0, n, step)]
 
 
-def _attend_probs(ch, q, k, pd, index, c, mask, stats=None):
+def _attend_probs(ch, q, k, pd, index, far, c, mask, stats=None):
     """_probs of chunk ch of the scores (q @ k^T + pd gathered by index) * c,
     or (q @ k^T) * c without an index, bitwise matmul, index_select_last,
     add and mul. Forward and backward both build the softmax here."""
     s = q[ch] @ np.swapaxes(k[ch], -1, -2)
     if index is not None:
-        np.add(s, _gather_last(pd[ch], index), out=s)
-    return _probs(np.multiply(s, c, out=s), mask[ch], stats)
+        _add_gathered(s, pd[ch], index, far)
+    return _probs(np.multiply(s, c, out=s), mask[ch], stats, far)
 
 
 def attend(q: Tensor, k: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 0.0,
@@ -612,7 +661,10 @@ def attend(q: Tensor, k: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 
     matrices, at most ATTEND_CELLS score cells at a time, and no float
     (..., Tq, Tk) array outlives it: backward saves q, k, per_disp, keep,
     v, wv, the pooled weights and each row's softmax max and denominator,
-    and rebuilds each chunk's scores and softmax from them."""
+    and rebuilds each chunk's scores and softmax from them. When the mask
+    admits the index's far columns in every row, those columns skip the
+    gather, the mask and the per-cell pooling (see _probs and _bucket_sum),
+    with the same bits; tagging's memory columns are such columns."""
     qd, kd, vd = q.data, k.data, v.data
     lead, (tq, d), tk, dt = qd.shape[:-2], qd.shape[-2:], kd.shape[-2], qd.dtype
     pdd = wvd = pooled = None
@@ -629,17 +681,19 @@ def attend(q: Tensor, k: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 
     full, c, scale = lead + (tq, tk), np.asarray(1.0 / np.sqrt(d), dtype=dt), None
     if keep is not None:
         scale, keep = _keep_scale(drop_prob, dt), np.broadcast_to(keep, full)
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), full)
+    m = np.atleast_1d(np.asarray(mask, dtype=bool))
+    far = 0 if index is None or not m[..., :index.far].all() else index.far
+    m = np.broadcast_to(m, full)
     chunks = _row_chunks(lead, ATTEND_CELLS // max(1, tq * tk))
     out = np.empty(lead + (tq, vd.shape[-1]), dt)
     rowmax, denom = np.empty(lead + (tq, 1), dt), np.empty(lead + (tq, 1), dt)
     for ch in chunks:
-        w, (rowmax[ch], denom[ch]) = _attend_probs(ch, qd, kd, pdd, index, c, m)
+        w, (rowmax[ch], denom[ch]) = _attend_probs(ch, qd, kd, pdd, index, far, c, m)
         if keep is not None:
             np.multiply(np.multiply(w, keep[ch], out=w), scale, out=w)
         out[ch] = w @ vd[ch]
         if index is not None:
-            pooled[ch] = _bucket_sum(w, index)
+            pooled[ch] = _bucket_sum(w, index, far)
             out[ch] += pooled[ch] @ wvd
         del w  # before the next chunk builds its scores
 
@@ -650,7 +704,7 @@ def attend(q: Tensor, k: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 
         for ch in chunks:
             # gw is the chunk's one buffer beside the rebuilt softmax p: the
             # dropped weights for gv, then their gradient, then the scores'
-            p, _ = _attend_probs(ch, qd, kd, pdd, index, c, m, (rowmax[ch], denom[ch]))
+            p, _ = _attend_probs(ch, qd, kd, pdd, index, far, c, m, (rowmax[ch], denom[ch]))
             gc, vc = g[ch], vd[ch]
             if keep is None:
                 gv[ch] = np.swapaxes(p, -1, -2) @ gc
@@ -661,13 +715,13 @@ def attend(q: Tensor, k: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 
                 np.matmul(gc, np.swapaxes(vc, -1, -2), out=gw)
             if index is not None:
                 gwv[ch] = np.swapaxes(pooled[ch], -1, -2) @ gc
-                np.add(gw, _gather_last(gc @ np.swapaxes(wvd, -1, -2), index), out=gw)
+                _add_gathered(gw, gc @ np.swapaxes(wvd, -1, -2), index, far)
             if keep is not None:
                 np.multiply(np.multiply(gw, keep[ch], out=gw), scale, out=gw)
             dot = (gw * p).sum(axis=-1, keepdims=True)
             np.multiply(np.multiply(p, np.subtract(gw, dot, out=gw), out=gw), c, out=gw)
             if index is not None:
-                gpd[ch] = _bucket_sum(gw, index)
+                gpd[ch] = _bucket_sum(gw, index, far)
             gq[ch] = gw @ kd[ch]
             gkt[ch] = np.swapaxes(qd[ch], -1, -2) @ gw  # swapped on return, as matmul's is
             del p, gw  # before the next chunk rebuilds its scores

@@ -4,8 +4,9 @@ No command reaches these, so they live with the tests rather than in
 src/ntrr: plain softmax (the package only runs masked_softmax and
 log_softmax), the masked softmax that exponentiates -inf, attention from
 precomputed scores with the fused relative score op it took them from,
-the scalar displacement clip, a mean built from the package's own tsum
-and mul, and a fixed-length cut of segment memory."""
+the plain gather and bincount that the displacement kernels split at the
+far columns, the scalar displacement clip, a mean built from the
+package's own tsum and mul, and a fixed-length cut of segment memory."""
 
 import numpy as np
 
@@ -43,6 +44,21 @@ def window(memory, n: int):
     where m[:, -0:] would keep all of it."""
     return M.SegmentMemory([m[:, -n:] if n else np.zeros((0, 0, 0)) for m in memory.layers],
                            memory.offset)
+
+
+def gather_last(x, index):
+    """(..., Tq, R) -> (..., Tq, Tk): one take of every cell's key."""
+    lead = x.shape[:-2]
+    return np.take(x.reshape(lead + (-1,)), index.keys, axis=-1).reshape(lead + index.shape)
+
+
+def bucket_sum(x, index):
+    """(..., Tq, Tk) -> (..., Tq, nbuckets): one bincount over every cell
+    of each leading row, in float64, rounded once to x's dtype."""
+    tq, nb = index.shape[0], index.nbuckets
+    rows = x.reshape((-1, x.shape[-2] * x.shape[-1]))
+    sums = [np.bincount(index.keys, weights=row, minlength=tq * nb) for row in rows]
+    return np.array(sums).astype(x.dtype).reshape(x.shape[:-2] + (tq, nb))
 
 
 def masked_probs(s, mask):

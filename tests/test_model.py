@@ -591,7 +591,11 @@ def test_segmented_tagging_matches_one_forward(pe_mode, monkeypatch):
     monkeypatch.setattr(M, "TAG_SEG", 8)
     mc = small_config(pe_mode=pe_mode)
     params = M.init_params(mc, Rng.for_stream(9, "init"), "float64")
-    lengths = [7, 8, 9, 21, 3]  # TAG_SEG - 1, TAG_SEG, TAG_SEG + 1, 2 TAG_SEG + 5
+    # TAG_SEG - 1, TAG_SEG, TAG_SEG + 1, 2 TAG_SEG + 5, then last segments of
+    # 2, 3 and 4 columns: a segment of 1-4 columns projects its K and V
+    # rows apart from the wider product they were cut from before, where
+    # numpy may round differently, so its log-probs may move by ulps
+    lengths = [7, 8, 9, 21, 3, 10, 19, 28]
     sentences = [random_ids(400 + i, n)[0] for i, n in enumerate(lengths)]
     with T.no_grad():
         whole = [M.forward_ner(s, None, mc, params)[0].data[0] for s in sentences]
@@ -608,7 +612,7 @@ def test_segmented_tagging_matches_one_forward(pe_mode, monkeypatch):
 
     monkeypatch.setattr(M, "forward_ner", counted)
     monkeypatch.setattr(M, "decode", kept)
-    # one batch, padded to 21 so padding crosses segment boundaries, then
+    # one batch, padded to 28 so padding crosses segment boundaries, then
     # each sentence alone
     for batch in [range(len(sentences))] + [[i] for i in range(len(sentences))]:
         decoded.clear()
@@ -618,7 +622,25 @@ def test_segmented_tagging_matches_one_forward(pe_mode, monkeypatch):
             np.testing.assert_allclose(lp, whole[i], rtol=0, atol=1e-12)
             assert tags == decode(whole[i], mc.label_set, mc.decode_mode)
     # no forward runs more than TAG_SEG queries: 21 = 8 + 8 + 5, 9 = 8 + 1
-    assert widths == [8, 8, 5, 7, 8, 8, 1, 8, 8, 5, 3]
+    assert widths == [8, 8, 8, 4, 7, 8, 8, 1, 8, 8, 5, 3, 8, 2, 8, 8, 3, 8, 8, 8, 4]
+
+
+@pytest.mark.parametrize("pe_mode", relpos.PE_MODES)
+def test_tagging_normalises_and_projects_each_column_once(pe_mode, monkeypatch):
+    # each block caches the K and V heads of every earlier column, so no
+    # layer_norm or linear of a tagging forward sees more than its own rows
+    monkeypatch.setattr(M, "TAG_SEG", 8)
+    mc = small_config(pe_mode=pe_mode)
+    params = M.init_params(mc, Rng.for_stream(9, "init"), "float64")
+    rows = []
+    for name in ("layer_norm", "linear"):
+        def recorded(x, *args, real=getattr(T, name)):
+            rows.append(x.shape[-2])
+            return real(x, *args)
+
+        monkeypatch.setattr(T, name, recorded)
+    M.tag([random_ids(5, 3 * 8 + 1)[0]], mc, params)
+    assert max(rows) == 8 and rows.count(1) > 0
 
 
 def test_decode_empty_sequence():

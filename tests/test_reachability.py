@@ -51,7 +51,7 @@ ALLOWLIST = {
     "tensor.index_bucket_last": "named by a BENCHMARK.json per-layer metric",
     "relpos.rel_attention_values": "named by a BENCHMARK.json per-layer metric",
     "relpos.rel_attention_scores": "named by a BENCHMARK.json per-layer metric",
-    "tensor.concat.<locals>.backward": "commands pass memory only to no-grad tagging",
+    "tensor.concat": "joins raw segment memory; commands tag through a KV cache",
     "tensor.tsum": "reached by scripts/forward_digest.py",
     "model.param_count": "reached by perfbench/",
     "data.apply_overrides": "reached by perfbench/",
@@ -59,7 +59,6 @@ ALLOWLIST = {
     "synthetic": "reached by scripts/make_synthetic.py and perfbench/",
     "data._schema": "runs at import, before any session",
     "tensor.Tensor.__repr__": "how a tensor shows itself",
-    "tensor.Tensor.requires_grad": "whether a tensor tracks gradients",
 }
 
 

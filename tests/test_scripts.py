@@ -47,14 +47,17 @@ def test_graph_bytes_prints_saved_bytes_per_op():
     assert set(traced) == {"held", "backward_peak"}
     # the sweep starts from what the forward holds
     assert 0 < float(traced["held"]) <= float(traced["backward_peak"])
+    # the table counts only what the graph keeps alive, not the parameters
+    assert float(rows["total"][1]) <= float(traced["held"])
 
 
 def test_tag_cost_prints_time_and_peak():
     lines = run_script("tag_cost.py", "--tokens", "20").splitlines()
     assert lines[0] == "# model.tag, default config, 1 sentence of 20 tokens, seed 1"
     rows = dict(line.split("\t") for line in lines[1:])
-    assert set(rows) == {"median_ms", "peak_mb"}
+    assert set(rows) == {"median_ms", "minor_faults", "sys_ms", "peak_mb"}
     assert float(rows["median_ms"]) > 0 and float(rows["peak_mb"]) > 0
+    assert float(rows["minor_faults"]) >= 0 and float(rows["sys_ms"]) >= 0
 
 
 def test_bundled_corpus_is_what_make_synthetic_writes(tmp_path):

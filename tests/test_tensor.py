@@ -17,7 +17,8 @@ from ntrr.errors import ConfigError, ContractError, ShapeError
 from ntrr.gradcheck import tiny_config
 from ntrr.relpos import displacement_index
 from ntrr.rng import DualDropoutStreams, Rng
-from oracles import add_select_scale, attend_scores, masked_probs, softmax
+from oracles import (add_select_scale, attend_scores, bucket_sum, gather_last, masked_probs,
+                     softmax)
 
 TOL = 1e-4
 
@@ -687,6 +688,42 @@ def test_displacement_ops_float32(case):
         assert np.all(np.abs(got - ref_bucket_last(summed, idx, nbuckets)) <= bound)
 
 
+@given(displacement_cases(), st.sampled_from([(), (3,), (2, 2)]),
+       st.sampled_from(["float64", "float32"]))
+@example((1, 0, 1, 1, "contiguous", 0), (), "float64")
+@example((1, 90, 3, 2, "contiguous", 1), (), "float64")
+@example((1, 90, 3, 2, "contiguous", 1), (), "float32")
+@example((5, 12, 4, 2, "contiguous", 3), (2, 2), "float32")
+@example((300, 100, 8, 8, "contiguous", 1), (3,), "float64")
+@settings(max_examples=40, deadline=None)
+def test_far_columns_gather_and_pool_as_take_and_bincount(case, lead, dtype):
+    """Split at the index's far columns, the score gather and _bucket_sum
+    are byte for byte one take and one bincount per leading row (the
+    oracles), in float64 and float32, over leading shapes down to a single
+    row, with negative weights, scattered -0.0 and whole rows of -0.0,
+    whose far sum is -0.0 where bincount's is +0.0 (a single query row
+    sums in order only because of _bucket_sum's spare column). A relative index's far
+    columns are the memory columns at or past the clip radius k_eff from
+    every query (and, for one query, at least the first column)."""
+    idx, nbuckets, rng = _displacement_case(*case)
+    tq, mem, _, k_eff, kind, _ = case
+    index = T.BucketIndex(idx, nbuckets)
+    if kind == "contiguous":
+        assert index.far == max(int(tq == 1), mem - k_eff + 1)
+    x = rng.normal(lead + idx.shape).astype(dtype)
+    x[rng.uniform(x.shape) < 0.1] = -0.0
+    blank = rng.uniform(tq) < 0.3
+    blank[0] = False  # one row keeps sums that a reordering would change
+    x[..., blank, :] = -0.0
+    assert T._bucket_sum(x, index, index.far).tobytes() == bucket_sum(x, index).tobytes()
+    s0 = rng.normal(lead + idx.shape).astype(dtype)
+    pd = rng.normal(lead + (tq, nbuckets)).astype(dtype)
+    pd[rng.uniform(pd.shape) < 0.1] = -0.0
+    s = s0.copy()
+    T._add_gathered(s, pd, index, index.far)
+    assert s.tobytes() == (s0 + gather_last(pd, index)).tobytes()
+
+
 @given(displacement_cases(), st.sampled_from(["float64", "float32"]))
 @example((300, 100, 8, 8, "contiguous", 1), "float64")
 @example((257, 40, 12, 3, "scattered", 2), "float32")
@@ -807,15 +844,18 @@ def test_masked_softmax_keep_matches_dropout_after_softmax(tq, tk, drop_prob, dt
     assert np.all(got[0][~keep] == 0.0)
 
 
-@given(st.sampled_from([(), (3,), (2, 3)]), st.integers(1, 12), st.integers(0, 8),
-       st.integers(1, 3), st.booleans(), st.sampled_from([None, 0.15, 0.5]),
+@given(st.sampled_from([(), (3,), (2, 3)]), st.integers(1, 12), st.integers(0, 12),
+       st.booleans(), st.integers(1, 3), st.booleans(), st.sampled_from([None, 0.15, 0.5]),
        st.sampled_from(["float64", "float32"]), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
-@example((2, 3), 1, 0, 1, True, 0.15, "float64", 1, 0)
-@example((3,), 5, 4, 2, True, 0.5, "float32", 30, 3)
-@example((2, 3), 6, 3, 2, False, None, "float64", 50, 5)
-@example((), 7, 2, 3, True, None, "float32", 1, 6)
+@example((2, 3), 1, 0, False, 1, True, 0.15, "float64", 1, 0)
+@example((3,), 5, 4, False, 2, True, 0.5, "float32", 30, 3)
+@example((2, 3), 6, 3, False, 2, False, None, "float64", 50, 5)
+@example((), 7, 2, False, 3, True, None, "float32", 1, 6)
+@example((2, 3), 4, 9, True, 2, True, 0.15, "float32", 40, 7)
+@example((), 1, 6, True, 3, True, None, "float64", 400, 8)
 @settings(max_examples=60, deadline=None)
-def test_attend_matches_the_unfused_ops(lead, tq, mem, k, table, drop_prob, dtype, cells, seed):
+def test_attend_matches_the_unfused_ops(lead, tq, mem, open_memory, k, table, drop_prob, dtype,
+                                        cells, seed):
     """attend(q, k, ...) is bitwise two references: the unfused ops,
     matmul(q, k^T), plus index_select_last(per_disp) with a table, times
     c = 1/sqrt(d), then masked_softmax, weights @ v and, with a table,
@@ -823,10 +863,13 @@ def test_attend_matches_the_unfused_ops(lead, tq, mem, k, table, drop_prob, dtyp
     (q @ k^T) * c or add_select_scale(q @ k^T, per_disp, index, c) fed to
     the scores-in attend oracle. It checks the output and the gradients
     to q, k, per_disp, v and wv, with and without a keep-mask, in float64
-    and float32. Keys follow mem memory positions (Tk > Tq when mem > 0);
-    the first query row and some others are fully masked. The chunk size
-    is drawn too (ATTEND_CELLS = cells), so most cases span several
-    chunks, some of them cut short at the end of an axis."""
+    and float32. Keys follow mem memory positions (Tk > Tq when mem > 0).
+    Either the first query row and some others are fully masked, or every
+    query admits the memory, as in segment recurrence, and with a table
+    the memory columns past the clip radius take attend's far-column
+    path. The chunk size is drawn too (ATTEND_CELLS = cells), so most
+    cases span several chunks, some of them cut short at the end of an
+    axis."""
     rng = Rng(seed, 15)
     tk, d, dv, nb = mem + tq, 4, 3, 2 * k + 1
     idx = displacement_index(np.arange(tq), np.arange(-mem, tq), k)
@@ -838,6 +881,9 @@ def test_attend_matches_the_unfused_ops(lead, tq, mem, k, table, drop_prob, dtyp
     mask = (rng.uniform((tq, tk)) < 0.8) & (idx <= k)
     mask[rng.uniform(tq) < 0.2] = False
     mask[0] = False
+    if open_memory:
+        mask[:, :mem] = True
+        assert index.far == max(int(tq == 1), mem - k + 1)
     keep = None if drop_prob is None else rng.uniform(lead + (tq, tk)) >= drop_prob
     g = T.Tensor(rng.normal(lead + (tq, dv)).astype(dtype))
     c, p = 1.0 / np.sqrt(d), drop_prob or 0.0
@@ -870,7 +916,8 @@ def test_attend_matches_the_unfused_ops(lead, tq, mem, k, table, drop_prob, dtyp
 
     with mock.patch.object(T, "ATTEND_CELLS", cells):
         got = run(fused)
-    assert np.all(got[0][..., 0, :] == 0.0)
+    if not (open_memory and mem):
+        assert np.all(got[0][..., 0, :] == 0.0)
     for want in (run(unfused), run(replaced)):
         assert len(got) == len(want) == (6 if table else 4)
         for a, b in zip(got, want):
@@ -955,24 +1002,30 @@ def test_attend_rejects_mismatched_operands():
             T.attend(q, k, True, v, None, 0.0, T.Tensor(bad_pd), bad_index, T.Tensor(bad_wv))
 
 
-@given(st.integers(1, 40), st.integers(1, 60), st.sampled_from(["float64", "float32"]),
-       st.integers(0, 2 ** 32 - 1))
-@example(1, 1, "float64", 0)
-@example(5, 9, "float32", 1)
+@given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 4),
+       st.sampled_from(["float64", "float32"]), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 0, "float64", 0)
+@example(5, 9, 0, "float32", 1)
+@example(1, 1, 1, "float64", 2)
+@example(6, 30, 4, "float32", 3)
 @settings(max_examples=60, deadline=None)
-def test_softmax_exponentiates_admissible_entries_only(tq, tk, dtype, seed):
+def test_softmax_exponentiates_admissible_entries_only(tq, tk, far, dtype, seed):
     """_probs fills masked entries with the row max before exp and zeroes
     them after, so exp never sees -inf. Its p is byte for byte the helper
     that exponentiated -inf (so a -0.0 would show), with fully masked rows
     and masked entries larger than every admissible one, and its row stats
-    rebuild the same bytes without the reductions."""
+    rebuild the same bytes without the reductions. Told that the first
+    far columns are admissible in every row, it works in place on the
+    scores and reads the mask only past them, with the same bytes."""
     rng = Rng(seed, 18)
+    far = min(far, tk)
     s = (rng.normal(LEAD + (tq, tk)) * 5.0).astype(dtype)
     mask = rng.uniform((tq, tk)) < rng.uniform()
     mask[rng.uniform(tq) < 0.2] = False
+    mask[:, :far] = True
     s[..., ~mask] += 50.0
-    p, stats = T._probs(s, mask)
-    rebuilt, _ = T._probs(s, mask, stats)
+    p, stats = T._probs(s.copy(), mask, far=far)
+    rebuilt, _ = T._probs(s.copy(), mask, stats, far)
     want = masked_probs(s, mask)
     for got in (p, rebuilt):
         assert got.dtype == want.dtype == np.dtype(dtype)
