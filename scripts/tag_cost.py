@@ -2,13 +2,15 @@
 
 Builds the default model config (3 entity types, a 60-id vocabulary)
 at seed 1, draws one sentence of --tokens ids, and prints model.tag's
-median wall time over ROUNDS calls, the minor page faults and system
-milliseconds per call over those calls (getrusage of this process, so
-allocation churn shows), then the tracemalloc peak of one more call.
-Run it before and after a change to the tagging path, with BLAS pinned
-to one thread as the benchmark pins it:
+median wall time over ROUNDS calls, then per call over those calls the
+minor page faults, the system milliseconds and the CPU milliseconds, user
+plus system (getrusage of this process: allocation churn shows in the
+first two, and CPU time above the wall time shows attend's helper thread
+at work on the second core), then the tracemalloc peak of one more call.
+Run it before and after a change to the tagging path. It imports ntrr
+before numpy, so BLAS runs one thread, as in the benchmark:
 
-    OPENBLAS_NUM_THREADS=1 python scripts/tag_cost.py [--tokens 1000]
+    python scripts/tag_cost.py [--tokens 1000]
 """
 
 import argparse
@@ -20,11 +22,10 @@ import time
 import tracemalloc
 from dataclasses import replace
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-import ntrr.model as M
+import ntrr.model as M  # before numpy: importing ntrr pins BLAS to one thread
+import numpy as np
 from ntrr.rng import Rng
 
 
@@ -55,6 +56,8 @@ def main():
     print(f"median_ms\t{statistics.median(times) * 1e3:.1f}")
     print(f"minor_faults\t{(after.ru_minflt - before.ru_minflt) / ROUNDS:.1f}")
     print(f"sys_ms\t{(after.ru_stime - before.ru_stime) * 1e3 / ROUNDS:.2f}")
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    print(f"cpu_ms\t{cpu * 1e3 / ROUNDS:.1f}")
     print(f"peak_mb\t{peak / 1e6:.1f}")
 
 

@@ -17,6 +17,8 @@ as the forward drops it.
 from __future__ import annotations
 
 import contextlib
+import queue
+import threading
 
 import numpy as np
 from scipy.special import erf
@@ -316,15 +318,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF, 0.5 (1 + erf(x / sqrt 2)), in one new buffer."""
+    t = x / _SQRT2
+    erf(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact erf form: 0.5 x (1 + erf(x / sqrt 2))."""
+    """Exact erf form: x phi(x). Backward saves x only and rebuilds phi
+    with the forward's expression, so the bits are the same. Each side
+    works in one or two buffers of phi's dtype, with the roundings of the
+    out-of-place expressions."""
     x = a.data
-    phi = 0.5 * (1.0 + erf(x / _SQRT2))
-    out = x * phi
+    out = _phi(x)
+    out *= x
 
     def backward(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (phi + x * pdf),)
+        pdf *= x
+        pdf += _phi(x)
+        pdf *= g
+        return (pdf,)
 
     return _make(out, (a,), backward)
 
@@ -636,6 +653,48 @@ def _row_chunks(lead, rows: int) -> list:
             for outer in np.ndindex(*lead[:axis - 1]) for i in range(0, n, step)]
 
 
+_helper_tasks = None  # the task queue of attend's one helper thread, once started
+_helper_lock = threading.Lock()
+
+
+def _helper_loop(tasks) -> None:
+    while True:
+        body, chunks, reply = tasks.get()
+        try:
+            for ch in chunks:
+                body(ch)
+        except BaseException as exc:  # re-raised on the caller's thread
+            reply.put(exc)
+        else:
+            reply.put(None)
+
+
+def _run_chunks(body, chunks) -> None:
+    """body(ch) for every chunk: one chunk inline, more split in two
+    halves, the first run on this thread and the second on one helper
+    thread, started on first use, then joined. A helper's exception is
+    re-raised here. The bodies must write disjoint slices and call only
+    private helpers: perfbench's tracer keeps one span stack."""
+    global _helper_tasks
+    if len(chunks) == 1:
+        body(chunks[0])
+        return
+    with _helper_lock:
+        if _helper_tasks is None:
+            _helper_tasks = queue.SimpleQueue()
+            threading.Thread(target=_helper_loop, args=(_helper_tasks,),
+                             name="ntrr-attend", daemon=True).start()
+    half, reply = (len(chunks) + 1) // 2, queue.SimpleQueue()
+    _helper_tasks.put((body, chunks[half:], reply))
+    try:
+        for ch in chunks[:half]:
+            body(ch)
+    finally:
+        error = reply.get()  # the join: the helper's half is done
+    if error is not None:
+        raise error
+
+
 def _attend_probs(ch, q, k, pd, index, far, c, mask, stats=None):
     """_probs of chunk ch of the scores (q @ k^T + pd gathered by index) * c,
     or (q @ k^T) * c without an index, bitwise matmul, index_select_last,
@@ -658,7 +717,8 @@ def attend(q: Tensor, k: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 
     keep, drop_prob); the result is weights @ v, plus
     index_bucket_last(weights, index) @ wv for the (2k+1, dv) table wv.
     All of it is bitwise those unfused ops. It runs over whole (Tq, Tk)
-    matrices, at most ATTEND_CELLS score cells at a time, and no float
+    matrices in chunks of at most ATTEND_CELLS score cells, the forward's
+    on two threads (_run_chunks), the backward's one at a time, and no float
     (..., Tq, Tk) array outlives it: backward saves q, k, per_disp, keep,
     v, wv, the pooled weights and each row's softmax max and denominator,
     and rebuilds each chunk's scores and softmax from them. When the mask
@@ -687,7 +747,8 @@ def attend(q: Tensor, k: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 
     chunks = _row_chunks(lead, ATTEND_CELLS // max(1, tq * tk))
     out = np.empty(lead + (tq, vd.shape[-1]), dt)
     rowmax, denom = np.empty(lead + (tq, 1), dt), np.empty(lead + (tq, 1), dt)
-    for ch in chunks:
+
+    def forward(ch):  # may run on the helper thread: private helpers only
         w, (rowmax[ch], denom[ch]) = _attend_probs(ch, qd, kd, pdd, index, far, c, m)
         if keep is not None:
             np.multiply(np.multiply(w, keep[ch], out=w), scale, out=w)
@@ -695,7 +756,8 @@ def attend(q: Tensor, k: Tensor, mask, v: Tensor, keep=None, drop_prob: float = 
         if index is not None:
             pooled[ch] = _bucket_sum(w, index, far)
             out[ch] += pooled[ch] @ wvd
-        del w  # before the next chunk builds its scores
+
+    _run_chunks(forward, chunks)
 
     def backward(g):
         gq, gv, gkt = np.empty(qd.shape, dt), np.empty(vd.shape, dt), np.empty(lead + (d, tk), dt)

@@ -59,6 +59,7 @@ ALLOWLIST = {
     "synthetic": "reached by scripts/make_synthetic.py and perfbench/",
     "data._schema": "runs at import, before any session",
     "tensor.Tensor.__repr__": "how a tensor shows itself",
+    "tensor._helper_loop": "runs on attend's helper thread, which sys.setprofile does not see",
 }
 
 

@@ -1,14 +1,21 @@
 """Tensor core: op semantics and reverse-mode gradients vs central
 finite differences (h=1e-5, 64-bit, rel err <= 1e-4)."""
 
+import importlib.util
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf as scipy_erf
 
 import ntrr.model as M
 import ntrr.tensor as T
@@ -309,6 +316,21 @@ def test_layer_norm_matches_mean_and_var(lead, width, dtype, offset, seed):
 
 def test_gelu_zero():
     assert T.gelu(T.Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_gelu_backward_saves_its_input_only():
+    """gelu's closure keeps x, not also the (same-sized) normal CDF, and
+    backward rebuilds that CDF bitwise: the gradient is the closed form
+    x pdf + phi with phi computed as the forward computes it."""
+    x = T.Tensor(Rng(3, 20).normal((5, 7)) * 3.0, requires_grad=True)
+    out = T.gelu(x)
+    saved = [c.cell_contents for c in out._node._backward.__closure__]
+    assert [a is x.data for a in saved if isinstance(a, np.ndarray)] == [True]
+    T.backward(T.tsum(out))
+    phi = 0.5 * (1.0 + scipy_erf(x.data / np.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / np.sqrt(2.0 * np.pi))
+    assert x.grad.tobytes() == (np.ones_like(phi) * (phi + x.data * pdf)).tobytes()
+    assert out.data.tobytes() == (x.data * phi).tobytes()
 
 
 def test_linear_identity():
@@ -980,6 +1002,139 @@ def test_attend_backward_peak_is_a_few_chunks():
         tracemalloc.stop()
     assert returned <= sum(a.nbytes for a in grads) + 4096
     assert peak - returned <= 4 * chunk_bytes, (peak - returned) / chunk_bytes
+
+
+def _inline_chunks(body, chunks):
+    """The serial loop that T._run_chunks replaced."""
+    for ch in chunks:
+        body(ch)
+
+
+def _chunked_attend_case(lead, path, drop_prob):
+    """run(dispatch) gives attend's output and the gradients of q, k, v
+    (and per_disp and wv unless absolute) with T._run_chunks replaced by
+    dispatch, at an ATTEND_CELLS that puts one (Tq, Tk) matrix in each
+    chunk. path is "absolute" (no index), "generic" (a
+    relative index whose memory the mask does not open) or "far" (memory
+    every query admits, past the clip radius)."""
+    rng = Rng(len(lead) * 10 + lead[-1], 18)
+    tq, mem, k, d = 6, 9, 2, 4
+    tk = tq + mem
+    index = T.BucketIndex(displacement_index(np.arange(tq), np.arange(-mem, tq), k), 2 * k + 1)
+    mask = np.tril(np.ones((tq, tk), dtype=bool), mem)
+    if path == "far":
+        assert index.far == mem - k + 1
+    else:
+        mask[:, :2] = False
+    arrays = [rng.normal(lead + shape) for shape in
+              ((tq, d), (tk, d), (tq, 2 * k + 1), (tk, d))] + [rng.normal((2 * k + 1, d))]
+    keep = None if drop_prob is None else rng.uniform(lead + (tq, tk)) >= drop_prob
+    g = T.Tensor(rng.normal(lead + (tq, d)))
+
+    def run(dispatch):
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        q, kk, pd, v, wv = leaves
+        rel = () if path == "absolute" else (pd, index, wv)
+        with mock.patch.object(T, "_run_chunks", dispatch), \
+                mock.patch.object(T, "ATTEND_CELLS", tq * tk):
+            out = T.attend(q, kk, mask, v, keep, drop_prob or 0.0, *rel)
+        T.backward(T.tsum(out * g))
+        return [out.data] + [leaf.grad for leaf in leaves if leaf.grad is not None]
+
+    return run
+
+
+@pytest.mark.parametrize("lead", [(1,), (2,), (3,), (8, 4)], ids=["1", "2", "3", "32"])
+@pytest.mark.parametrize("path", ["absolute", "generic", "far"])
+@pytest.mark.parametrize("drop_prob", [None, 0.15])
+def test_attend_threaded_forward_is_bitwise_the_serial_loop(lead, path, drop_prob):
+    """The forward's chunks on the caller and the helper thread give the
+    bytes of the one-thread loop: the output and every gradient, with the
+    interpreter switching threads as often as it can. With two or more
+    chunks both threads build scores; with one, only the caller."""
+    run = _chunked_attend_case(lead, path, drop_prob)
+    assert len(T._row_chunks(lead, 1)) == int(np.prod(lead))
+    threads = set()
+    probs = T._attend_probs
+
+    def spy(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return probs(*args, **kwargs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(T, "_attend_probs", spy):
+            got = run(T._run_chunks)
+    finally:
+        sys.setswitchinterval(interval)
+    want = run(_inline_chunks)
+    assert len(threads) == (1 if lead == (1,) else 2)
+    assert len(got) == len(want) == (4 if path == "absolute" else 6)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_run_chunks_reraises_the_helpers_exception_after_both_halves():
+    """A chunk that raises on the helper thread raises in the caller, once
+    the caller's half is done; a chunk that raises on the caller waits
+    for the helper's half before it propagates."""
+    for bad, done_before_raise in ((3, {0, 1, 2}), (0, {2, 3})):
+        ran, caller = {}, threading.get_ident()
+
+        def body(ch):
+            if ch == bad:
+                raise ValueError(f"chunk {ch}")
+            ran[ch] = threading.get_ident()
+
+        with pytest.raises(ValueError, match=f"chunk {bad}"):
+            T._run_chunks(body, [0, 1, 2, 3])
+        assert set(ran) == done_before_raise
+        assert all((t == caller) == (ch < 2) for ch, t in ran.items())
+
+
+def test_attend_starts_at_most_one_helper_thread():
+    run = _chunked_attend_case((3,), "far", None)
+    before = threading.active_count()
+    for _ in range(20):
+        run(T._run_chunks)
+    assert threading.active_count() - before <= 1
+
+
+def test_traced_multi_chunk_attend_is_one_span():
+    """Under perfbench's tracer, whose span stack is not thread-safe, a
+    4-chunk attend records one span, tensor.attend: its chunks call no
+    public (traced) function on either thread."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    rng = Rng(6, 19)
+    t, d, k = 8, 4, 2
+    index = T.BucketIndex(displacement_index(np.arange(t), np.arange(-t, t), k), 2 * k + 1)
+    q, pd = rng.normal((4, t, d)), rng.normal((4, t, 2 * k + 1))
+    kv, wv = rng.normal((4, 2 * t, d)), rng.normal((2 * k + 1, d))
+    tracer = tracer_module.Tracer()
+    with mock.patch.object(T, "ATTEND_CELLS", 2 * t * t), tracer.installed():
+        assert len(T._row_chunks((4,), 1)) == 4
+        T.attend(T.Tensor(q), T.Tensor(kv), True, T.Tensor(kv), None, 0.0,
+                 T.Tensor(pd), index, T.Tensor(wv))
+    assert [tracer.names[span[0]] for span in tracer.spans] == ["tensor.attend"]
+
+
+def test_import_pins_blas_to_one_thread_unless_set():
+    """import ntrr sets OPENBLAS_NUM_THREADS (and the OpenMP and MKL
+    variables) to 1 before numpy loads, and keeps a value already set."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import ntrr, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    for given, want in ((None, "1"), ("3", "3")):
+        run_env = env if given is None else dict(env, OPENBLAS_NUM_THREADS=given)
+        out = subprocess.run([sys.executable, "-c", probe], env=run_env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out == want + "\n"
 
 
 def test_attend_rejects_mismatched_operands():
