@@ -6,14 +6,17 @@ median wall time over ROUNDS calls, then per call over those calls the
 minor page faults, the system milliseconds and the CPU milliseconds, user
 plus system (getrusage of this process: allocation churn shows in the
 first two, and CPU time above the wall time shows attend's helper thread
-at work on the second core), then the tracemalloc peak of one more call.
-Run it before and after a change to the tagging path. It imports ntrr
-before numpy, so BLAS runs one thread, as in the benchmark:
+at work on the second core), then the tracemalloc peak of one more call
+and the bytes still held once its result is dropped and gc.collect() has
+run (attend's helper thread keeps its last task's buffers until the
+next task). Run it before and after a change to the tagging path. It
+imports ntrr before numpy, so BLAS runs one thread, as in the benchmark:
 
     python scripts/tag_cost.py [--tokens 1000]
 """
 
 import argparse
+import gc
 import os
 import resource
 import statistics
@@ -50,7 +53,8 @@ def main():
     after = resource.getrusage(resource.RUSAGE_SELF)
     tracemalloc.start()
     M.tag([sentence], config, params)
-    peak = tracemalloc.get_traced_memory()[1]
+    gc.collect()
+    held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     print(f"# model.tag, default config, 1 sentence of {args.tokens} tokens, seed {SEED}")
     print(f"median_ms\t{statistics.median(times) * 1e3:.1f}")
@@ -59,6 +63,7 @@ def main():
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     print(f"cpu_ms\t{cpu * 1e3 / ROUNDS:.1f}")
     print(f"peak_mb\t{peak / 1e6:.1f}")
+    print(f"held_mb\t{held / 1e6:.3f}")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ as the forward drops it.
 from __future__ import annotations
 
 import contextlib
+import os
 import queue
 import threading
 
@@ -386,9 +387,9 @@ def _probs(s: np.ndarray, mask, stats=None, far: int = 0):
     admissible entries are exponentiated: the others take the row max, so
     exp sees 0, and the mask then zeroes them exactly. Masked positions
     get exactly zero weight; rows with no admissible position come out as
-    all zeros rather than NaN. p is one new buffer, or, given far leading
-    columns that every row admits, s itself, updated in place, with the
-    mask read only from column far on."""
+    all zeros rather than NaN. p is s itself, updated in place; given far
+    leading columns that every row admits, the mask is read only from
+    column far on."""
     near = mask[..., far:]
     if stats is None:
         rowmax = np.max(s[..., far:], axis=-1, keepdims=True, where=near, initial=-np.inf)
@@ -397,17 +398,13 @@ def _probs(s: np.ndarray, mask, stats=None, far: int = 0):
         rowmax[~np.isfinite(rowmax)] = 0.0
     else:
         rowmax, denom = stats
-    if far:
-        p = s
-        np.copyto(p[..., far:], rowmax, where=~near)
-    else:
-        p = np.where(mask, s, rowmax)  # the softmax buffer; updated in place below
-    np.exp(np.subtract(p, rowmax, out=p), out=p)
-    np.multiply(p[..., far:], near, out=p[..., far:])
+    np.copyto(s[..., far:], rowmax, where=~near)
+    np.exp(np.subtract(s, rowmax, out=s), out=s)
+    np.multiply(s[..., far:], near, out=s[..., far:])
     if stats is None:
-        denom = p.sum(axis=-1, keepdims=True)
+        denom = s.sum(axis=-1, keepdims=True)
         denom[~(denom > 0.0)] = 1.0
-    return np.divide(p, denom, out=p), (rowmax, denom)
+    return np.divide(s, denom, out=s), (rowmax, denom)
 
 
 def masked_softmax(scores: Tensor, mask, keep=None, drop_prob: float = 0.0) -> Tensor:
@@ -416,7 +413,7 @@ def masked_softmax(scores: Tensor, mask, keep=None, drop_prob: float = 0.0) -> T
     Masked positions get exactly zero weight; rows with no admissible
     position come out as all zeros rather than NaN. A keep-mask folds in
     dropout(..., drop_prob, keep) bitwise, saving the mask, not a factor."""
-    p, _ = _probs(scores.data, np.asarray(mask, dtype=bool))
+    p, _ = _probs(scores.data.copy(), np.asarray(mask, dtype=bool))
     scale = None if keep is None else _keep_scale(drop_prob, scores.dtype)
     out = p if keep is None else _apply_keep(p, keep, scale)
 
@@ -657,8 +654,19 @@ _helper_tasks = None  # the task queue of attend's one helper thread, once start
 _helper_lock = threading.Lock()
 
 
+def _forget_helper() -> None:
+    """In a forked child, which inherits the queue (and maybe a held lock)
+    but not the thread: the child's first multi-chunk call starts its own."""
+    global _helper_tasks, _helper_lock
+    _helper_tasks, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
 def _helper_loop(tasks) -> None:
     while True:
+        # the last task stays bound until the next; dropping it measured slower (colder heap)
         body, chunks, reply = tasks.get()
         try:
             for ch in chunks:

@@ -1,6 +1,7 @@
 """Model assembly: segment recurrence, memory gradient isolation,
 parameter accounting, decoding, and full-model gradient checks."""
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -167,6 +168,33 @@ def test_memory_mismatch_rejected():
     bad = M.SegmentMemory([np.zeros((1, 2, 16))], 2)  # wrong layer count
     with pytest.raises(ContractError):
         M.forward_ner(random_ids(1, 4), bad, mc, params)
+
+
+def head_caches(mc, capacity):
+    return M.SegmentMemory([relpos.HeadCache(capacity) for _ in range(mc.num_layers)])
+
+
+def test_head_cache_memory_needs_no_grad():
+    # a HeadCache keeps the K and V heads of earlier columns, without their
+    # graph, so a forward that would take gradients through it is refused
+    mc = small_config()
+    params = M.init_params(mc, Rng.for_stream(5, "init"), "float64")
+    with pytest.raises(ContractError, match="no_grad"):
+        M.forward_ner(random_ids(1, 4), head_caches(mc, 4), mc, params)
+    with T.no_grad():
+        _, mem = M.forward_ner(random_ids(1, 4), head_caches(mc, 8), mc, params)
+    assert [m.length for m in mem.layers] == [4] * mc.num_layers and mem.offset == 4
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_pretrain_forward_rejects_head_cache_memory(grad):
+    # its query stream would need the cache to serve a second stream
+    mc = small_config(transformer_layers=0)
+    params = M.init_params(mc, Rng.for_stream(6, "init"), "float64")
+    plan = sample_permutation(6, Rng(1, 1))
+    with pytest.raises(ContractError, match="one query stream"), \
+            (contextlib.nullcontext() if grad else T.no_grad()):
+        M.pretrain_forward(random_ids(10, 6), plan, head_caches(mc, 6), mc, params)
 
 
 def test_pretrain_memory_round_trip():

@@ -51,7 +51,7 @@ ALLOWLIST = {
     "tensor.index_bucket_last": "named by a BENCHMARK.json per-layer metric",
     "relpos.rel_attention_values": "named by a BENCHMARK.json per-layer metric",
     "relpos.rel_attention_scores": "named by a BENCHMARK.json per-layer metric",
-    "tensor.concat": "joins raw segment memory; commands tag through a KV cache",
+    "tensor.concat": "joins raw segment memory; commands tag through head caches",
     "tensor.tsum": "reached by scripts/forward_digest.py",
     "model.param_count": "reached by perfbench/",
     "data.apply_overrides": "reached by perfbench/",
@@ -60,6 +60,7 @@ ALLOWLIST = {
     "data._schema": "runs at import, before any session",
     "tensor.Tensor.__repr__": "how a tensor shows itself",
     "tensor._helper_loop": "runs on attend's helper thread, which sys.setprofile does not see",
+    "tensor._forget_helper": "runs only in a forked child",
 }
 
 

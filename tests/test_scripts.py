@@ -55,10 +55,10 @@ def test_tag_cost_prints_time_and_peak():
     lines = run_script("tag_cost.py", "--tokens", "20").splitlines()
     assert lines[0] == "# model.tag, default config, 1 sentence of 20 tokens, seed 1"
     rows = dict(line.split("\t") for line in lines[1:])
-    assert set(rows) == {"median_ms", "minor_faults", "sys_ms", "cpu_ms", "peak_mb"}
+    assert set(rows) == {"median_ms", "minor_faults", "sys_ms", "cpu_ms", "peak_mb", "held_mb"}
     assert float(rows["median_ms"]) > 0 and float(rows["peak_mb"]) > 0
     assert float(rows["minor_faults"]) >= 0 and float(rows["sys_ms"]) >= 0
-    assert float(rows["cpu_ms"]) >= 0
+    assert float(rows["cpu_ms"]) >= 0 and float(rows["held_mb"]) >= 0
 
 
 def test_bundled_corpus_is_what_make_synthetic_writes(tmp_path):

@@ -348,6 +348,17 @@ def test_masked_softmax_fully_masked_row_is_zeros():
     assert np.allclose(out[0, 0].sum(), 1.0)
 
 
+def test_masked_softmax_leaves_its_scores_unchanged():
+    # _probs works in place in the buffer it is given; masked_softmax hands
+    # it a copy, because the scores belong to the graph
+    rng = Rng(3, 20)
+    scores = T.Tensor(rng.normal((2, 5, 7)), requires_grad=True)
+    before = scores.data.tobytes()
+    out = T.masked_softmax(scores, np.tril(np.ones((5, 7), dtype=bool)))
+    T.backward(T.tsum(out * T.Tensor(rng.normal(out.shape))))
+    assert scores.data.tobytes() == before
+
+
 def test_mask_scores_blocks_gradient():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     mask = np.array([[True, False], [True, True]])
@@ -1099,6 +1110,40 @@ def test_attend_starts_at_most_one_helper_thread():
     for _ in range(20):
         run(T._run_chunks)
     assert threading.active_count() - before <= 1
+
+
+FORK_PROBE = """
+import multiprocessing
+import numpy as np
+import ntrr.tensor as T
+
+def attend():
+    x = T.Tensor(np.ones((4, 8, 4)))
+    T.attend(x, x, True, x)
+
+T.ATTEND_CELLS = 64  # one (8, 8) matrix per chunk, so four chunks
+assert len(T._row_chunks((4,), T.ATTEND_CELLS // 64)) == 4
+attend()
+assert T._helper_tasks is not None
+child = multiprocessing.get_context("fork").Process(target=attend)
+child.start()
+child.join(timeout=60)
+if child.is_alive():
+    child.kill()
+    child.join()
+print(child.exitcode)
+"""
+
+
+def test_forked_child_runs_a_multi_chunk_attend():
+    """A forked child inherits the helper's task queue but not its thread;
+    it starts a helper of its own instead of waiting forever on the
+    parent's. Run in a fresh interpreter, so pytest's process is not
+    forked; a child still alive after 60 s is killed."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", FORK_PROBE], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
 
 
 def test_traced_multi_chunk_attend_is_one_span():
