@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -397,7 +398,6 @@ def config_reference() -> str:
 class Checkpoint:
     model_config: ModelConfig
     params: dict[str, np.ndarray]
-    dtype: str
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor | np.ndarray],
@@ -432,7 +432,8 @@ def save_checkpoint(path: str, params: dict[str, Tensor | np.ndarray],
 
 
 class _Reader:
-    """Byte cursor that turns truncation into located corruption errors."""
+    """Byte cursor that turns truncation and implausible fields into
+    located corruption errors, each naming the byte where its field starts."""
 
     def __init__(self, blob: bytes, path: str):
         self.blob = blob
@@ -448,14 +449,22 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return self.pull(1)[0]
+    def number(self, fmt: str, what: str, limit: int) -> int:
+        """One little-endian unsigned field; a value over limit is implausible."""
+        start = self.pos
+        value = struct.unpack(fmt, self.pull(struct.calcsize(fmt)))[0]
+        if value > limit:
+            raise CheckpointError(f"{self.path}: implausible {what} {value} at byte {start}")
+        return value
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.pull(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.pull(8))[0]
+    def text(self, n: int, what: str) -> str:
+        """n bytes decoded as UTF-8; a byte that does not decode is located."""
+        start = self.pos
+        try:
+            return self.pull(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{self.path}: {what} is not UTF-8 at byte {start + exc.start}") from None
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -463,61 +472,32 @@ def load_checkpoint(path: str) -> Checkpoint:
     r = _Reader(blob, path)
     if r.pull(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic at byte 0; not a checkpoint")
-    version = r.u32()
+    version = struct.unpack("<I", r.pull(4))[0]
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    flags = r.u8()
+    flags = r.number("<B", "flags", _FLAG_FLOAT64)
     dtype = np.float64 if flags & _FLAG_FLOAT64 else np.float32
-    config_len = r.u64()
-    if config_len > len(blob):
-        raise CheckpointError(f"{path}: config block length {config_len} at byte "
-                              f"{r.pos - 8} exceeds file size")
-    config_start = r.pos
-    try:
-        config_text = r.pull(config_len).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(
-            f"{path}: config block is not UTF-8 at byte {config_start + exc.start}") from None
+    stored = np.dtype(dtype).newbyteorder("<")
+    config_text = r.text(r.number("<Q", "config block length", len(blob)), "config block")
     try:
         values = parse_config_text(config_text, f"{path}[config]", RETIRED_CHECKPOINT_KEYS)
         model_config = configs_from_values(values)[0]
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad config block: {exc}") from None
-    n_tensors = r.u64()
-    if n_tensors > 1_000_000:
-        raise CheckpointError(f"{path}: implausible tensor count {n_tensors} "
-                              f"at byte {r.pos - 8}")
     params: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        name_len = r.u32()
-        if name_len > 4096:
-            raise CheckpointError(f"{path}: implausible name length {name_len} "
-                                  f"at byte {r.pos - 4}")
+    for _ in range(r.number("<Q", "tensor count", 1_000_000)):
+        name_len = r.number("<I", "name length", 4096)
         name_start = r.pos
-        try:
-            name = r.pull(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(
-                f"{path}: tensor name is not UTF-8 at byte {name_start + exc.start}") from None
+        name = r.text(name_len, "tensor name")
         if name in params:
             raise CheckpointError(f"{path}: duplicate tensor '{name}' at byte {name_start}")
-        rank = r.u64()
-        if rank > 8:
-            raise CheckpointError(f"{path}: implausible rank {rank} at byte {r.pos - 8}")
-        shape = tuple(r.u64() for _ in range(rank))
-        count = 1
-        for dim in shape:
-            if dim > len(blob):
-                raise CheckpointError(f"{path}: implausible dim {dim} at byte {r.pos}")
-            count *= dim
-        width = 8 if flags & _FLAG_FLOAT64 else 4
-        raw = r.pull(count * width)
-        arr = np.frombuffer(raw, dtype="<f8" if width == 8 else "<f4").reshape(shape)
-        params[name] = arr.astype(dtype, copy=True)
+        rank = r.number("<Q", "rank", 8)
+        shape = tuple(r.number("<Q", "dim", len(blob)) for _ in range(rank))
+        raw = r.pull(math.prod(shape) * stored.itemsize)
+        params[name] = np.frombuffer(raw, stored).reshape(shape).astype(dtype)
     if r.pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.pos} trailing bytes at byte {r.pos}")
-    return Checkpoint(model_config, params,
-                      "float64" if flags & _FLAG_FLOAT64 else "float32")
+    return Checkpoint(model_config, params)
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> dict[str, Tensor]:

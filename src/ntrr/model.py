@@ -338,9 +338,10 @@ def pretrain_forward(token_ids, plan: plm.PermutationPlan, memory, config: Model
 
 def _tag_batches(sentences):
     """Runs of consecutive sentences, each at most TAG_BATCH of them and
-    at most TAG_CELLS attention cells (rows x longest^2), a conservative
-    bound on the (B, H, TAG_SEG, T) arrays of the run's segment forwards;
-    one sentence always makes a run."""
+    at most TAG_CELLS attention cells (rows x longest^2), which bound a
+    run's attention work and so what a short sentence pays for padding
+    beside a long one; one sentence always makes a run. Head caches grow
+    as rows x longest, which the two bounds keep within 32 x 128 = 4096."""
     chunk, longest = [], 0
     for s in sentences:
         wider = max(longest, len(s))

@@ -22,7 +22,6 @@ import queue
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, ContractError, ShapeError
 
@@ -321,6 +320,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def _phi(x: np.ndarray) -> np.ndarray:
     """The standard normal CDF, 0.5 (1 + erf(x / sqrt 2)), in one new buffer."""
+    from scipy.special import erf  # here, not at import: it is most of `import ntrr`'s time
     t = x / _SQRT2
     erf(t, out=t)
     t += 1.0

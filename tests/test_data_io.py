@@ -1,6 +1,7 @@
 """CoNLL parsing, vocabularies, batching, config files, checkpoints."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -365,7 +366,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     p = str(tmp_path / "m.ckpt")
     D.save_checkpoint(p, params, small_mc())
     ckpt = D.load_checkpoint(p)
-    assert ckpt.dtype == "float64"
+    assert {a.dtype for a in ckpt.params.values()} == {np.dtype(np.float64)}
     assert ckpt.model_config == small_mc()
     assert set(ckpt.params) == set(params)
     for name, t in params.items():
@@ -381,7 +382,7 @@ def test_checkpoint_float32_round_trip(tmp_path):
     p = str(tmp_path / "m32.ckpt")
     D.save_checkpoint(p, params, small_mc())
     ckpt = D.load_checkpoint(p)
-    assert ckpt.dtype == "float32"
+    assert {a.dtype for a in ckpt.params.values()} == {np.dtype(np.float32)}
     for name, t in params.items():
         assert ckpt.params[name].dtype == np.float32
         assert np.array_equal(ckpt.params[name], t.data)
@@ -410,6 +411,46 @@ def test_checkpoint_truncation_names_byte(tmp_path):
         fh.write(blob[:len(blob) - 10])
     with pytest.raises(CheckpointError, match=f"byte {len(blob) - 10}"):
         D.load_checkpoint(cut)
+
+
+def one_tensor_checkpoint(tmp_path, name):
+    p = str(tmp_path / "one.ckpt")
+    D.save_checkpoint(p, {name: np.zeros((2, 3))}, small_mc())
+    return p, bytearray(open(p, "rb").read())
+
+
+@pytest.mark.parametrize("what", ["flags", "config block length", "tensor count",
+                                  "name length", "rank", "dim"])
+def test_checkpoint_implausible_field_names_its_own_byte(tmp_path, what):
+    """Each bounded field of a one-tensor checkpoint, set past its limit,
+    is rejected at the byte where that field starts."""
+    p, blob = one_tensor_checkpoint(tmp_path, "w")
+    config_len = len(D.model_config_text(small_mc()).encode("utf-8"))
+    count_at = 4 + 4 + 1 + 8 + config_len
+    # what: (format, offset, value stored there, a value past the limit)
+    fmt, at, stored, value = {
+        "flags": ("<B", 8, 1, 2),
+        "config block length": ("<Q", 9, config_len, len(blob) + 1),
+        "tensor count": ("<Q", count_at, 1, 1_000_001),
+        "name length": ("<I", count_at + 8, 1, 4097),
+        "rank": ("<Q", count_at + 8 + 4 + 1, 2, 9),
+        "dim": ("<Q", count_at + 8 + 4 + 1 + 8, 2, len(blob) + 1)}[what]
+    assert struct.unpack_from(fmt, blob, at)[0] == stored
+    struct.pack_into(fmt, blob, at, value)
+    open(p, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointError) as info:
+        D.load_checkpoint(p)
+    assert str(info.value) == f"{p}: implausible {what} {value} at byte {at}"
+
+
+def test_checkpoint_name_not_utf8_names_the_byte(tmp_path):
+    p, blob = one_tensor_checkpoint(tmp_path, "ab")
+    at = blob.rindex(b"ab") + 1
+    blob[at] = 0xFF
+    open(p, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointError) as info:
+        D.load_checkpoint(p)
+    assert str(info.value) == f"{p}: tensor name is not UTF-8 at byte {at}"
 
 
 def test_checkpoint_foreign_magic(tmp_path):

@@ -333,6 +333,20 @@ def test_gelu_backward_saves_its_input_only():
     assert out.data.tobytes() == (x.data * phi).tobytes()
 
 
+def test_import_leaves_scipy_special_to_the_first_gelu():
+    """Commands that run no forward (convert, report, eval --pred, every
+    exit-2 path) do not pay for scipy.special; a gelu loads it. Run in a
+    fresh interpreter, since pytest's has scipy loaded already."""
+    probe = ("import sys, numpy, ntrr.cli, ntrr.tensor as T\n"
+             "print('scipy.special' in sys.modules)\n"
+             "T.gelu(T.Tensor(numpy.zeros(2)))\n"
+             "print('scipy.special' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert (out.returncode, out.stdout) == (0, "False\nTrue\n"), out.stderr
+
+
 def test_linear_identity():
     x = T.Tensor(np.arange(6.0).reshape(2, 3))
     out = T.linear(x, T.Tensor(np.eye(3)), T.Tensor(np.zeros(3)))
